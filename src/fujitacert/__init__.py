@@ -17,7 +17,7 @@ from .certify import (
     shimura_count,
     splitting,
 )
-from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial, finite_order_bound, real_sign, zeta
+from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial, real_sign, zeta
 from .eigenspace import (
     DegenerateCharacterError,
     EigenspaceReport,
@@ -25,14 +25,12 @@ from .eigenspace import (
     SplitClass,
     WeightTuple,
     eigenspace_table,
-    hodge_dims,
     mu,
     sigma_sum,
     signature,
 )
 from .monodromy import (
     FinitenessVerdict,
-    HypergeometricParams,
     MonodromyTriple,
     finiteness_by_signature,
     find_infinite_character,
@@ -41,11 +39,11 @@ from .monodromy import (
     infinite_order_witness,
     invariant_hermitian_form,
     is_irreducible,
+    levelt_exponents,
     levelt_triple,
-    params_from_weights,
     triple_from_weights,
 )
-from .residues import euler_phi, galois_orbit, is_unit, reduce_mod, units
+from .residues import InternalInconsistencyError, euler_phi, galois_orbit, is_unit, reduce_mod, units
 from .surfaces import (
     FamilyData,
     SurfaceInvariants,
@@ -72,7 +70,7 @@ __all__ = [
     "EnumerationMode",
     "FamilyData",
     "FinitenessVerdict",
-    "HypergeometricParams",
+    "InternalInconsistencyError",
     "MonodromyTriple",
     "ResidueWeights",
     "SplitClass",
@@ -89,13 +87,11 @@ __all__ = [
     "euler_phi",
     "family",
     "find_infinite_character",
-    "finite_order_bound",
     "finiteness_by_signature",
     "flat_summand_census",
     "galois_orbit",
     "group_closure",
     "has_common_eigenvector",
-    "hodge_dims",
     "infinite_order_witness",
     "invariant_hermitian_form",
     "invariants",
@@ -103,9 +99,9 @@ __all__ = [
     "is_irreducible",
     "is_unit",
     "iter_admissible_families",
+    "levelt_exponents",
     "levelt_triple",
     "mu",
-    "params_from_weights",
     "real_sign",
     "reduce_mod",
     "run_sweep",

@@ -245,7 +245,7 @@ def certify(
             irreducible_all=True,
         )
     unit_h = (-j_star) % w.n  # [h * (n-1)] = j_star
-    witness = InfiniteWitness(j_star=j_star, unit=unit_h, sigma=2 * w.n)
+    witness = InfiniteWitness(j_star=j_star, unit=unit_h, sigma=sigma_sum(w, j_star))
     oracle_agreement = None
     oracle_verdicts = None
     if with_oracle:

@@ -3,8 +3,9 @@
 All output is machine-readable JSON on stdout (one record per line for the
 streaming commands); diagnostics go to stderr.  Exit codes: 0 success or
 certified, 1 invalid input, 2 internal inconsistency (criterion vs oracle
-disagreement - never expected), 3 not certified.  No environment-variable
-configuration: everything is a flag, so certificates are reproducible.
+disagreement or a failed self-check - never expected), 3 not certified.  No
+environment-variable configuration: everything is a flag, so certificates are
+reproducible.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .monodromy import (
     triple_from_weights,
 )
 from .records import check, dumps_record, output_record
+from .residues import InternalInconsistencyError
 from .surfaces import FamilyData, standard_family
 from .sweep import SAFE_N_MAX, run_sweep
 
@@ -179,6 +181,8 @@ def cmd_analyze(args, out) -> int:
 
 
 def _certificate_checks(cert: Certificate) -> list[dict]:
+    n = cert.family.n
+    witness = cert.infinite_witness
     checks = [
         check("admissible", cert.admissible, cert.admissibility_reason or ""),
         check("smooth", bool(cert.smooth), ""),
@@ -195,8 +199,10 @@ def _certificate_checks(cert: Certificate) -> list[dict]:
         ),
         check(
             "infinite_witness_valid",
-            cert.infinite_witness is not None
-            and cert.infinite_witness.sigma == 2 * cert.family.n,
+            witness is not None
+            and witness.sigma == 2 * n
+            and gcd(witness.unit, n) == 1
+            and witness.unit * (n - 1) % n == witness.j_star,
             "witness character has sigma = 2n",
         ),
     ]
@@ -354,6 +360,9 @@ def main(argv=None, out=None, err=None) -> int:
     except CliInputError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT
+    except InternalInconsistencyError as exc:
+        err.write(f"error: internal: {exc}\n")
+        return EXIT_INCONSISTENT
     except (ValueError, ZeroDivisionError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT

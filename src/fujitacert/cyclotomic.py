@@ -20,7 +20,7 @@ from math import gcd, lcm
 
 import mpmath
 
-from .residues import euler_phi
+from .residues import InternalInconsistencyError
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +29,8 @@ from .residues import euler_phi
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     """Quotient of integer polynomials, denominator monic; remainder must vanish."""
-    assert den[-1] == 1
+    if den[-1] != 1:
+        raise InternalInconsistencyError("polynomial division needs a monic divisor")
     num = list(num)
     out = [0] * (len(num) - len(den) + 1)
     for k in range(len(out) - 1, -1, -1):
@@ -38,7 +39,8 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
         if coeff:
             for i, d in enumerate(den):
                 num[k + i] -= coeff * d
-    assert all(c == 0 for c in num), "non-exact polynomial division"
+    if any(num):
+        raise InternalInconsistencyError("non-exact polynomial division")
     return out
 
 
@@ -402,18 +404,3 @@ def real_sign(x: CyclotomicNumber) -> int:
                 return 1 if total > 0 else -1
     raise SignUndecidableError(f"sign of {x!r} did not resolve at {_SIGN_DPS_LADDER[-1]} digits")
 
-
-def finite_order_bound(level: int) -> int:
-    """lcm of all k with phi(k) <= 2*phi(level).
-
-    Any finite-order 2x2 matrix over Q(zeta_level) has eigenvalues that are
-    roots of unity of degree at most 2 over the field, hence of order k with
-    phi(k) <= 2*phi(level); its order divides this bound.
-    """
-    target = 2 * euler_phi(level)
-    bound = 1
-    # phi(k) >= sqrt(k/2), so phi(k) <= target forces k <= 2*target^2
-    for k in range(1, 2 * target * target + 2):
-        if euler_phi(k) <= target:
-            bound = lcm(bound, k)
-    return bound

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .residues import check_modulus, is_unit
+from .residues import InternalInconsistencyError, check_modulus, is_unit
 
 
 class DegenerateCharacterError(ValueError):
@@ -148,22 +148,19 @@ def sigma_sum(w: WeightTuple | ResidueWeights, j: int) -> int:
         if r == 0:
             raise DegenerateCharacterError(w.n, i, j)
         total += r
-    assert total in (w.n, 2 * w.n, 3 * w.n), (w, j, total)
+    if total not in (w.n, 2 * w.n, 3 * w.n):
+        raise InternalInconsistencyError(f"sigma({j}) = {total} for {w} is not n, 2n or 3n")
     return total
-
-
-def hodge_dims(w: WeightTuple | ResidueWeights, j: int) -> tuple[int, int]:
-    """(dim H^{1,0}, dim H^{0,1}) of the j-eigenspace; the two always sum to 2."""
-    h10 = sigma_sum(w, j) // w.n - 1
-    return h10, 2 - h10
 
 
 def signature(w: WeightTuple | ResidueWeights, j: int) -> tuple[int, int]:
     """Index (p, q) of the invariant Hermitian form on the j-eigenspace.
 
-    (2,0) and (0,2) are definite, (1,1) indefinite; coincides with hodge_dims.
+    (2,0) and (0,2) are definite, (1,1) indefinite.  The index coincides with
+    the Hodge numbers (dim H^{1,0}, dim H^{0,1}), which always sum to 2.
     """
-    return hodge_dims(w, j)
+    h10 = sigma_sum(w, j) // w.n - 1
+    return h10, 2 - h10
 
 
 def split_class_of_sigma(sigma: int, n: int) -> SplitClass:

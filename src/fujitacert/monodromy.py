@@ -6,8 +6,10 @@ Two independent routes decide (ir)reducibility and (in)finiteness:
   conditions for irreducibility, and Galois-definiteness for finiteness
   (finite iff every unit conjugate of the character has a definite form);
 * oracle - an explicit rigid rank-2 matrix triple over Q(zeta_n) built from
-  companion matrices, with brute-force group closure, infinite-order element
-  search, and an exactly solved invariant Hermitian form.
+  companion matrices with integer exponents, one breadth-first walk of the
+  group it generates (exact closure and the infinite-order word search, each
+  element tested by Kronecker's theorem), and an exactly solved invariant
+  Hermitian form.
 
 The sweep tests elsewhere hold agreement of the two routes as the highest
 severity invariant; neither side may be shortcut through the other.
@@ -16,12 +18,11 @@ severity invariant; neither side may be shortcut through the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .cyclotomic import CyclotomicNumber, finite_order_bound, real_sign, zeta
+from .cyclotomic import CyclotomicNumber, real_sign, zeta
 from .eigenspace import WeightTuple, sigma_sum
-from .residues import NonUnitError, inverse_mod, units
+from .residues import InternalInconsistencyError, NonUnitError, inverse_mod, units
 
 DEFAULT_CLOSURE_CAP = 20000
 DEFAULT_MAX_WORD_LEN = 8
@@ -40,48 +41,34 @@ class ReducibleNoUniqueFormError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# parameters and criteria
+# exponents and criteria
+
+Exponents = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class HypergeometricParams:
-    """Character-scaled parameter triple (ja, jb, jc) as exact rationals.
+def levelt_exponents(w: WeightTuple, j: int) -> Exponents:
+    """(ka, kb, kc) with e(a) = zeta_n^ka, e(b) = zeta_n^kb, e(c) = zeta_n^kc.
 
-    Base values for the weight tuple (n; m0..m3) are a = m3/n, b = 1 - m0/n,
-    c = 2 - m0/n - m2/n; integer shifts are fixed at zero (they change none
-    of the implemented conclusions).
+    The character-scaled parameters are a = j*m3/n, b = -j*m0/n and
+    c = -j*(m0+m2)/n modulo 1 (integer shifts change none of the implemented
+    conclusions), so each is an integer exponent mod n.
     """
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-
-
-def params_from_weights(w: WeightTuple, j: int) -> HypergeometricParams:
-    """(ja, jb, jc), not reduced mod 1; callers reduce as needed."""
-    j = j % w.n
+    n = w.n
+    j %= n
     if j == 0:
         raise ValueError("character index j must be nonzero mod n")
-    n = w.n
-    m = w.m
-    return HypergeometricParams(
-        a=Fraction(j * m[3], n),
-        b=j - Fraction(j * m[0], n),
-        c=2 * j - Fraction(j * (m[0] + m[2]), n),
-    )
+    m0, _, m2, m3 = w.m
+    return (j * m3) % n, (-j * m0) % n, (-j * (m0 + m2)) % n
 
 
 def is_irreducible(w: WeightTuple, j: int) -> bool:
-    """True iff none of ja, jb, j(a-c), j(b-c) is an integer.
+    """True iff none of a, b, a-c, b-c is an integer: ka, kb avoid both kc and 0.
 
-    Unwinding the parameter substitution, this is exactly: n divides none of
-    j*m_i -- so irreducible characters are in particular non-degenerate.
+    Unwinding the exponents, this is exactly: n divides none of j*m_i -- so
+    irreducible characters are in particular non-degenerate.
     """
-    p = params_from_weights(w, j)
-    for value in (p.a, p.b, p.a - p.c, p.b - p.c):
-        if value.denominator == 1:
-            return False
-    return True
+    ka, kb, kc = levelt_exponents(w, j)
+    return not {ka, kb} & {kc, 0}
 
 
 @dataclass(frozen=True)
@@ -140,7 +127,8 @@ def find_infinite_character(w: WeightTuple) -> int:
         raise NonUnitError(f"m0+m3 = {s} is not a unit mod {n}")
     j = (-inverse_mod(s, n)) % n
     total = sigma_sum(w, j)
-    assert total == 2 * n, (w, j, total)
+    if total != 2 * n:
+        raise InternalInconsistencyError(f"sigma({j}) = {total} for {w}, want 2n = {2 * n}")
     return j
 
 
@@ -213,7 +201,7 @@ def _scalar_of(a: Mat) -> CyclotomicNumber | None:
 class MonodromyTriple:
     """Generators g0, g1, ginf over Q(zeta_level) with g0*g1*ginf = 1.
 
-    params records the ordered character-scaled exponents used to build the
+    exponents records the Levelt exponents (ka, kb, kc) used to build the
     triple; all downstream checks except the Hodge orientation of the
     invariant form are conjugation-invariant and ignore it.
     """
@@ -222,7 +210,7 @@ class MonodromyTriple:
     g0: Mat
     g1: Mat
     ginf: Mat
-    params: HypergeometricParams
+    exponents: Exponents
 
     def __post_init__(self):
         prod = mat_mul(mat_mul(self.g0, self.g1), self.ginf)
@@ -239,26 +227,17 @@ def _companion(level: int, trace: CyclotomicNumber, det: CyclotomicNumber) -> Ma
     return ((zero, -det), (one, trace))
 
 
-def _exponent_mod_level(value: Fraction, level: int) -> int:
-    scaled = value * level
-    if scaled.denominator != 1:
-        raise ValueError(f"parameter {value} has denominator not dividing {level}")
-    return scaled.numerator % level
-
-
-def levelt_triple(p: HypergeometricParams, n: int) -> MonodromyTriple:
+def levelt_triple(exponents: Exponents, n: int) -> MonodromyTriple:
     """Companion-matrix realization of the rigid rank-2 local system.
 
-    ginf is the companion matrix with eigenvalues e(a), e(b); the companion
-    matrix B with eigenvalues e(c), 1 yields g0 = B^-1 and g1 = B*ginf^-1,
-    so the product relation holds by construction.  Parameters whose local
-    eigenvalue multisets at 0 and oo intersect are rejected: the rigid
-    construction only covers the irreducible case.
+    ginf is the companion matrix with eigenvalues zeta^ka, zeta^kb; the
+    companion matrix B with eigenvalues zeta^kc, 1 yields g0 = B^-1 and
+    g1 = B*ginf^-1, so the product relation holds by construction.  Exponents
+    whose local eigenvalue multisets at 0 and oo intersect are rejected: the
+    rigid construction only covers the irreducible case.
     """
     level = n
-    ka = _exponent_mod_level(p.a, level)
-    kb = _exponent_mod_level(p.b, level)
-    kc = _exponent_mod_level(p.c, level)
+    ka, kb, kc = (k % level for k in exponents)
     if {ka, kb} & {kc, 0}:
         raise ReducibleParametersError(
             f"eigenvalue sharing between local multisets: alpha exps {{{ka},{kb}}}, "
@@ -271,119 +250,105 @@ def levelt_triple(p: HypergeometricParams, n: int) -> MonodromyTriple:
     b_mat = _companion(level, beta1 + one, beta1)
     g0 = mat_inverse(b_mat)
     g1 = mat_mul(b_mat, mat_inverse(a_mat))
-    return MonodromyTriple(level=level, g0=g0, g1=g1, ginf=a_mat, params=p)
+    return MonodromyTriple(level=level, g0=g0, g1=g1, ginf=a_mat, exponents=(ka, kb, kc))
 
 
 def triple_from_weights(w: WeightTuple, j: int) -> MonodromyTriple:
-    return levelt_triple(params_from_weights(w, j), w.n)
+    return levelt_triple(levelt_exponents(w, j), w.n)
 
 
 # ---------------------------------------------------------------------------
 # exact finite-order testing
 
 
-def _in_field_unit_root(level: int, trace: CyclotomicNumber, det: CyclotomicNumber) -> bool:
-    """Does x^2 - trace*x + det have a root of unity root inside Q(zeta_level)?
+def _is_root_of_unity(x: CyclotomicNumber) -> bool:
+    """Kronecker: an algebraic integer whose conjugates all have modulus 1.
 
-    Roots of unity in the field are exactly +-zeta^k, so 2*level sparse
-    evaluations settle it.
+    The power basis is an integral basis of Z[zeta_N], so integrality is
+    den == 1; x*conj(x) = 1 in the field holds at every embedding at once.
     """
-    for k in range(level):
-        zsq = zeta(level, 2 * k)
-        shifted = trace.mul_zeta_power(k)
-        if (zsq - shifted + det).is_zero():  # lambda = +zeta^k
-            return True
-        if (zsq + shifted + det).is_zero():  # lambda = -zeta^k
-            return True
-    return False
+    return x.den == 1 and x * x.conjugate() == CyclotomicNumber.one(x.level)
 
 
-def _x_power_mod_quadratic(
-    exponent: int, trace: CyclotomicNumber, det: CyclotomicNumber
-) -> tuple[CyclotomicNumber, CyclotomicNumber]:
-    """x^exponent mod (x^2 - trace*x + det), as (constant, linear) coefficients."""
-    level = trace.level
-    r0, r1 = CyclotomicNumber.one(level), CyclotomicNumber.zero(level)
-    for bit in bin(exponent)[2:]:
-        sq = r1 * r1
-        r0, r1 = r0 * r0 - det * sq, (2 * r0) * r1 + trace * sq
-        if bit == "1":
-            r0, r1 = -det * r1, r0 + trace * r1
-    return r0, r1
+def _float_error_bound(x: CyclotomicNumber) -> float:
+    """Bound on |x.complex_value(h) - sigma_h(x)| for integral x, with a 4x margin.
+
+    Each term c*exp(2*pi*i*k/N) is off by at most |c|*27*2^-53 (rounding of
+    the angle, cos/sin within one ulp, one product), each of the phi(N)
+    additions by at most 2^-53 of a partial sum bounded by S = sum|c|, and
+    abs() by one ulp: S*(phi(N) + 27)*2^-53 + 2^-51 in all.
+    """
+    return (sum(abs(c) for c in x.num) * (len(x.num) + 32) + 8) * 2.0**-51
 
 
 def has_finite_order(m: Mat, level: int) -> bool:
-    """Exact finite-order test for a 2x2 matrix over Q(zeta_level).
+    """Exact finite-order test for a 2x2 matrix over Q(zeta_level), by Kronecker.
 
-    A finite-order element has eigenvalues that are roots of unity of degree
-    at most 2 over the field, so its order divides B = finite_order_bound;
-    for a non-scalar matrix, M^B = I reduces to x^B = 1 modulo the
-    characteristic polynomial.  Cheap complete shortcuts run first: scalars,
-    vanishing discriminant (non-semisimple, hence infinite), an in-field
-    root-of-unity eigenvalue scan, and a rigorously confirmed conjugate
-    trace-norm bound (some |trace|^2 > 4 forbids unit-circle eigenvalues).
+    A scalar has finite order iff it is a root of unity.  A non-scalar matrix
+    with trace t and determinant d has finite order iff d is a root of unity,
+    t is integral, t = d*conj(t), and |sigma_h(t)| < 2 for every unit h.  Each
+    condition is necessary, since a non-scalar matrix of finite order has two
+    distinct roots of unity as eigenvalues.  Together they put the eigenvalues
+    at every embedding at sqrt(d) times a distinct conjugate pair on the unit
+    circle, so the eigenvalues are algebraic integers with all conjugates of
+    modulus 1 - roots of unity - and distinct, so the matrix is semisimple.
+    |sigma_h(t)| is compared with 2 in floating point outside the rigorous
+    error band, and inside it by the exact sign of sigma_h(t*conj(t)) - 4.
     """
     scalar = _scalar_of(m)
-    unit_order = lcm(2, level)
     if scalar is not None:
-        return (scalar ** unit_order) == CyclotomicNumber.one(level)
+        return _is_root_of_unity(scalar)
     t = mat_trace(m)
-    d = mat_det(m)
-    disc = t * t - 4 * d
-    if disc.is_zero():
+    if t.den != 1:
         return False
-    if _in_field_unit_root(level, t, d):
-        return True
-    # float router for the exact trace-norm rejection
-    tt = None
+    d = mat_det(m)
+    if not _is_root_of_unity(d) or t != d * t.conjugate():
+        return False
+    err = _float_error_bound(t)
+    norm = None
     for h in units(level) if level > 2 else [1]:
-        approx = t.complex_value(h)
-        if approx.real * approx.real + approx.imag * approx.imag > 4.0 + 1e-9:
-            if tt is None:
-                tt = t * t.conjugate()
-            if real_sign(tt.galois(h) - 4) > 0:
-                return False
-    r0, r1 = _x_power_mod_quadratic(finite_order_bound(level), t, d)
-    return r1.is_zero() and r0 == CyclotomicNumber.one(level)
+        size = abs(t.complex_value(h))
+        if size < 2 - err:
+            continue
+        if size > 2 + err:
+            return False
+        if norm is None:
+            norm = t * t.conjugate()
+        if real_sign(norm.galois(h) - 4) >= 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
-# oracle searches
+# the oracle walk
 
 
-def infinite_order_witness(t: MonodromyTriple, max_word_len: int = DEFAULT_MAX_WORD_LEN) -> str | None:
-    """Breadth-first search for a word of infinite order in the generators.
+def _walk(t: MonodromyTriple):
+    """Breadth-first walk of the group generated by g0, g1, ginf.
 
-    Words run over g0, g1, ginf and their inverses, in deterministic order;
-    the first element failing the exact finite-order test is returned as a
-    '*'-joined word.  None means no witness within the length bound (a valid
-    empty result: finite groups have none at any bound).
+    Letters are g0, g1, ginf, g0^-1, g1^-1, ginf^-1 in that order (a repeated
+    matrix keeps its first name).  Every element other than the identity is
+    yielded once, as (matrix, word) with the first word reaching it, in
+    order of word length.
     """
-    if max_word_len < 1:
-        raise ValueError("max_word_len must be >= 1")
-    level = t.level
-    alphabet: list[tuple[str, Mat]] = []
-    for name, g in t.generators():
-        alphabet.append((name, g))
-    for name, g in t.generators():
-        alphabet.append((name + "^-1", mat_inverse(g)))
-    identity = mat_identity(level)
+    letters: dict[Mat, str] = {}
+    gens = t.generators()
+    for name, g in gens + [(name + "^-1", mat_inverse(g)) for name, g in gens]:
+        letters.setdefault(g, name)
+    identity = mat_identity(t.level)
     seen = {identity}
-    frontier: list[tuple[Mat, list[str]]] = [(identity, [])]
-    for _ in range(max_word_len):
-        next_frontier: list[tuple[Mat, list[str]]] = []
+    frontier: list[tuple[Mat, tuple[str, ...]]] = [(identity, ())]
+    while frontier:
+        next_frontier = []
         for mat, word in frontier:
-            for name, g in alphabet:
+            for g, name in letters.items():
                 prod = mat_mul(mat, g)
-                if prod in seen:
-                    continue
-                seen.add(prod)
-                new_word = word + [name]
-                if not has_finite_order(prod, level):
-                    return "*".join(new_word)
-                next_frontier.append((prod, new_word))
+                if prod not in seen:
+                    seen.add(prod)
+                    step = (prod, word + (name,))
+                    next_frontier.append(step)
+                    yield step
         frontier = next_frontier
-    return None
 
 
 def group_closure(
@@ -391,35 +356,41 @@ def group_closure(
     cap: int = DEFAULT_CLOSURE_CAP,
     max_word_len: int = DEFAULT_MAX_WORD_LEN,
 ) -> FinitenessVerdict:
-    """Brute-force the generated matrix group under exact equality.
+    """Decide finiteness from one walk, exactly.
 
-    The infinite-order word search runs first (it is cheap and its success
-    certifies INFINITE; a closure that would have terminated under the cap
-    cannot coexist with a witness).  Then breadth-first closure: FINITE with
-    the exact order if it terminates within the cap, INCONCLUSIVE otherwise.
+    INFINITE with the first word of length <= max_word_len that has infinite
+    order; otherwise FINITE with the exact group order if it is at most cap;
+    otherwise INCONCLUSIVE.  The walk stops at a witness, or once it is past
+    both max_word_len and cap elements.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    witness = infinite_order_witness(t, max_word_len)
-    if witness is not None:
-        return FinitenessVerdict(
-            kind="INFINITE", witness=(("kind", "infinite_order_word"), ("word", witness))
-        )
-    gens = [t.g0, t.g1, t.ginf]
-    elements = {mat_identity(t.level)}
-    boundary = [mat_identity(t.level)]
-    while boundary:
-        new_boundary = []
-        for mat in boundary:
-            for g in gens:
-                prod = mat_mul(mat, g)
-                if prod not in elements:
-                    if len(elements) >= cap:
-                        return FinitenessVerdict(kind="INCONCLUSIVE", cap=cap)
-                    elements.add(prod)
-                    new_boundary.append(prod)
-        boundary = new_boundary
-    return FinitenessVerdict(kind="FINITE", order=len(elements))
+    if max_word_len < 1:
+        raise ValueError("max_word_len must be >= 1")
+    order = 1
+    for mat, word in _walk(t):
+        if len(word) <= max_word_len:
+            if not has_finite_order(mat, t.level):
+                return FinitenessVerdict(
+                    kind="INFINITE", witness=(("kind", "infinite_order_word"), ("word", "*".join(word)))
+                )
+        elif order >= cap:
+            return FinitenessVerdict(kind="INCONCLUSIVE", cap=cap)
+        order += 1
+    if order > cap:
+        return FinitenessVerdict(kind="INCONCLUSIVE", cap=cap)
+    return FinitenessVerdict(kind="FINITE", order=order)
+
+
+def infinite_order_witness(t: MonodromyTriple, max_word_len: int = DEFAULT_MAX_WORD_LEN) -> str | None:
+    """The witness word of group_closure alone, '*'-joined.
+
+    With cap = 1 the walk ends right after the words of length <= max_word_len.
+    None means no witness within the length bound (a valid empty result:
+    finite groups have none at any bound).
+    """
+    verdict = group_closure(t, cap=1, max_word_len=max_word_len)
+    return dict(verdict.witness)["word"] if verdict.is_infinite else None
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +410,6 @@ def _eigenvector_candidates(m: Mat, level: int) -> list[Vec] | None:
         return None
     t = mat_trace(m)
     d = mat_det(m)
-    zero = CyclotomicNumber.zero(level)
     candidates: list[Vec] = []
     seen_eigs = set()
     for k in range(level):
@@ -519,23 +489,6 @@ def _kernel_of_system(rows: list[list[CyclotomicNumber]], ncols: int, level: int
     return basis
 
 
-def _fractional(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
-def hodge_weight_sum(p: HypergeometricParams) -> int:
-    """Sum of the four normalized branch residues encoded by the parameters.
-
-    mu0 = {-b}, mu1 = {c-a}, mu2 = {b-c}, mu3 = {a}; the sum is 1, 2 or 3
-    for any character of a valid weight tuple.
-    """
-    total = (
-        _fractional(-p.b) + _fractional(p.c - p.a) + _fractional(p.b - p.c) + _fractional(p.a)
-    )
-    assert total.denominator == 1, p
-    return int(total)
-
-
 def invariant_hermitian_form(t: MonodromyTriple) -> tuple[Mat, tuple[int, int]]:
     """Solve gbar^T M g = M for all generators; return (form, signature).
 
@@ -549,7 +502,6 @@ def invariant_hermitian_form(t: MonodromyTriple) -> tuple[Mat, tuple[int, int]]:
     real test.
     """
     level = t.level
-    zero = CyclotomicNumber.zero(level)
     # unknowns (m00, m01, m10, m11); invariance under g0 and g1 implies ginf
     rows: list[list[CyclotomicNumber]] = []
     for g in (t.g0, t.g1):
@@ -571,30 +523,21 @@ def invariant_hermitian_form(t: MonodromyTriple) -> tuple[Mat, tuple[int, int]]:
         )
     m0: Mat = ((basis[0][0], basis[0][1]), (basis[0][2], basis[0][3]))
     m0_ct = mat_conj_transpose(m0)
+    cells = [(r, c) for r in range(2) for c in range(2)]
     # m0_ct is again a solution, so m0_ct = alpha * m0 with |alpha| = 1
-    alpha = None
-    for r in range(2):
-        for c in range(2):
-            if not m0[r][c].is_zero():
-                alpha = m0_ct[r][c] / m0[r][c]
-                break
-        if alpha is not None:
-            break
-    assert alpha is not None
-    for r in range(2):
-        for c in range(2):
-            assert m0_ct[r][c] == alpha * m0[r][c], "conjugate-transpose left the solution line"
-    herm = None
-    for k in range(level):
-        lam = zeta(level, k) + zeta(level, -k) * alpha
-        if not lam.is_zero():
-            herm = ((lam * m0[0][0], lam * m0[0][1]), (lam * m0[1][0], lam * m0[1][1]))
-            break
-    assert herm is not None, "no Hermitian representative found"
-    assert mat_conj_transpose(herm) == herm
+    alpha = next((m0_ct[r][c] / m0[r][c] for r, c in cells if not m0[r][c].is_zero()), None)
+    if alpha is None or any(m0_ct[r][c] != alpha * m0[r][c] for r, c in cells):
+        raise InternalInconsistencyError("conjugate-transpose left the solution line")
+    lams = (zeta(level, k) + zeta(level, -k) * alpha for k in range(level))
+    lam = next((lam for lam in lams if not lam.is_zero()), None)
+    herm = None if lam is None else tuple(tuple(lam * x for x in row) for row in m0)
+    if herm is None or mat_conj_transpose(herm) != herm:
+        raise InternalInconsistencyError("no Hermitian representative found")
     signature = _hermitian_signature(herm)
     if signature in ((2, 0), (0, 2)):
-        wanted_p = hodge_weight_sum(t.params) - 1
+        # Hodge weight sum: the normalized residues are [-kb], [kc-ka], [kb-kc], [ka] over n
+        ka, kb, kc = t.exponents
+        wanted_p = (ka + (kc - ka) % level + (kb - kc) % level + (-kb) % level) // level - 1
         if wanted_p in (0, 2) and signature[0] != wanted_p:
             herm = ((-herm[0][0], -herm[0][1]), (-herm[1][0], -herm[1][1]))
             signature = (signature[1], signature[0])

@@ -14,6 +14,10 @@ class NonUnitError(ValueError):
     """Raised when a modular inverse is requested for a non-unit."""
 
 
+class InternalInconsistencyError(RuntimeError):
+    """A claim the package checks on itself failed: a bug, never bad input."""
+
+
 def check_modulus(n: int) -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValueError(f"modulus must be an integer >= 2, got {n!r}")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .eigenspace import WeightTuple
-from .residues import units
+from .residues import InternalInconsistencyError, units
 
 
 class NotCoprimeTo6Error(ValueError):
@@ -200,7 +200,8 @@ def _adjacency_sanity():
         degree[a] += 1
         degree[b] += 1
     for label in (BranchLabel.E0, BranchLabel.E1, BranchLabel.E2, BranchLabel.DELTA):
-        assert degree[label] == 3, (label, degree[label])
+        if degree[label] != 3:
+            raise InternalInconsistencyError(f"{label} meets {degree[label]} branch divisors, want 3")
 
 
 _adjacency_sanity()
@@ -281,8 +282,8 @@ def invariants(f: FamilyData) -> SurfaceInvariants:
     """All numerical invariants of the fibred surface, exactly.
 
     deg V is computed as chi - (g-1)(b-1) with chi from Noether; the closed
-    form (n^2 - 1)/12 and the Zeuthen-Segre count mu = 3 are asserted as
-    internal consistency checks on every call.
+    form (n^2 - 1)/12 and the Zeuthen-Segre count mu = 3 are checked on
+    every call (InternalInconsistencyError otherwise).
     """
     adm = is_admissible(f)
     if not adm:
@@ -292,15 +293,15 @@ def invariants(f: FamilyData) -> SurfaceInvariants:
     b = (n - 1) // 2
     e = 2 * n * n - 10 * n + 15
     k2 = 5 * (n - 2) ** 2
-    assert (k2 + e) % 12 == 0, (n, k2, e)
     chi = (k2 + e) // 12
     deg_v = chi - (g - 1) * (b - 1)
-    assert deg_v * 12 == n * n - 1, (n, deg_v)
     mu = e - 4 * (g - 1) * (b - 1)
-    assert mu == 3, (n, mu)
     slope = Fraction(k2, e)
     p_g = chi - 1 + b
-    assert p_g >= 0
+    if (k2 + e) % 12 or deg_v * 12 != n * n - 1 or mu != 3 or p_g < 0:
+        raise InternalInconsistencyError(
+            f"invariants at n={n}: K2+e={k2 + e}, deg V={deg_v}, mu={mu}, p_g={p_g}"
+        )
     return SurfaceInvariants(
         g=g,
         b=b,
@@ -333,7 +334,8 @@ def singular_fibre_profile(f: FamilyData) -> SingularFibreProfile:
     b = (n - 1) // 2
     g = n - 1
     # arithmetic genus of the fibre: 2 components, 1 node -> g = 2b
-    assert g == 2 * b
+    if g != 2 * b:
+        raise InternalInconsistencyError(f"fibre genus {g} != 2 * component genus {b}")
     return SingularFibreProfile(
         count=3,
         component_genus=b,

@@ -31,6 +31,7 @@ from .monodromy import (
     is_irreducible,
     triple_from_weights,
 )
+from .residues import InternalInconsistencyError
 
 SAFE_N_MAX = 12
 
@@ -168,7 +169,7 @@ def retry_inconclusive(
         if oracle.is_inconclusive:
             still.append((n, m, j))
         elif criterion.kind != oracle.kind:
-            raise AssertionError(
+            raise InternalInconsistencyError(
                 f"criterion/oracle disagreement at n={n}, m={m}, j={j}: "
                 f"{criterion.kind} vs {oracle.kind}"
             )

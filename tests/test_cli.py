@@ -1,5 +1,10 @@
+import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +126,69 @@ def test_certify_oracle_disagreement_exit2(monkeypatch):
     assert code == 2
     record = json.loads(out)
     assert record["result"]["oracle"]["agreement"] is False
+
+
+def _witness_check(cert):
+    return next(c for c in cli._certificate_checks(cert) if c["name"] == "infinite_witness_valid")
+
+
+def test_certify_witness_check_rejects_each_altered_field():
+    from fujitacert.certify import certify
+    from fujitacert.surfaces import standard_family
+
+    cert = certify(standard_family(7))
+    witness = cert.infinite_witness
+    assert _witness_check(cert) == {
+        "name": "infinite_witness_valid",
+        "passed": True,
+        "details": "witness character has sigma = 2n",
+    }
+    for field, value in (
+        ("sigma", 3 * 7),
+        ("unit", witness.unit + 1),
+        ("j_star", witness.j_star + 1),
+    ):
+        altered = dataclasses.replace(cert, infinite_witness=dataclasses.replace(witness, **{field: value}))
+        assert _witness_check(altered)["passed"] is False, field
+
+
+def test_certify_internal_inconsistency_exit2(monkeypatch):
+    from fujitacert import monodromy
+    from fujitacert.eigenspace import WeightTuple
+    from fujitacert.residues import InternalInconsistencyError
+
+    monkeypatch.setattr(monodromy, "sigma_sum", lambda w, j: w.n)
+    with pytest.raises(InternalInconsistencyError):
+        monodromy.find_infinite_character(WeightTuple(7, (1, 1, 1, 4)))
+    code, out, err = run_cli(["certify", "-n", "7", "-m", "1,1,1,4", "--nw", "1,1,5"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: internal: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "-n", "7", "-m", "1,1,1,4", "--nw", "1,1,5", "--oracle"],
+        ["oracle", "-n", "5", "-m", "1,1,1,2", "-j", "1"],
+    ],
+)
+def test_output_unchanged_under_python_O(argv):
+    import fujitacert
+
+    env = dict(os.environ, PYTHONPATH=str(Path(fujitacert.__file__).parents[1]))
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "fujitacert.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert runs[0].stdout and runs[0].stdout == runs[1].stdout
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fujitacert.cyclotomic import (
     CyclotomicNumber,
     cyclotomic_polynomial,
-    finite_order_bound,
     real_sign,
     zeta,
 )
@@ -155,13 +154,3 @@ def test_real_sign_rejects_non_real():
     with pytest.raises(ValueError):
         real_sign(zeta(5))
 
-
-def test_finite_order_bound_values():
-    # phi(k) <= 2*phi(4) = 4 holds for k in {1..6, 8, 10, 12}: lcm = 120
-    assert finite_order_bound(4) == 120
-    b5 = finite_order_bound(5)
-    for k in (1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 16, 20, 24, 30):
-        if euler_phi(k) <= 8:
-            assert b5 % k == 0
-    # any root of unity of degree <= 2 over the field divides the bound
-    assert b5 == 5040

@@ -11,7 +11,6 @@ from fujitacert.eigenspace import (
     SplitClass,
     WeightTuple,
     eigenspace_table,
-    hodge_dims,
     mu,
     sigma_sum,
     signature,
@@ -63,9 +62,9 @@ def test_sigma_sum_examples():
 
 def test_hodge_dims_examples():
     w = WeightTuple(5, (1, 1, 1, 2))
-    assert hodge_dims(w, 1) == (0, 2)
-    assert hodge_dims(w, 4) == (2, 0)
-    assert hodge_dims(WeightTuple(7, (1, 1, 1, 4)), 3) == (1, 1)
+    assert signature(w, 1) == (0, 2)
+    assert signature(w, 4) == (2, 0)
+    assert signature(WeightTuple(7, (1, 1, 1, 4)), 3) == (1, 1)
 
 
 def test_signature_examples():

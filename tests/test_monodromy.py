@@ -1,11 +1,11 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from fujitacert.cyclotomic import CyclotomicNumber, zeta
 from fujitacert.eigenspace import WeightTuple, signature, sigma_sum
 from fujitacert.monodromy import (
-    HypergeometricParams,
     IrreducibilityRequiredError,
     MonodromyTriple,
     ReducibleNoUniqueFormError,
@@ -18,6 +18,8 @@ from fujitacert.monodromy import (
     infinite_order_witness,
     invariant_hermitian_form,
     is_irreducible,
+    _walk,
+    levelt_exponents,
     levelt_triple,
     mat_conj_transpose,
     mat_det,
@@ -25,10 +27,9 @@ from fujitacert.monodromy import (
     mat_is_identity,
     mat_mul,
     mat_trace,
-    params_from_weights,
     triple_from_weights,
 )
-from fujitacert.residues import NonUnitError, units
+from fujitacert.residues import NonUnitError, euler_phi, units
 
 W5 = WeightTuple(5, (1, 1, 1, 2))
 W7 = WeightTuple(7, (1, 1, 1, 4))
@@ -36,32 +37,30 @@ W4 = WeightTuple(4, (1, 1, 1, 1))
 
 
 # ---------------------------------------------------------------------------
-# parameters
+# parameters, as integer exponents (ka, kb, kc) of e(a), e(b), e(c)
 
 
 def test_params_from_weights_examples():
-    p = params_from_weights(W5, 1)
-    assert (p.a, p.b, p.c) == (Fraction(2, 5), Fraction(4, 5), Fraction(8, 5))
-    p7 = params_from_weights(W7, 1)
-    assert (p7.a, p7.b, p7.c) == (Fraction(4, 7), Fraction(6, 7), Fraction(12, 7))
+    # (a, b, c) = (2/5, 4/5, 8/5) and (4/7, 6/7, 12/7), reduced mod 1
+    assert levelt_exponents(W5, 1) == (2, 4, 3)
+    assert levelt_exponents(W7, 1) == (4, 6, 5)
+    with pytest.raises(ValueError):
+        levelt_exponents(W5, 5)
 
 
 def test_params_recover_branch_exponents():
-    # with j = 1: A = (1-b)n = m0, B = (b+1-c)n = m2, C = an = m3, n-A-B-C = m1
+    # with j = 1: ka = m3, kb = -m0, kc = -(m0 + m2), and m1 = n - m0 - m2 - m3
     for w in (W5, W7, WeightTuple(11, (1, 2, 3, 5))):
-        p = params_from_weights(w, 1)
+        ka, kb, kc = levelt_exponents(w, 1)
         n = w.n
-        a_val = (1 - p.b) * n
-        b_val = (p.b + 1 - p.c) * n
-        c_val = p.a * n
-        assert (a_val, b_val, c_val) == (w.m[0], w.m[2], w.m[3])
-        assert n - a_val - b_val - c_val == w.m[1]
+        m0, m2, m3 = (-kb) % n, (kb - kc) % n, ka
+        assert (m0, m2, m3) == (w.m[0], w.m[2], w.m[3])
+        assert n - m0 - m2 - m3 == w.m[1]
 
 
 def test_params_scale_with_character():
-    p1 = params_from_weights(W5, 1)
-    p3 = params_from_weights(W5, 3)
-    assert p3.a == 3 * p1.a and p3.b == 3 * p1.b and p3.c == 3 * p1.c
+    k1 = levelt_exponents(W5, 1)
+    assert levelt_exponents(W5, 3) == tuple(3 * k % 5 for k in k1)
 
 
 # ---------------------------------------------------------------------------
@@ -168,24 +167,18 @@ def test_triple_eigenvalue_contract():
     # ginf: e(a), e(b); g0: 1, e(1-c); g1: 1, e(c-a-b) -- all mod 1
     for (w, j) in [(W5, 1), (W5, 2), (W7, 3), (W4, 1)]:
         t = triple_from_weights(w, j)
-        p = t.params
+        ka, kb, kc = t.exponents
         n = t.level
-
-        def exp_of(x):
-            return int((x * n) % n)
-
-        inf_expected = {exp_of(p.a), exp_of(p.b)}
-        assert set(_eigenvalue_exponents(t.ginf, n)) >= inf_expected
-        g0_expected = {0, exp_of(1 - p.c)}
-        assert set(_eigenvalue_exponents(t.g0, n)) >= g0_expected
-        g1_expected = {0, exp_of(p.c - p.a - p.b)}
-        assert set(_eigenvalue_exponents(t.g1, n)) >= g1_expected
+        assert t.exponents == levelt_exponents(w, j)
+        assert set(_eigenvalue_exponents(t.ginf, n)) >= {ka, kb}
+        assert set(_eigenvalue_exponents(t.g0, n)) >= {0, (-kc) % n}
+        assert set(_eigenvalue_exponents(t.g1, n)) >= {0, (kc - ka - kb) % n}
 
 
 def test_levelt_rejects_reducible_parameters():
     w6 = WeightTuple(6, (1, 2, 2, 1))
     with pytest.raises(ReducibleParametersError):
-        levelt_triple(params_from_weights(w6, 3), 6)
+        levelt_triple(levelt_exponents(w6, 3), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +205,7 @@ def test_group_closure_identity_triple():
         g0=identity,
         g1=identity,
         ginf=identity,
-        params=HypergeometricParams(Fraction(0), Fraction(0), Fraction(0)),
+        exponents=(0, 0, 0),
     )
     v = group_closure(t)
     assert v.is_finite and v.order == 1
@@ -241,6 +234,90 @@ def test_witness_rejects_bad_bound():
     t = triple_from_weights(W5, 1)
     with pytest.raises(ValueError):
         infinite_order_witness(t, 0)
+    with pytest.raises(ValueError):
+        group_closure(t, max_word_len=0)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker's finite-order test against the exact reference M^B == I
+
+
+def _finite_order_bound(level):
+    """lcm of all k with phi(k) <= 2*phi(level).
+
+    Any finite-order 2x2 matrix over Q(zeta_level) has eigenvalues that are
+    roots of unity of degree at most 2 over the field, hence of order k with
+    phi(k) <= 2*phi(level); its order divides this bound.
+    """
+    target = 2 * euler_phi(level)
+    # phi(k) >= sqrt(k/2), so phi(k) <= target forces k <= 2*target^2
+    return lcm(*(k for k in range(1, 2 * target * target + 2) if euler_phi(k) <= target))
+
+
+def _has_finite_order_reference(m, level):
+    power, base, e = mat_identity(level), m, _finite_order_bound(level)
+    while e:
+        if e & 1:
+            power = mat_mul(power, base)
+        base = mat_mul(base, base)
+        e >>= 1
+    return mat_is_identity(power)
+
+
+def test_finite_order_bound_values():
+    # phi(k) <= 2*phi(4) = 4 holds for k in {1..6, 8, 10, 12}: lcm = 120
+    assert _finite_order_bound(4) == 120
+    b5 = _finite_order_bound(5)
+    for k in (1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 16, 20, 24, 30):
+        if euler_phi(k) <= 8:
+            assert b5 % k == 0
+    # any root of unity of degree <= 2 over the field divides the bound
+    assert b5 == 5040
+
+
+@pytest.mark.parametrize(
+    "w, max_len", [(W4, None), (W5, 3), (WeightTuple(6, (1, 1, 1, 3)), None)]
+)
+def test_kronecker_agrees_with_reference_on_walk(w, max_len):
+    t = triple_from_weights(w, 1)
+    visited = 0
+    for mat, word in _walk(t):
+        if max_len is not None and len(word) > max_len:
+            break
+        assert has_finite_order(mat, t.level) == _has_finite_order_reference(mat, t.level), word
+        visited += 1
+    if max_len is None:  # a finite fixture, walked in full (the identity is not yielded)
+        assert visited + 1 == group_closure(t).order
+
+
+def _mat(level, rows):
+    return tuple(
+        tuple(x if isinstance(x, CyclotomicNumber) else CyclotomicNumber.from_rational(level, x) for x in row)
+        for row in rows
+    )
+
+
+@pytest.mark.parametrize(
+    "rows, finite",
+    [
+        ([[zeta(5, 2), 0], [0, zeta(5, 2)]], True),  # scalar root of unity
+        ([[-zeta(5, 1), 0], [0, -zeta(5, 1)]], True),  # scalar of order 10
+        ([[2, 0], [0, 2]], False),  # scalar, not a root of unity
+        ([[1, 1], [0, 1]], False),  # unipotent: trace exactly 2
+        ([[-1, 1], [0, -1]], False),  # trace exactly -2, not scalar
+        ([[zeta(5, 1), 1], [0, zeta(5, 1)]], False),  # |trace| exactly 2, trace not real
+        ([[0, -1], [1, Fraction(1, 2)]], False),  # trace 1/2: unit-circle eigenvalues, not roots of unity
+        ([[0, -2], [1, 0]], False),  # trace 0, but det 2 is not a root of unity
+        ([[0, -1], [1, zeta(5, 1)]], False),  # |trace| = 1 everywhere, but trace != det*conj(trace)
+        ([[0, Fraction(1, 2)], [-2, 0]], True),  # order 4 with non-integral entries
+        ([[zeta(5, 1), 0], [0, zeta(5, 3)]], True),  # distinct roots of unity
+        ([[1, 1], [-1, 0]], True),  # order 6, trace 1
+    ],
+)
+def test_kronecker_edge_cases(rows, finite):
+    m = _mat(5, rows)
+    assert has_finite_order(m, 5) is finite
+    assert _has_finite_order_reference(m, 5) is finite
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +341,7 @@ def _diagonal_triple(level=5):
         g0=g0,
         g1=g1,
         ginf=mat_identity(level),
-        params=HypergeometricParams(Fraction(0), Fraction(0), Fraction(0)),
+        exponents=(0, 0, 0),
     )
 
 
