@@ -54,6 +54,7 @@ from .surfaces import (
     invariants,
     is_admissible,
     iter_admissible_families,
+    iter_canonical_families,
     singular_fibre_profile,
     smoothness_check,
     standard_family,
@@ -99,6 +100,7 @@ __all__ = [
     "is_irreducible",
     "is_unit",
     "iter_admissible_families",
+    "iter_canonical_families",
     "levelt_exponents",
     "levelt_triple",
     "mu",

@@ -8,13 +8,14 @@ splitting bookkeeping, irreducibility of all characters, and an explicit
 unit conjugate carrying an indefinite form, which forces the flat summand's
 monodromy to be infinite.  A family with all of these is a counterexample
 to the semiampleness question; anything less is NOT_CERTIFIED with a reason.
+Enumeration yields certificates one at a time, in increasing family order.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
-from math import gcd
 
 from .eigenspace import (
     DegenerateCharacterError,
@@ -37,10 +38,11 @@ from .residues import NonUnitError
 from .surfaces import (
     FamilyData,
     SurfaceInvariants,
-    canonical_family,
+    admissible_exists,
     invariants,
     is_admissible,
     iter_admissible_families,
+    iter_canonical_families,
     smoothness_check,
     standard_family,
 )
@@ -300,27 +302,19 @@ def enumerate_families(
     mode: EnumerationMode = EnumerationMode.STANDARD_ONLY,
     normalize: bool = False,
     with_oracle: bool = False,
-) -> list[Certificate]:
-    """Certify families for every admissible n in [n_min, n_max], sorted.
+) -> Iterator[Certificate]:
+    """Certify families for every admissible n in [n_min, n_max], yielded in increasing order.
 
     STANDARD_ONLY takes the standard family per n; ALL takes every admissible
-    tuple, reduced to canonical representatives when normalize is set.
+    tuple, reduced to canonical representatives when normalize is set.  The
+    range is checked on call, before the first certificate.
     """
     if not 5 <= n_min <= n_max:
         raise ValueError("need 5 <= n_min <= n_max")
-    certificates: list[Certificate] = []
-    for n in range(n_min, n_max + 1):
-        if n < 5 or gcd(n, 6) != 1:
-            continue
-        if mode is EnumerationMode.STANDARD_ONLY:
-            families = [standard_family(n)]
-        else:
-            families = list(iter_admissible_families(n))
-            if normalize:
-                reps = sorted({(c.w.m, c.base_weights) for c in map(canonical_family, families)})
-                families = [
-                    FamilyData(w=WeightTuple(n=n, m=m), base_weights=bw) for m, bw in reps
-                ]
-        for fam in sorted(families, key=lambda fd: (fd.w.m, fd.base_weights)):
-            certificates.append(certify(fam, with_oracle=with_oracle))
-    return certificates
+    walk = iter_canonical_families if normalize else iter_admissible_families
+    return (
+        certify(fam, with_oracle=with_oracle)
+        for n in range(n_min, n_max + 1)
+        if admissible_exists(n)
+        for fam in ([standard_family(n)] if mode is EnumerationMode.STANDARD_ONLY else walk(n))
+    )

@@ -44,7 +44,7 @@ from .monodromy import (
 )
 from .records import check, dumps_record, output_record
 from .residues import InternalInconsistencyError
-from .surfaces import FamilyData, standard_family
+from .surfaces import FamilyData, admissible_exists, standard_family
 from .sweep import SAFE_N_MAX, run_sweep
 
 EXIT_OK = 0
@@ -244,14 +244,8 @@ def cmd_enumerate(args, out) -> int:
     mode = EnumerationMode.ALL if args.all_families else EnumerationMode.STANDARD_ONLY
     if not 5 <= args.n_min <= args.n_max:
         raise CliInputError("need 5 <= --n-min <= --n-max")
-    certs = enumerate_families(args.n_min, args.n_max, mode, normalize=args.normalize)
-    for cert in certs:
-        inputs = {
-            "n_min": args.n_min,
-            "n_max": args.n_max,
-            "mode": mode.value,
-            "normalize": args.normalize,
-        }
+    inputs = {"n_min": args.n_min, "n_max": args.n_max, "mode": mode.value, "normalize": args.normalize}
+    for cert in enumerate_families(args.n_min, args.n_max, mode, normalize=args.normalize):
         record = output_record(
             "enumerate",
             inputs,
@@ -282,9 +276,7 @@ def cmd_shimura(args, out) -> int:
     if args.n_max < 5:
         raise CliInputError("--n-max must be >= 5")
     inputs = {"n_max": args.n_max}
-    for n in range(5, args.n_max + 1):
-        if gcd(n, 6) != 1:
-            continue
+    for n in filter(admissible_exists, range(5, args.n_max + 1)):
         fam = standard_family(n)
         count, candidate = shimura_count(fam.w)
         result = {"n": n, "m": list(fam.w.m), "count": count, "candidate": candidate}

@@ -372,8 +372,12 @@ def _poly_modular_inverse(f: list[Fraction], modulus: list[Fraction]) -> list[Fr
 # exact signs of real elements
 
 
-class SignUndecidableError(RuntimeError):
-    pass
+class SignUndecidableError(InternalInconsistencyError):
+    """The precision ladder ran out on a provably nonzero real number."""
+
+
+class NonRealElementError(InternalInconsistencyError):
+    """real_sign was handed an element that is not real."""
 
 
 _SIGN_DPS_LADDER = (30, 80, 200, 500, 1200, 3000, 8000)
@@ -390,7 +394,7 @@ def real_sign(x: CyclotomicNumber) -> int:
     if x.is_rational():
         return -1 if x.num[0] < 0 else 1
     if not x.is_real():
-        raise ValueError(f"real_sign on non-real element {x!r}")
+        raise NonRealElementError(f"real_sign on non-real element {x!r}")
     n = x.level
     for dps in _SIGN_DPS_LADDER:
         with mpmath.workdps(dps):

@@ -14,6 +14,7 @@ Everything here is integer/rational arithmetic; no periods are computed.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -74,6 +75,20 @@ class WeightTuple:
 
     def all_units(self) -> bool:
         return all(is_unit(mi, self.n) for mi in self.m)
+
+
+def compositions(n: int, k: int):
+    """Tuples of k positive integers summing to n >= 1, in lexicographic order."""
+    # cut points of [0, n] taken in lexicographic order give the parts in that order
+    for cuts in itertools.combinations(range(1, n), k - 1):
+        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
+
+
+def iter_weight_tuples(n: int):
+    """All valid weight tuples for this n, lexicographically."""
+    for m in compositions(n, 4):
+        if gcd(*m, n) == 1:
+            yield WeightTuple(n=n, m=m)
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,11 @@ class ReducibleParametersError(ValueError):
     """Levelt construction rejected: local eigenvalue multisets at 0 and oo share a root."""
 
 
-class IrreducibilityRequiredError(ValueError):
+class IrreducibilityRequiredError(InternalInconsistencyError):
     """Galois-definiteness criterion invoked without its irreducibility hypothesis."""
 
 
-class ReducibleNoUniqueFormError(ValueError):
+class ReducibleNoUniqueFormError(InternalInconsistencyError):
     """Invariant-form solution space is not 1-dimensional: triple is not irreducible."""
 
 

@@ -10,6 +10,7 @@ is byte-identical across runs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from .monodromy import FinitenessVerdict, Mat
 from .surfaces import SurfaceInvariants
 from .sweep import SweepSummary
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "1.1"
 
 
 def rational_str(value) -> str:
@@ -167,22 +168,8 @@ def matrix_dict(m: Mat) -> list[list[dict]]:
 
 
 def sweep_dict(summary: SweepSummary) -> dict:
-    return {
-        "n_min": summary.n_min,
-        "n_max": summary.n_max,
-        "cap": summary.cap,
-        "max_word_len": summary.max_word_len,
-        "weight_tuples": summary.weight_tuples,
-        "characters": summary.characters,
-        "irreducibility_checked": summary.irreducibility_checked,
-        "irreducibility_mismatches": [list(x) for x in summary.irreducibility_mismatches],
-        "finiteness_checked": summary.finiteness_checked,
-        "agreements": summary.agreements,
-        "disagreements": [list(x) for x in summary.disagreements],
-        "inconclusive": [list(x) for x in summary.inconclusive],
-        "signature_checked": summary.signature_checked,
-        "signature_mismatches": [list(x) for x in summary.signature_mismatches],
-    }
+    """Every SweepSummary field in declaration order; tuples serialize as JSON lists."""
+    return dataclasses.asdict(summary)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +193,7 @@ JSON_SCHEMA = {
     "exit_codes": {
         "0": "success / certified",
         "1": "invalid input",
-        "2": "internal inconsistency (criterion vs oracle disagreement)",
+        "2": "internal inconsistency (criterion vs oracle disagreement or a failed self-check)",
         "3": "not certified",
     },
     "results": {
@@ -241,17 +228,24 @@ JSON_SCHEMA = {
             "prose": "string; scope statement of what the certificate does and does not assert",
         },
         "sweep": {
+            "n_min": "int",
+            "n_max": "int",
+            "cap": "int; closure size cap",
+            "max_word_len": "int; longest word tested for infinite order",
             "weight_tuples": "int",
             "characters": "int",
+            "irreducibility_checked": "int",
             "finiteness_checked": "int",
             "agreements": "int",
             "disagreements": "[[n, m, j, criterion, oracle]]",
             "inconclusive": "[[n, m, j]]",
             "irreducibility_mismatches": "[[n, m, j]]",
+            "signature_checked": "int",
             "signature_mismatches": "[[n, m, j]]",
         },
         "shimura": {"n": "int", "m": "[int x4]", "count": "int", "candidate": "bool"},
         "oracle": {
+            "level": "int; cyclotomic level of the triple's entries",
             "traces": "object of generator name -> cyclotomic number",
             "determinants": "object of generator name -> cyclotomic number",
             "invariant_form": "2x2 matrix of cyclotomic numbers",

@@ -6,7 +6,9 @@ mod n, sums equal to n, gcd(n,6) = 1) guarantees the total space is a smooth
 minimal surface of general type fibred over a curve; every numerical
 invariant is a closed form in n and is computed exactly here, with the
 smoothness verification reduced to its combinatorial content (orders and
-pairwise spans of inertia elements in (Z/n)^2).
+pairwise spans of inertia elements in (Z/n)^2).  Families are walked in
+increasing order from compositions of n, and normalization forms each
+symmetry orbit once along that walk.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .eigenspace import WeightTuple
+from .eigenspace import WeightTuple, compositions
 from .residues import InternalInconsistencyError, units
 
 
@@ -128,24 +130,15 @@ def standard_family(n: int) -> FamilyData:
 
 
 def iter_admissible_families(n: int):
-    """All admissible (m, base_weights) for this n, in lexicographic order."""
-    if n < 5 or gcd(n, 6) != 1:
+    """All admissible families for this n, in strictly increasing (m, base_weights) order."""
+    if n < 5 or not admissible_exists(n):
         return
     unit_set = set(units(n))
-    base_choices = [
-        bw
-        for bw in itertools.product(range(1, n), repeat=3)
-        if sum(bw) == n and all(x in unit_set for x in bw)
-    ]
-    for m in itertools.product(range(1, n), repeat=4):
-        if sum(m) != n:
-            continue
-        if not all(x in unit_set for x in m):
-            continue
-        if not all((m[i] + m[3]) % n in unit_set for i in range(3)):
-            continue
-        for bw in base_choices:
-            yield family(n, m, bw)
+    base_choices = [bw for bw in compositions(n, 3) if unit_set.issuperset(bw)]
+    for m in compositions(n, 4):
+        if unit_set.issuperset(m) and all((m[i] + m[3]) % n in unit_set for i in range(3)):
+            for bw in base_choices:
+                yield family(n, m, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -357,21 +350,16 @@ def family_orbit(f: FamilyData):
     are permuted as pairs, m3's role is fixed).
     """
     n = f.n
-    m = f.w.m
-    bw = f.base_weights
+    hs = units(n)
+    # rescaling commutes with permuting, so each side is rescaled once and then permuted
+    m_images = [hm for hm in (tuple(h * x % n for x in f.w.m) for h in hs) if sum(hm) == n]
+    bw_images = [ub for ub in (tuple(h * x % n for x in f.base_weights) for h in hs) if sum(ub) == n]
     seen = set()
-    for perm in itertools.permutations(range(3)):
-        pm = (m[perm[0]], m[perm[1]], m[perm[2]], m[3])
-        pbw = (bw[perm[0]], bw[perm[1]], bw[perm[2]])
-        for h in units(n):
-            hm = tuple((h * x) % n for x in pm)
-            if sum(hm) != n:
-                continue
-            for u in units(n):
-                ubw = tuple((u * x) % n for x in pbw)
-                if sum(ubw) != n:
-                    continue
-                key = (hm, ubw)
+    for p in itertools.permutations(range(3)):
+        for hm in m_images:
+            pm = (hm[p[0]], hm[p[1]], hm[p[2]], hm[3])
+            for ub in bw_images:
+                key = (pm, (ub[p[0]], ub[p[1]], ub[p[2]]))
                 if key not in seen:
                     seen.add(key)
                     yield key
@@ -381,3 +369,14 @@ def canonical_family(f: FamilyData) -> FamilyData:
     """Lexicographically least representative of the symmetry orbit."""
     best = min(family_orbit(f))
     return family(f.n, best[0], best[1])
+
+
+def iter_canonical_families(n: int):
+    """canonical_family of each symmetry class for this n, in increasing order, each orbit formed once."""
+    # every orbit image is admissible, so it comes up in iter_admissible_families's
+    # increasing walk: the first unseen member of an orbit is its least, canonical_family's choice
+    seen = set()
+    for f in iter_admissible_families(n):
+        if (f.w.m, f.base_weights) not in seen:
+            seen.update(family_orbit(f))
+            yield f

@@ -1,7 +1,7 @@
 """Exhaustive criterion-vs-oracle equivalence sweeps over small moduli.
 
-For every valid weight tuple with n up to a safe bound and every character,
-three independent cross-checks run:
+For every valid weight tuple (from eigenspace.iter_weight_tuples) with n up
+to a safe bound and every character, three independent cross-checks run:
 
 * irreducibility: the four non-integrality conditions against the
   common-eigenvector test on the explicit triple;
@@ -15,11 +15,9 @@ INCONCLUSIVE closures are tolerated and reported separately.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import gcd
 
-from .eigenspace import WeightTuple, signature
+from .eigenspace import WeightTuple, iter_weight_tuples, signature
 from .monodromy import (
     DEFAULT_CLOSURE_CAP,
     DEFAULT_MAX_WORD_LEN,
@@ -34,16 +32,6 @@ from .monodromy import (
 from .residues import InternalInconsistencyError
 
 SAFE_N_MAX = 12
-
-
-def iter_weight_tuples(n: int):
-    """All valid weight tuples for this n, lexicographically."""
-    for m in itertools.product(range(1, n - 2), repeat=4):
-        if sum(m) != n:
-            continue
-        if gcd(gcd(gcd(gcd(m[0], m[1]), m[2]), m[3]), n) != 1:
-            continue
-        yield WeightTuple(n=n, m=m)
 
 
 @dataclass(frozen=True)

@@ -227,7 +227,7 @@ def test_criterion_08_structural_invariants_to_1e4():
 
 def test_criterion_09_classification_fixtures():
     start = time.perf_counter()
-    certs = enumerate_families(5, 5, EnumerationMode.ALL, normalize=True)
+    certs = list(enumerate_families(5, 5, EnumerationMode.ALL, normalize=True))
     ok = len(certs) == 3
     flat_js = [
         e.j

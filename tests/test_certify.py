@@ -162,7 +162,7 @@ def test_shimura_count_invariant_under_unit_rescaling():
 
 
 def test_enumerate_standard_range():
-    certs = enumerate_families(5, 13)
+    certs = list(enumerate_families(5, 13))
     assert [c.family.n for c in certs] == [5, 7, 11, 13]
     assert all(c.is_counterexample for c in certs)
     assert [c.family.w.m for c in certs] == [
@@ -174,12 +174,12 @@ def test_enumerate_standard_range():
 
 
 def test_enumerate_empty_when_not_coprime():
-    assert enumerate_families(9, 9, EnumerationMode.ALL) == []
-    assert enumerate_families(6, 6) == []
+    assert list(enumerate_families(9, 9, EnumerationMode.ALL)) == []
+    assert list(enumerate_families(6, 6)) == []
 
 
 def test_enumerate_all_normalized_n5():
-    certs = enumerate_families(5, 5, EnumerationMode.ALL, normalize=True)
+    certs = list(enumerate_families(5, 5, EnumerationMode.ALL, normalize=True))
     keys = [(c.family.w.m, c.family.base_weights) for c in certs]
     assert keys == [
         ((1, 1, 1, 2), (1, 1, 3)),
@@ -190,7 +190,7 @@ def test_enumerate_all_normalized_n5():
 
 
 def test_enumerate_all_unnormalized_n5():
-    certs = enumerate_families(5, 5, EnumerationMode.ALL)
+    certs = list(enumerate_families(5, 5, EnumerationMode.ALL))
     assert len(certs) == 24
 
 

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from fujitacert import cli, records
+from fujitacert import cli, cyclotomic, monodromy, records
 from fujitacert.monodromy import FinitenessVerdict
+from fujitacert.residues import InternalInconsistencyError
 from fujitacert.sweep import SweepSummary
 
 
@@ -161,6 +162,41 @@ def test_certify_internal_inconsistency_exit2(monkeypatch):
     with pytest.raises(InternalInconsistencyError):
         monodromy.find_infinite_character(WeightTuple(7, (1, 1, 1, 4)))
     code, out, err = run_cli(["certify", "-n", "7", "-m", "1,1,1,4", "--nw", "1,1,5"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: internal: ")
+
+
+ORACLE_ARGV = ["oracle", "-n", "5", "-m", "1,1,1,2", "-j", "1"]
+
+
+@pytest.mark.parametrize(
+    "owner, attr, value, argv, error",
+    [
+        (cyclotomic, "_SIGN_DPS_LADDER", (1,), ORACLE_ARGV, cyclotomic.SignUndecidableError),
+        (
+            cyclotomic.CyclotomicNumber,
+            "is_real",
+            lambda self: False,
+            ORACLE_ARGV,
+            cyclotomic.NonRealElementError,
+        ),
+        (monodromy, "_kernel_of_system", lambda *a: [], ORACLE_ARGV, monodromy.ReducibleNoUniqueFormError),
+        (
+            monodromy,
+            "is_irreducible",
+            lambda w, j: False,
+            ["certify", "-n", "7", "-m", "1,1,1,4", "--nw", "1,1,5", "--oracle"],
+            monodromy.IrreducibilityRequiredError,
+        ),
+    ],
+)
+def test_internal_errors_exit2(monkeypatch, owner, attr, value, argv, error):
+    monkeypatch.setattr(owner, attr, value)
+    assert issubclass(error, InternalInconsistencyError)
+    with pytest.raises(error):
+        cli._COMMANDS[argv[0]](cli.build_parser().parse_args(argv), io.StringIO())
+    code, out, err = run_cli(argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: internal: ")
@@ -326,6 +362,22 @@ def test_oracle_internal_inconsistency_exit2(monkeypatch):
     assert not all(c["passed"] for c in record["checks"])
 
 
+def test_enumerate_writes_each_record_before_the_next_certify(monkeypatch):
+    certify_mod = sys.modules["fujitacert.certify"]
+    original = certify_mod.certify
+    out = io.StringIO()
+    records_before = []
+
+    def spy(f, **kwargs):
+        records_before.append(out.getvalue().count("\n"))
+        return original(f, **kwargs)
+
+    monkeypatch.setattr(certify_mod, "certify", spy)
+    argv = ["enumerate", "--n-min", "5", "--n-max", "5", "--all", "--normalize"]
+    assert cli.main(argv, out=out, err=io.StringIO()) == 0
+    assert records_before == [0, 1, 2]
+
+
 # ---------------------------------------------------------------------------
 # schema, help, determinism
 
@@ -336,6 +388,31 @@ def test_schema_output():
     schema = json.loads(out)
     assert schema["exit_codes"]["3"] == "not certified"
     assert "analyze" in schema["results"]
+
+
+@pytest.mark.parametrize(
+    "entry, argv",
+    [
+        ("analyze", ["analyze", "-n", "5", "-m", "1,1,1,2", "-j", "1"]),
+        ("certify", ["certify", "-n", "5", "-m", "1,1,1,2", "--nw", "1,1,3", "--oracle"]),
+        ("certify", ["enumerate", "--n-min", "5", "--n-max", "7", "--all", "--normalize"]),
+        ("sweep", ["sweep", "--n-max", "5"]),
+        ("shimura", ["shimura", "--n-max", "11"]),
+        ("oracle", ORACLE_ARGV),
+    ],
+)
+def test_emitted_keys_match_schema(entry, argv):
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    schema = records.JSON_SCHEMA
+    lines = parse_lines(out)
+    assert lines
+    for record in lines:
+        assert record["schema_version"] == schema["schema_version"]
+        assert list(record) == list(schema["record"])
+        assert set(record["result"]) == set(schema["results"][entry])
+        for row in record["result"].get("table", []):
+            assert set(row) == set(schema["results"]["analyze"]["table"][0])
 
 
 def test_no_command_is_invalid_input():

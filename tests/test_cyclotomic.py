@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fujitacert.cyclotomic import (
     CyclotomicNumber,
+    NonRealElementError,
     cyclotomic_polynomial,
     real_sign,
     zeta,
@@ -151,6 +152,6 @@ def test_real_sign_examples():
 
 
 def test_real_sign_rejects_non_real():
-    with pytest.raises(ValueError):
+    with pytest.raises(NonRealElementError):
         real_sign(zeta(5))
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -10,7 +11,9 @@ from fujitacert.eigenspace import (
     ResidueWeights,
     SplitClass,
     WeightTuple,
+    compositions,
     eigenspace_table,
+    iter_weight_tuples,
     mu,
     sigma_sum,
     signature,
@@ -148,3 +151,20 @@ def test_flat_iff_complement_zero(w, data):
         assert comp.degenerate
         return
     assert (row.split_class is SplitClass.FLAT) == (comp.split_class is SplitClass.ZERO)
+
+
+def test_compositions_match_filtered_product():
+    for n in range(1, 9):
+        for k in range(1, 5):
+            reference = [c for c in itertools.product(range(1, n + 1), repeat=k) if sum(c) == n]
+            assert list(compositions(n, k)) == reference, (n, k)
+
+
+def test_iter_weight_tuples_match_filtered_product():
+    for n in range(4, 13):
+        reference = [
+            m
+            for m in itertools.product(range(1, n - 2), repeat=4)
+            if sum(m) == n and gcd(gcd(gcd(gcd(m[0], m[1]), m[2]), m[3]), n) == 1
+        ]
+        assert [w.m for w in iter_weight_tuples(n)] == reference, n

@@ -19,6 +19,7 @@ from fujitacert.surfaces import (
     invariants,
     is_admissible,
     iter_admissible_families,
+    iter_canonical_families,
     singular_fibre_profile,
     smoothness_check,
     standard_family,
@@ -239,3 +240,26 @@ def test_orbit_members_stay_admissible():
     f = standard_family(7)
     for m, bw in family_orbit(f):
         assert admissibility_reason(7, m, bw) is None
+
+
+# normalized class counts per n: regression fixtures for the orbit walk
+CLASS_COUNTS = {5: 3, 7: 16, 11: 100, 13: 189, 17: 497, 19: 734}
+
+
+@pytest.mark.parametrize("n", sorted(CLASS_COUNTS))
+def test_canonical_class_counts(n):
+    assert sum(1 for _ in iter_canonical_families(n)) == CLASS_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", [5, 7, 11, 13])
+def test_orbit_walk_matches_brute_force_canonical(n):
+    walk = [(f.w.m, f.base_weights) for f in iter_canonical_families(n)]
+    reps = {canonical_family(f) for f in iter_admissible_families(n)}
+    assert walk == sorted((f.w.m, f.base_weights) for f in reps)
+
+
+@pytest.mark.parametrize("n", [5, 7, 11, 13, 17])
+def test_admissible_families_strictly_increasing(n):
+    # the orbit walk is correct only because of this order
+    keys = [(f.w.m, f.base_weights) for f in iter_admissible_families(n)]
+    assert keys and all(a < b for a, b in zip(keys, keys[1:]))
