@@ -2,10 +2,10 @@
 
 All output is machine-readable JSON on stdout (one record per line for the
 streaming commands); diagnostics go to stderr.  Exit codes: 0 success or
-certified, 1 invalid input, 2 internal inconsistency (criterion vs oracle
-disagreement or a failed self-check - never expected), 3 not certified.  No
-environment-variable configuration: everything is a flag, so certificates are
-reproducible.
+certified, 1 invalid input (checked here), 2 internal inconsistency (criterion
+vs oracle disagreement, failed self-check, any library error), 3 not
+certified.  No environment-variable configuration: everything is a flag, so
+certificates are reproducible.
 """
 
 from __future__ import annotations
@@ -348,16 +348,15 @@ def main(argv=None, out=None, err=None) -> int:
             return EXIT_OK
         if args.cmd is None:
             raise CliInputError("a command is required (analyze, certify, enumerate, sweep, shimura, oracle)")
+        if min(getattr(args, "cap", 1), getattr(args, "max_word", 1)) < 1:
+            raise CliInputError("--cap and --max-word must be >= 1")
         return _COMMANDS[args.cmd](args, out)
     except CliInputError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT
-    except InternalInconsistencyError as exc:
+    except (InternalInconsistencyError, ValueError, ZeroDivisionError) as exc:
         err.write(f"error: internal: {exc}\n")
         return EXIT_INCONSISTENT
-    except (ValueError, ZeroDivisionError) as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_INVALID_INPUT
 
 
 def entrypoint() -> None:

@@ -7,8 +7,8 @@ coefficient-wise), exact multiplication in O(phi(N)^2) integer operations,
 and cheap hashing, which is what the matrix-group closure leans on.
 
 Signs of real elements are decided exactly: an exact-zero shortcut via the
-normal form, then adaptive-precision evaluation of the distinguished
-embedding zeta = exp(2*pi*i/N) until the sign interval excludes zero.
+normal form, then mpmath.iv interval evaluation of the distinguished embedding
+zeta = exp(2*pi*i/N) at rising precision until the interval excludes zero.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-import mpmath
+from mpmath import iv
 
 from .residues import InternalInconsistencyError
 
@@ -319,7 +319,7 @@ def zeta(level: int, k: int = 1) -> CyclotomicNumber:
 
 
 # ---------------------------------------------------------------------------
-# rational polynomial helpers (inverse only; hot paths never come here)
+# rational polynomial helpers (inverse only: Hermitian-form kernel pivots and `/`)
 
 
 def _poly_trim(p: list[Fraction]) -> list[Fraction]:
@@ -386,8 +386,8 @@ _SIGN_DPS_LADDER = (30, 80, 200, 500, 1200, 3000, 8000)
 def real_sign(x: CyclotomicNumber) -> int:
     """Exact sign (-1, 0, 1) of a real cyclotomic number.
 
-    Zero is decided by the canonical form, so the adaptive numeric loop only
-    ever has to separate a provably nonzero real number from zero.
+    Zero is decided by the canonical form; a nonzero value is enclosed in
+    mpmath.iv intervals at rising precision until one excludes 0 (a proof).
     """
     if x.is_zero():
         return 0
@@ -396,15 +396,13 @@ def real_sign(x: CyclotomicNumber) -> int:
     if not x.is_real():
         raise NonRealElementError(f"real_sign on non-real element {x!r}")
     n = x.level
-    for dps in _SIGN_DPS_LADDER:
-        with mpmath.workdps(dps):
-            total = mpmath.mpf(0)
-            for i, c in enumerate(x.num):
-                if c:
-                    total += c * mpmath.cospi(mpmath.mpf(2 * i) / n)
-            # crude but safe: each term carries ~10^(5-dps) relative slack
-            bound = (sum(abs(c) for c in x.num) + 1) * mpmath.mpf(10) ** (5 - dps)
-            if abs(total) > bound:
-                return 1 if total > 0 else -1
-    raise SignUndecidableError(f"sign of {x!r} did not resolve at {_SIGN_DPS_LADDER[-1]} digits")
-
+    saved = iv.dps
+    try:
+        for dps in _SIGN_DPS_LADDER:
+            iv.dps = dps
+            total = sum(c * iv.cos(2 * i * iv.pi / n) for i, c in enumerate(x.num) if c)
+            if total.a > 0 or total.b < 0:
+                return 1 if total.a > 0 else -1
+    finally:
+        iv.dps = saved
+    raise SignUndecidableError(f"sign of {x!r} not decided by the interval ladder {_SIGN_DPS_LADDER}")

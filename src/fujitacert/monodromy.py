@@ -11,6 +11,10 @@ Two independent routes decide (ir)reducibility and (in)finiteness:
   element tested by Kronecker's theorem), and an exactly solved invariant
   Hermitian form.
 
+The oracle divides only in the form's kernel solve: companion inverses are
+closed forms, walk inverses are products via g0*g1*ginf = 1, and the form
+is X + X*.
+
 The sweep tests elsewhere hold agreement of the two routes as the highest
 severity invariant; neither side may be shortcut through the other.
 """
@@ -166,15 +170,6 @@ def mat_det(a: Mat) -> CyclotomicNumber:
     return a[0][0] * a[1][1] - a[0][1] * a[1][0]
 
 
-def mat_inverse(a: Mat) -> Mat:
-    d = mat_det(a)
-    inv = d.inverse()
-    return (
-        (a[1][1] * inv, -a[0][1] * inv),
-        (-a[1][0] * inv, a[0][0] * inv),
-    )
-
-
 def mat_conj_transpose(a: Mat) -> Mat:
     return (
         (a[0][0].conjugate(), a[1][0].conjugate()),
@@ -220,11 +215,17 @@ class MonodromyTriple:
     def generators(self) -> list[tuple[str, Mat]]:
         return [("g0", self.g0), ("g1", self.g1), ("ginf", self.ginf)]
 
+    def inverses(self) -> list[tuple[str, Mat]]:
+        """g0^-1 = g1*ginf, g1^-1 = ginf*g0, ginf^-1 = g0*g1 by g0*g1*ginf = 1: no division."""
+        g0, g1, ginf = self.g0, self.g1, self.ginf
+        return [("g0^-1", mat_mul(g1, ginf)), ("g1^-1", mat_mul(ginf, g0)), ("ginf^-1", mat_mul(g0, g1))]
 
-def _companion(level: int, trace: CyclotomicNumber, det: CyclotomicNumber) -> Mat:
-    zero = CyclotomicNumber.zero(level)
-    one = CyclotomicNumber.one(level)
-    return ((zero, -det), (one, trace))
+
+def _companion(level: int, trace: CyclotomicNumber, k: int) -> tuple[Mat, Mat]:
+    """C = ((0, -zeta^k), (1, trace)) and, as det C = zeta^k, C^-1 = ((trace*zeta^-k, 1), (-zeta^-k, 0))."""
+    zero, one = CyclotomicNumber.zero(level), CyclotomicNumber.one(level)
+    inverse = ((trace.mul_zeta_power(-k), one), (-zeta(level, -k), zero))
+    return ((zero, -zeta(level, k)), (one, trace)), inverse
 
 
 def levelt_triple(exponents: Exponents, n: int) -> MonodromyTriple:
@@ -232,9 +233,10 @@ def levelt_triple(exponents: Exponents, n: int) -> MonodromyTriple:
 
     ginf is the companion matrix with eigenvalues zeta^ka, zeta^kb; the
     companion matrix B with eigenvalues zeta^kc, 1 yields g0 = B^-1 and
-    g1 = B*ginf^-1, so the product relation holds by construction.  Exponents
-    whose local eigenvalue multisets at 0 and oo intersect are rejected: the
-    rigid construction only covers the irreducible case.
+    g1 = B*ginf^-1 (closed-form companion inverses, no division), so the
+    product relation holds by construction; MonodromyTriple re-checks it.
+    Exponents whose local eigenvalue multisets at 0 and oo intersect are
+    rejected: the rigid construction only covers the irreducible case.
     """
     level = n
     ka, kb, kc = (k % level for k in exponents)
@@ -243,14 +245,10 @@ def levelt_triple(exponents: Exponents, n: int) -> MonodromyTriple:
             f"eigenvalue sharing between local multisets: alpha exps {{{ka},{kb}}}, "
             f"beta exps {{{kc},0}} (level {level})"
         )
-    alpha1, alpha2 = zeta(level, ka), zeta(level, kb)
-    beta1 = zeta(level, kc)
-    one = CyclotomicNumber.one(level)
-    a_mat = _companion(level, alpha1 + alpha2, alpha1 * alpha2)
-    b_mat = _companion(level, beta1 + one, beta1)
-    g0 = mat_inverse(b_mat)
-    g1 = mat_mul(b_mat, mat_inverse(a_mat))
-    return MonodromyTriple(level=level, g0=g0, g1=g1, ginf=a_mat, exponents=(ka, kb, kc))
+    a_mat, a_inv = _companion(level, zeta(level, ka) + zeta(level, kb), ka + kb)
+    b_mat, b_inv = _companion(level, zeta(level, kc) + CyclotomicNumber.one(level), kc)
+    g1 = mat_mul(b_mat, a_inv)
+    return MonodromyTriple(level=level, g0=b_inv, g1=g1, ginf=a_mat, exponents=(ka, kb, kc))
 
 
 def triple_from_weights(w: WeightTuple, j: int) -> MonodromyTriple:
@@ -326,14 +324,13 @@ def has_finite_order(m: Mat, level: int) -> bool:
 def _walk(t: MonodromyTriple):
     """Breadth-first walk of the group generated by g0, g1, ginf.
 
-    Letters are g0, g1, ginf, g0^-1, g1^-1, ginf^-1 in that order (a repeated
-    matrix keeps its first name).  Every element other than the identity is
-    yielded once, as (matrix, word) with the first word reaching it, in
-    order of word length.
+    Letters are g0, g1, ginf, then t.inverses() (products, no division) in that
+    order (a repeated matrix keeps its first name).  Every element other than
+    the identity is yielded once, as (matrix, word) with the first word
+    reaching it, in order of word length.
     """
     letters: dict[Mat, str] = {}
-    gens = t.generators()
-    for name, g in gens + [(name + "^-1", mat_inverse(g)) for name, g in gens]:
+    for name, g in t.generators() + t.inverses():
         letters.setdefault(g, name)
     identity = mat_identity(t.level)
     seen = {identity}
@@ -493,13 +490,14 @@ def invariant_hermitian_form(t: MonodromyTriple) -> tuple[Mat, tuple[int, int]]:
     """Solve gbar^T M g = M for all generators; return (form, signature).
 
     The solution space must be 1-dimensional over the field (Schur);
-    otherwise ReducibleNoUniqueFormError.  The returned form is Hermitian and
-    oriented by the Hodge convention: among the two real rays of solutions,
-    the one whose positivity index equals (weight sum - 1) when the form is
-    definite.  The definite/indefinite alternative itself is solved, not
-    assumed: an indefinite solution is returned as (1,1) regardless of the
-    weight data, and the cross-check against the eigenspace signature is a
-    real test.
+    otherwise ReducibleNoUniqueFormError.  The form is X + X* for
+    X = zeta^k*m0, m0 spanning it, at the first k where that is nonzero (no
+    division).  It is Hermitian and oriented by the Hodge convention: among
+    the two real rays of solutions, the one whose positivity index equals
+    (weight sum - 1) when the form is definite.  The definite/indefinite
+    alternative itself is solved, not assumed: an indefinite solution is
+    returned as (1,1) regardless of the weight data, and the cross-check
+    against the eigenspace signature is a real test.
     """
     level = t.level
     # unknowns (m00, m01, m10, m11); invariance under g0 and g1 implies ginf
@@ -524,13 +522,16 @@ def invariant_hermitian_form(t: MonodromyTriple) -> tuple[Mat, tuple[int, int]]:
     m0: Mat = ((basis[0][0], basis[0][1]), (basis[0][2], basis[0][3]))
     m0_ct = mat_conj_transpose(m0)
     cells = [(r, c) for r in range(2) for c in range(2)]
-    # m0_ct is again a solution, so m0_ct = alpha * m0 with |alpha| = 1
-    alpha = next((m0_ct[r][c] / m0[r][c] for r, c in cells if not m0[r][c].is_zero()), None)
-    if alpha is None or any(m0_ct[r][c] != alpha * m0[r][c] for r, c in cells):
+    # m0_ct is again a solution, so m0_ct = alpha * m0 with |alpha| = 1: checked
+    # cross-multiplied with a nonzero cell p of m0 (p_ct of m0_ct)
+    p, p_ct = next(((m0[r][c], m0_ct[r][c]) for r, c in cells if not m0[r][c].is_zero()), (None, None))
+    if p is None or any(m0_ct[r][c] * p != p_ct * m0[r][c] for r, c in cells):
         raise InternalInconsistencyError("conjugate-transpose left the solution line")
-    lams = (zeta(level, k) + zeta(level, -k) * alpha for k in range(level))
-    lam = next((lam for lam in lams if not lam.is_zero()), None)
-    herm = None if lam is None else tuple(tuple(lam * x for x in row) for row in m0)
+    # X + X* for X = zeta^k * m0 is (zeta^k + zeta^-k * alpha) * m0
+    pairs = list(zip(m0[0] + m0[1], m0_ct[0] + m0_ct[1]))
+    sums = ([x.mul_zeta_power(k) + y.mul_zeta_power(-k) for x, y in pairs] for k in range(level))
+    s = next((s for s in sums if any(not x.is_zero() for x in s)), None)
+    herm = None if s is None else ((s[0], s[1]), (s[2], s[3]))
     if herm is None or mat_conj_transpose(herm) != herm:
         raise InternalInconsistencyError("no Hermitian representative found")
     signature = _hermitian_signature(herm)

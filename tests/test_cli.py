@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from fujitacert import cli, cyclotomic, monodromy, records
+from fujitacert.eigenspace import iter_weight_tuples
 from fujitacert.monodromy import FinitenessVerdict
 from fujitacert.residues import InternalInconsistencyError
 from fujitacert.sweep import SweepSummary
@@ -173,7 +175,7 @@ ORACLE_ARGV = ["oracle", "-n", "5", "-m", "1,1,1,2", "-j", "1"]
 @pytest.mark.parametrize(
     "owner, attr, value, argv, error",
     [
-        (cyclotomic, "_SIGN_DPS_LADDER", (1,), ORACLE_ARGV, cyclotomic.SignUndecidableError),
+        (cyclotomic, "_SIGN_DPS_LADDER", (), ORACLE_ARGV, cyclotomic.SignUndecidableError),
         (
             cyclotomic.CyclotomicNumber,
             "is_real",
@@ -200,6 +202,39 @@ def test_internal_errors_exit2(monkeypatch, owner, attr, value, argv, error):
     assert code == 2
     assert out == ""
     assert err.startswith("error: internal: ")
+
+
+@pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
+def test_library_error_deep_in_certify_exits2(monkeypatch, error):
+    def broken(w, j):
+        raise error("injected")
+
+    # the package exports the certify function under the module's name
+    monkeypatch.setattr(sys.modules["fujitacert.certify"], "sigma_sum", broken)
+    argv = ["certify", "-n", "7", "-m", "1,1,1,4", "--nw", "1,1,5"]
+    with pytest.raises(error):
+        cli._COMMANDS[argv[0]](cli.build_parser().parse_args(argv), io.StringIO())
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: internal: injected\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "-n", "7", "-m", "1,1,1,4", "--nw", "1,1,5", "--oracle"],
+        ["oracle", "-n", "5", "-m", "1,1,1,2", "-j", "1"],
+        ["sweep", "--n-max", "6"],
+    ],
+)
+@pytest.mark.parametrize("flag", ["--cap", "--max-word"])
+def test_closure_bounds_below_one_exit1(argv, flag):
+    for value in ("0", "-1"):
+        code, out, err = run_cli(argv + [flag, value])
+        assert code == 1
+        assert out == ""
+        assert err == "error: --cap and --max-word must be >= 1\n"
 
 
 @pytest.mark.parametrize(
@@ -350,6 +385,25 @@ def test_oracle_record():
 def test_oracle_rejects_reducible_character():
     code, _, err = run_cli(["oracle", "-n", "6", "-m", "1,2,2,1", "-j", "3"])
     assert code == 1 and "reducible" in err
+
+
+ORACLE_DIGEST_N4_TO_8 = "7e6059dc420c00b6adf900cbf6847a4762b520f901b6c6f6df8be51a95fa90de"
+
+
+def test_oracle_output_digest_pinned():
+    # exit code, stdout and stderr of every (tuple, j) call for 4 <= n <= 8;
+    # a schema_version change must re-pin this digest
+    digest = hashlib.sha256()
+    calls = 0
+    for n in range(4, 9):
+        for w in iter_weight_tuples(n):
+            m = ",".join(map(str, w.m))
+            for j in range(1, n):
+                code, out, err = run_cli(["oracle", "-n", str(n), "-m", m, "-j", str(j)])
+                digest.update(f"{code}\n{out}{err}".encode())
+                calls += 1
+    assert calls == 427
+    assert digest.hexdigest() == ORACLE_DIGEST_N4_TO_8
 
 
 def test_oracle_internal_inconsistency_exit2(monkeypatch):

@@ -1,10 +1,14 @@
+import io
+import json
 from fractions import Fraction
 from math import lcm
 
+import mpmath
 import pytest
 
-from fujitacert.cyclotomic import CyclotomicNumber, zeta
-from fujitacert.eigenspace import WeightTuple, signature, sigma_sum
+from fujitacert import cli, monodromy
+from fujitacert.cyclotomic import CyclotomicNumber, real_sign, zeta
+from fujitacert.eigenspace import WeightTuple, iter_weight_tuples, signature, sigma_sum
 from fujitacert.monodromy import (
     IrreducibilityRequiredError,
     MonodromyTriple,
@@ -29,7 +33,8 @@ from fujitacert.monodromy import (
     mat_trace,
     triple_from_weights,
 )
-from fujitacert.residues import NonUnitError, euler_phi, units
+from fujitacert.residues import InternalInconsistencyError, NonUnitError, euler_phi, units
+from fujitacert.surfaces import standard_family
 
 W5 = WeightTuple(5, (1, 1, 1, 2))
 W7 = WeightTuple(7, (1, 1, 1, 4))
@@ -173,6 +178,63 @@ def test_triple_eigenvalue_contract():
         assert set(_eigenvalue_exponents(t.ginf, n)) >= {ka, kb}
         assert set(_eigenvalue_exponents(t.g0, n)) >= {0, (-kc) % n}
         assert set(_eigenvalue_exponents(t.g1, n)) >= {0, (kc - ka - kb) % n}
+
+
+def _irreducible_instances(n_max):
+    for n in range(4, n_max + 1):
+        for w in iter_weight_tuples(n):
+            for j in range(1, n):
+                if is_irreducible(w, j):
+                    yield w, j
+
+
+def _mat_inverse_reference(a):
+    """Adjugate over the field inverse of the determinant."""
+    inv = mat_det(a).inverse()
+    return ((a[1][1] * inv, -a[0][1] * inv), (-a[1][0] * inv, a[0][0] * inv))
+
+
+def _companion_reference(trace, det):
+    level = trace.level
+    return ((CyclotomicNumber.zero(level), -det), (CyclotomicNumber.one(level), trace))
+
+
+def test_levelt_triple_matches_adjugate_reference():
+    for w, j in _irreducible_instances(8):
+        t = triple_from_weights(w, j)
+        ka, kb, kc = t.exponents
+        n = t.level
+        a_mat = _companion_reference(zeta(n, ka) + zeta(n, kb), zeta(n, ka + kb))
+        b_mat = _companion_reference(zeta(n, kc) + 1, zeta(n, kc))
+        assert t.ginf == a_mat
+        assert t.g0 == _mat_inverse_reference(b_mat)
+        assert t.g1 == mat_mul(b_mat, _mat_inverse_reference(a_mat))
+        for (_, g), (_, g_inv) in zip(t.generators(), t.inverses()):
+            assert g_inv == _mat_inverse_reference(g)
+
+
+def test_walk_letters_times_inverse_letters_are_identity():
+    for w, j in _irreducible_instances(8):
+        t = triple_from_weights(w, j)
+        for (_, g), (_, g_inv) in zip(t.generators(), t.inverses()):
+            assert mat_is_identity(mat_mul(g, g_inv))
+            assert mat_is_identity(mat_mul(g_inv, g))
+
+
+def test_triple_and_walk_use_no_field_inverse(monkeypatch):
+    def no_inverse(self):
+        raise AssertionError("field inverse on the triple or walk path")
+
+    monkeypatch.setattr(CyclotomicNumber, "inverse", no_inverse)
+    fam = standard_family(97)
+    j = find_infinite_character(fam.w)
+    assert group_closure(triple_from_weights(fam.w, j)).is_infinite
+    m, nw = (",".join(map(str, v)) for v in (fam.w.m, fam.base_weights))
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.main(["certify", "-n", "97", "-m", m, "--nw", nw, "--oracle"], out=out, err=err)
+    assert code == 0, err.getvalue()
+    checks = {c["name"]: c["passed"] for c in json.loads(out.getvalue())["checks"]}
+    assert checks["oracle_agrees"] is True
 
 
 def test_levelt_rejects_reducible_parameters():
@@ -321,6 +383,45 @@ def test_kronecker_edge_cases(rows, finite):
 
 
 # ---------------------------------------------------------------------------
+# interval signs against the former decimal ladder
+
+
+def _decimal_ladder_sign(x):
+    """The former real_sign: a decimal sum against a (sum|c|+1)*10^(5-dps) bound."""
+    if x.is_rational():
+        return (x.num[0] > 0) - (x.num[0] < 0)
+    for dps in (30, 80, 200, 500, 1200, 3000, 8000):
+        with mpmath.workdps(dps):
+            total = sum(c * mpmath.cospi(mpmath.mpf(2 * i) / x.level) for i, c in enumerate(x.num) if c)
+            if abs(total) > (sum(abs(c) for c in x.num) + 1) * mpmath.mpf(10) ** (5 - dps):
+                return 1 if total > 0 else -1
+    raise AssertionError(f"decimal ladder undecided on {x!r}")
+
+
+def test_interval_signs_match_decimal_ladder_on_population(monkeypatch):
+    # The matrices depend on {ka, kb} and kc only (the stored exponents orient the
+    # form after its signs are taken), so one triple per such key meets every
+    # element the n <= 12 population hands to real_sign.
+    band, entries = set(), set()
+    sink = band
+    monkeypatch.setattr(monodromy, "real_sign", lambda x: sink.add(x) or real_sign(x))
+    keys = set()
+    for w, j in _irreducible_instances(12):
+        ka, kb, kc = levelt_exponents(w, j)
+        keys.add((w.n, min(ka, kb), max(ka, kb), kc))
+    for n, ka, kb, kc in sorted(keys):
+        t = levelt_triple((ka, kb, kc), n)
+        sink = band
+        group_closure(t)
+        sink = entries
+        invariant_hermitian_form(t)
+    irrational = [x for x in band | entries if not x.is_rational()]
+    assert (len(band), len(entries), len(irrational)) == (6, 182, 143)
+    for x in band | entries:
+        assert real_sign(x) == _decimal_ladder_sign(x), x
+
+
+# ---------------------------------------------------------------------------
 # common eigenvector oracle
 
 
@@ -380,6 +481,14 @@ def test_form_scaling_keeps_signature():
         gc = mat_conj_transpose(g)
         assert mat_mul(mat_mul(gc, doubled), g) == doubled
     assert _hermitian_signature(doubled) == sig
+
+
+def test_form_rejects_solution_not_closed_under_conjugate_transpose(monkeypatch):
+    one, two, zero = (CyclotomicNumber.from_rational(5, q) for q in (1, 2, 0))
+    # ((1, 2), (0, 1)) has conjugate transpose ((1, 0), (2, 1)), not a multiple of it
+    monkeypatch.setattr(monodromy, "_kernel_of_system", lambda *args: [[one, two, zero, one]])
+    with pytest.raises(InternalInconsistencyError, match="left the solution line"):
+        invariant_hermitian_form(triple_from_weights(W5, 2))
 
 
 def test_form_rejects_reducible_triple():
