@@ -27,6 +27,7 @@ from .eigenspace import (
     eigenspace_table,
     mu,
     sigma_sum,
+    sigma_table,
     signature,
 )
 from .monodromy import (
@@ -109,6 +110,7 @@ __all__ = [
     "run_sweep",
     "shimura_count",
     "sigma_sum",
+    "sigma_table",
     "signature",
     "singular_fibre_profile",
     "smoothness_check",

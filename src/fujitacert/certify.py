@@ -8,7 +8,9 @@ splitting bookkeeping, irreducibility of all characters, and an explicit
 unit conjugate carrying an indefinite form, which forces the flat summand's
 monodromy to be infinite.  A family with all of these is a counterexample
 to the semiampleness question; anything less is NOT_CERTIFIED with a reason.
-Enumeration yields certificates one at a time, in increasing family order.
+The splitting and the other all-characters counts read one sigma_table pass,
+which checks every character's sigma on the way.  Enumeration yields
+certificates one at a time, in increasing family order.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .eigenspace import (
-    DegenerateCharacterError,
     SplitClass,
     WeightTuple,
-    eigenspace_table,
     sigma_sum,
+    sigma_table,
+    split_class_of_sigma,
 )
 from .monodromy import (
     DEFAULT_CLOSURE_CAP,
@@ -62,8 +65,7 @@ CERTIFICATE_PROSE = (
 )
 
 
-@dataclass(frozen=True)
-class CharacterSplit:
+class CharacterSplit(NamedTuple):
     j: int
     dim_Vj: int
     split_class: SplitClass | None
@@ -83,46 +85,34 @@ class SplittingReport:
 
 
 def splitting(w: WeightTuple) -> SplittingReport:
-    """Per-character split classes with rank totals.
+    """Per-character split classes with rank totals, read off one sigma_table pass.
 
-    Degenerate characters are carried as flagged entries; downstream
-    certification fails closed on them rather than skipping.
+    sigma_table checks every character's sigma.  Degenerate characters are
+    carried as flagged entries; downstream certification fails closed on
+    them rather than skipping.
     """
-    entries = []
-    rank_v = 0
-    flat = 0
-    ample = 0
-    degenerate = False
-    for report in eigenspace_table(w):
-        if report.degenerate:
-            degenerate = True
-            entries.append(CharacterSplit(report.j, 0, None, True))
-            continue
-        entries.append(CharacterSplit(report.j, report.dim_h10, report.split_class, False))
-        rank_v += report.dim_h10
-        if report.split_class is SplitClass.FLAT:
-            flat += 1
-        elif report.split_class is SplitClass.AMPLE_CANDIDATE:
-            ample += 1
     n = w.n
+    table = sigma_table(w)
+    classes = {s: split_class_of_sigma(s, n) for s in (n, 2 * n, 3 * n)}
+    entries = tuple(
+        CharacterSplit(j, s // n - 1, classes[s], False) if s else CharacterSplit(j, 0, None, True)
+        for j, s in enumerate(table, 1)
+    )
+    ample, flat = table.count(2 * n), table.count(3 * n)
     deg_v = (n * n - 1) // 12 if (n * n - 1) % 12 == 0 else None
     return SplittingReport(
-        entries=tuple(entries),
-        rank_V=rank_v,
+        entries=entries,
+        rank_V=ample + 2 * flat,  # sum of dim V_j = s // n - 1 over the non-degenerate s
         rank_flat=2 * flat,
         rank_ample_candidate=ample,
         deg_V=deg_v,
-        has_degenerate=degenerate,
+        has_degenerate=0 in table,
     )
 
 
 def flat_summand_census(w: WeightTuple) -> list[tuple[int, FinitenessVerdict]]:
     """Each FLAT character paired with its finiteness verdict (criterion route)."""
-    census = []
-    for entry in splitting(w).entries:
-        if entry.split_class is SplitClass.FLAT:
-            census.append((entry.j, finiteness_by_signature(w, entry.j)))
-    return census
+    return [(j, finiteness_by_signature(w, j)) for j, s in enumerate(sigma_table(w), 1) if s == 3 * w.n]
 
 
 @dataclass(frozen=True)
@@ -280,14 +270,7 @@ def shimura_count(w: WeightTuple) -> tuple[int, bool]:
     One such pair means the symmetry-preserving deformations of the
     associated abelian varieties form a 1-dimensional space.
     """
-    n = w.n
-    count = 0
-    for j in range(1, n // 2 + 1):
-        try:
-            if sigma_sum(w, j) == 2 * n:
-                count += 1
-        except DegenerateCharacterError:
-            continue
+    count = sigma_table(w)[: w.n // 2].count(2 * w.n)  # j = 1 .. n // 2
     return count, count == 1
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from math import gcd
 
 from . import records
@@ -72,6 +73,7 @@ def _parse_int_list(text: str, count: int, what: str) -> tuple[int, ...]:
     return values
 
 
+@cache  # built on the first call, not at import; parsing leaves no state in it
 def build_parser() -> _Parser:
     parser = _Parser(prog="fujitacert", description=__doc__)
     parser.add_argument("--schema", action="store_true", help="print the JSON schema and exit")

@@ -8,7 +8,10 @@ data governed by the normalized residues mu_i = [m_i * j] / n:
     dim H^{1,0} = -1 + sum_i mu_i,     dim H^{0,1} = 2 - dim H^{1,0},
 
 and the invariant Hermitian form has index (dim H^{1,0}, dim H^{0,1}).
-Everything here is integer/rational arithmetic; no periods are computed.
+All of it follows from sigma_j = sum_i [m_i * j], which is n, 2n or 3n;
+sigma_table computes every sigma_j in one integer pass and checks each
+against that set.  Everything here is integer/rational arithmetic; no
+periods are computed.
 """
 
 from __future__ import annotations
@@ -188,39 +191,46 @@ def split_class_of_sigma(sigma: int, n: int) -> SplitClass:
     raise ValueError(f"sigma = {sigma} is not in {{n, 2n, 3n}} for n = {n}")
 
 
-def eigenspace_report(w: WeightTuple | ResidueWeights, j: int) -> EigenspaceReport:
-    sigma = sigma_sum(w, j)
-    h10, h01 = sigma // w.n - 1, 3 - sigma // w.n
+def sigma_table(w: WeightTuple | ResidueWeights) -> list[int]:
+    """sigma_j for j = 1 .. n-1 in one integer pass; 0 marks a degenerate character.
+
+    Every entry is checked: a value outside {0, n, 2n, 3n} raises
+    InternalInconsistencyError.
+    """
+    n = w.n
+    # row i holds [m_i * j] for j = 1 .. n-1, from the multiples m_i, 2 m_i, ...
+    rows = [[x % n for x in itertools.islice(itertools.count(mi, mi), n - 1)] for mi in w.m]
+    table = [a + b + c + d if a and b and c and d else 0 for a, b, c, d in zip(*rows)]
+    allowed = {0, n, 2 * n, 3 * n}
+    if not allowed.issuperset(table):
+        j = next(j for j, s in enumerate(table, 1) if s not in allowed)
+        raise InternalInconsistencyError(f"sigma({j}) = {table[j - 1]} for {w} is not n, 2n or 3n")
+    return table
+
+
+def _report(j: int, sigma: int, n: int) -> EigenspaceReport:
+    h10 = sigma // n - 1
     return EigenspaceReport(
-        j=j % w.n,
+        j=j,
         sigma=sigma,
         dim_h10=h10,
-        dim_h01=h01,
-        signature=(h10, h01),
-        split_class=split_class_of_sigma(sigma, w.n),
+        dim_h01=2 - h10,
+        signature=(h10, 2 - h10),
+        split_class=split_class_of_sigma(sigma, n),
     )
 
 
+def eigenspace_report(w: WeightTuple | ResidueWeights, j: int) -> EigenspaceReport:
+    return _report(j % w.n, sigma_sum(w, j), w.n)
+
+
 def eigenspace_table(w: WeightTuple | ResidueWeights) -> list[EigenspaceReport]:
-    """Reports for j = 1 .. n-1.
+    """Reports for j = 1 .. n-1, read off one sigma_table pass.
 
     Degenerate characters are flagged entries (sigma = 0, dims = -1), not
     silent omissions and not fatal: bulk sweeps must see them.
     """
-    table = []
-    for j in range(1, w.n):
-        try:
-            table.append(eigenspace_report(w, j))
-        except DegenerateCharacterError:
-            table.append(
-                EigenspaceReport(
-                    j=j,
-                    sigma=0,
-                    dim_h10=-1,
-                    dim_h01=-1,
-                    signature=(-1, -1),
-                    split_class=None,
-                    degenerate=True,
-                )
-            )
-    return table
+    return [
+        _report(j, sigma, w.n) if sigma else EigenspaceReport(j, 0, -1, -1, (-1, -1), None, True)
+        for j, sigma in enumerate(sigma_table(w), 1)
+    ]

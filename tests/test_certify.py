@@ -1,15 +1,26 @@
 import pytest
 
+from math import gcd
+
 from fujitacert.certify import (
     CERTIFICATE_PROSE,
+    CharacterSplit,
     EnumerationMode,
+    SplittingReport,
     certify,
     enumerate_families,
     flat_summand_census,
     shimura_count,
     splitting,
 )
-from fujitacert.eigenspace import SplitClass, WeightTuple, sigma_sum
+from fujitacert.eigenspace import (
+    DegenerateCharacterError,
+    SplitClass,
+    WeightTuple,
+    eigenspace_report,
+    iter_weight_tuples,
+    sigma_sum,
+)
 from fujitacert.residues import units
 from fujitacert.surfaces import family, standard_family
 
@@ -57,6 +68,58 @@ def test_standard_case_zero_up_to_n_over_3():
         for e in s.entries:
             assert (e.split_class is SplitClass.ZERO) == (3 * e.j <= n)
             assert (e.split_class is SplitClass.FLAT) == (3 * (n - e.j) <= n)
+
+
+def _splitting_reference(w):
+    # the per-character loop splitting ran before sigma_table, one eigenspace_report per j
+    entries, rank_v, flat, ample, degenerate = [], 0, 0, 0, False
+    for j in range(1, w.n):
+        try:
+            report = eigenspace_report(w, j)
+        except DegenerateCharacterError:
+            degenerate = True
+            entries.append(CharacterSplit(j, 0, None, True))
+            continue
+        entries.append(CharacterSplit(j, report.dim_h10, report.split_class, False))
+        rank_v += report.dim_h10
+        flat += report.split_class is SplitClass.FLAT
+        ample += report.split_class is SplitClass.AMPLE_CANDIDATE
+    n = w.n
+    deg_v = (n * n - 1) // 12 if (n * n - 1) % 12 == 0 else None
+    return SplittingReport(tuple(entries), rank_v, 2 * flat, ample, deg_v, degenerate)
+
+
+def _shimura_reference(w):
+    count = 0
+    for j in range(1, w.n // 2 + 1):
+        try:
+            count += sigma_sum(w, j) == 2 * w.n
+        except DegenerateCharacterError:
+            continue
+    return count, count == 1
+
+
+def test_splitting_matches_per_character_reference():
+    weights = [w for n in range(4, 14) for w in iter_weight_tuples(n)]
+    weights += [WeightTuple(1009, (1, 1, 1, 1006)), WeightTuple(1009, (2, 3, 5, 999))]
+    degenerate = 0
+    for w in weights:
+        split = splitting(w)
+        assert split == _splitting_reference(w), w
+        assert all(type(e) is CharacterSplit for e in split.entries)
+        degenerate += split.has_degenerate
+    assert degenerate > 0
+
+
+def test_shimura_count_matches_per_character_reference():
+    # every tuple up to n = 20, and four fixed shapes (with non-unit and degenerate cases) up to n = 60
+    weights = [w for n in range(4, 21) for w in iter_weight_tuples(n)]
+    for n in range(21, 61):
+        for m in ((1, 1, 1, n - 3), (1, 2, 3, n - 6), (2, 3, 5, n - 10), (2, 4, 6, n - 12)):
+            if gcd(*m, n) == 1:
+                weights.append(WeightTuple(n, m))
+    for w in weights:
+        assert shimura_count(w) == _shimura_reference(w), w
 
 
 def test_flat_summand_census():

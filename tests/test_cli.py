@@ -406,6 +406,30 @@ def test_oracle_output_digest_pinned():
     assert digest.hexdigest() == ORACLE_DIGEST_N4_TO_8
 
 
+AFFECTED_ARGVS = [
+    "certify -n 1009 -m 1,1,1,1006 --nw 1,1,1007",
+    "certify -n 10007 -m 1,1,1,10004 --nw 1,1,10005",
+    "certify -n 1009 -m 2,3,5,999 --nw 1,2,1006",
+    "analyze -n 1009 -m 1,2,3,1003",
+    "analyze -n 12 -m 3,4,6,11",
+    "analyze -n 12 -m 1,2,3,6",
+    "enumerate --n-min 5 --n-max 11 --all",
+    "shimura --n-max 200",
+]
+AFFECTED_DIGEST = "0010eae27ddb1049b87c87b085b63ce5b902811902b887d6f60036f55caa765e"
+
+
+def test_splitting_output_digest_pinned():
+    # exit code, stdout and stderr of the commands that read the per-character
+    # splitting, at large n and with degenerate characters; a schema_version
+    # change must re-pin this digest
+    digest = hashlib.sha256()
+    for argv in AFFECTED_ARGVS:
+        code, out, err = run_cli(argv.split())
+        digest.update(f"{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == AFFECTED_DIGEST
+
+
 def test_oracle_internal_inconsistency_exit2(monkeypatch):
     monkeypatch.setattr(
         cli, "group_closure", lambda *a, **k: FinitenessVerdict(kind="FINITE", order=1)
@@ -467,6 +491,29 @@ def test_emitted_keys_match_schema(entry, argv):
         assert set(record["result"]) == set(schema["results"][entry])
         for row in record["result"].get("table", []):
             assert set(row) == set(schema["results"]["analyze"]["table"][0])
+
+
+def test_parser_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_gives_first_call_output():
+    argvs = [
+        ["certify", "-n", "7", "-m", "1,1,1,4", "--nw", "1,1,5", "--oracle"],
+        ["oracle", "-n", "5", "-m", "1,1,1,2", "-j", "1", "--cap", "30"],
+        ["--schema"],
+    ]
+    first = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        first.append(run_cli(argv))
+    cli.build_parser.cache_clear()
+    # one error raised inside the subparser, one after parsing
+    for bad in (argvs[0][:-1] + ["--cap", "x"], ["certify", "-n", "7", "-m", "1,1,1,4", "--nw", "1,1"]):
+        code, out, err = run_cli(bad)
+        assert (code, out) == (1, "") and err.startswith("error: ")
+    assert [run_cli(argv) for argv in argvs] == first
+    assert [c for c, _, _ in first] == [0, 0, 0]
 
 
 def test_no_command_is_invalid_input():

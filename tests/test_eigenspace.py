@@ -1,4 +1,5 @@
 import itertools
+import types
 from fractions import Fraction
 from math import gcd
 
@@ -11,13 +12,17 @@ from fujitacert.eigenspace import (
     ResidueWeights,
     SplitClass,
     WeightTuple,
+    EigenspaceReport,
     compositions,
+    eigenspace_report,
     eigenspace_table,
     iter_weight_tuples,
     mu,
     sigma_sum,
+    sigma_table,
     signature,
 )
+from fujitacert.residues import InternalInconsistencyError
 
 
 @st.composite
@@ -134,12 +139,16 @@ def test_complementary_characters(w, data):
     assert signature(w, j) == tuple(reversed(signature(w, w.n - j)))
 
 
-@given(weight_tuples())
-def test_unit_weights_fill_genus(w):
-    assume(w.all_units())
-    table = eigenspace_table(w)
-    assert not any(r.degenerate for r in table)
-    assert sum(r.dim_h10 for r in table) == w.n - 1
+def test_unit_weights_fill_genus():
+    # every all-unit tuple the weight_tuples strategy can draw (4 <= n <= 30), not a sample
+    checked = 0
+    for n in range(4, 31):
+        for w in filter(WeightTuple.all_units, iter_weight_tuples(n)):
+            table = eigenspace_table(w)
+            assert not any(r.degenerate for r in table)
+            assert sum(r.dim_h10 for r in table) == w.n - 1
+            checked += 1
+    assert checked == 9607
 
 
 @given(weight_tuples(), st.data())
@@ -168,3 +177,59 @@ def test_iter_weight_tuples_match_filtered_product():
             if sum(m) == n and gcd(gcd(gcd(gcd(m[0], m[1]), m[2]), m[3]), n) == 1
         ]
         assert [w.m for w in iter_weight_tuples(n)] == reference, n
+
+
+# residue systems with degenerate characters: non-unit residues and a zero residue
+RESIDUE_SYSTEMS = [
+    ResidueWeights(12, (3, 4, 6, 11)),
+    ResidueWeights(8, (4, 4, 3, 5)),
+    ResidueWeights(6, (1, 2, 2, 1)),
+    ResidueWeights(6, (0, 1, 2, 3)),
+]
+
+
+def _small_weights():
+    for n in range(4, 14):
+        yield from iter_weight_tuples(n)
+    yield from RESIDUE_SYSTEMS
+
+
+def _sigma_or_zero(w, j):
+    try:
+        return sigma_sum(w, j)
+    except DegenerateCharacterError:
+        return 0
+
+
+def _report_reference(w, j):
+    try:
+        return eigenspace_report(w, j)
+    except DegenerateCharacterError:
+        return EigenspaceReport(j, 0, -1, -1, (-1, -1), None, degenerate=True)
+
+
+def test_sigma_table_matches_sigma_sum():
+    degenerate_seen = 0
+    for w in _small_weights():
+        table = sigma_table(w)
+        assert table == [_sigma_or_zero(w, j) for j in range(1, w.n)], w
+        degenerate_seen += 0 in table
+    assert sigma_table(RESIDUE_SYSTEMS[0]) == [24, 0, 0, 0, 24, 0, 24, 0, 0, 0, 24]
+    assert sigma_table(RESIDUE_SYSTEMS[3]) == [0] * 5
+    assert degenerate_seen > len(RESIDUE_SYSTEMS)
+
+
+def test_eigenspace_table_matches_per_character_reports():
+    for w in _small_weights():
+        table = eigenspace_table(w)
+        assert table == [_report_reference(w, j) for j in range(1, w.n)], w
+        for r in table:
+            if not r.degenerate:
+                assert (r.dim_h10, r.dim_h01) == r.signature == signature(w, r.j)
+
+
+def test_sigma_table_checks_every_character():
+    # sum(m) = 4 is not 0 mod 7, which the validated types rule out
+    bad = types.SimpleNamespace(n=7, m=(1, 1, 1, 1))
+    with pytest.raises(InternalInconsistencyError, match=r"sigma\(1\) = 4"):
+        sigma_table(bad)
