@@ -6,6 +6,10 @@ positive common denominator.  This gives canonical forms (equality is
 coefficient-wise), exact multiplication in O(phi(N)^2) integer operations,
 and cheap hashing, which is what the matrix-group closure leans on.
 
+All arithmetic stays in integers.  The one field inverse is a norm quotient:
+the product of the other Galois conjugates of the numerator over its rational
+norm.  `Fraction` appears only where outside rationals come in or go out.
+
 Signs of real elements are decided exactly: an exact-zero shortcut via the
 normal form, then mpmath.iv interval evaluation of the distinguished embedding
 zeta = exp(2*pi*i/N) at rising precision until the interval excludes zero.
@@ -104,7 +108,7 @@ class CyclotomicNumber:
             raise ValueError(f"need {deg} coefficients for level {level}, got {len(num)}")
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        if not _normalized:
+        if not _normalized and den != 1:
             if den < 0:
                 num = tuple(-c for c in num)
                 den = -den
@@ -145,11 +149,6 @@ class CyclotomicNumber:
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CyclotomicNumber):
@@ -216,16 +215,6 @@ class CyclotomicNumber:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> CyclotomicNumber:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other) -> CyclotomicNumber:
-        o = self._coerce(other)
-        return o * self.inverse()
-
     def __pow__(self, k: int) -> CyclotomicNumber:
         if k < 0:
             return self.inverse() ** (-k)
@@ -239,16 +228,26 @@ class CyclotomicNumber:
         return result
 
     def inverse(self) -> CyclotomicNumber:
-        """Field inverse via extended Euclid against Phi_N over Q."""
+        """Field inverse as an integer norm quotient (Cohen, GTM 138, 4.3).
+
+        With P the product of sigma_h(num) over the units h != 1, the norm
+        N(num) = num*P is a nonzero rational, and x^-1 = den*P / N(num).  Only
+        integer products and Galois images are used; a norm that is not a
+        nonzero rational is an InternalInconsistencyError.
+        """
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic zero has no inverse")
-        if self.is_rational():
-            q = 1 / self.rational_value()
-            return CyclotomicNumber.from_rational(self.level, q)
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.level)]
-        f = [Fraction(c, self.den) for c in self.num]
-        u = _poly_modular_inverse(f, phi)
-        return _from_fraction_coeffs(self.level, u)
+        n = self.level
+        x = CyclotomicNumber(n, self.num)
+        cofactor = CyclotomicNumber.one(n)
+        for h in range(2, n):
+            if gcd(h, n) == 1:
+                cofactor = cofactor * x.galois(h)
+        norm = x * cofactor
+        if norm.is_zero() or not norm.is_rational():
+            raise InternalInconsistencyError(f"norm of {x!r} is {norm!r}, not a nonzero rational")
+        # num, P and N(num) lie in Z[zeta], so cofactor and norm have den 1
+        return CyclotomicNumber(n, tuple(self.den * c for c in cofactor.num), norm.num[0])
 
     # -- Galois structure -------------------------------------------------
 
@@ -297,15 +296,6 @@ class CyclotomicNumber:
         return total / self.den
 
 
-def _from_fraction_coeffs(level: int, coeffs: list[Fraction]) -> CyclotomicNumber:
-    deg, _ = _level_context(level)
-    coeffs = list(coeffs) + [Fraction(0)] * (deg - len(coeffs))
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    return CyclotomicNumber(level, tuple(int(c * den) for c in coeffs[:deg]), den)
-
-
 def zeta(level: int, k: int = 1) -> CyclotomicNumber:
     """The root of unity zeta_N^k as a field element."""
     n = level
@@ -316,56 +306,6 @@ def zeta(level: int, k: int = 1) -> CyclotomicNumber:
         num[k] = 1
         return CyclotomicNumber(n, tuple(num), 1, _normalized=True)
     return CyclotomicNumber(n, rows[k - deg], 1)
-
-
-# ---------------------------------------------------------------------------
-# rational polynomial helpers (inverse only: Hermitian-form kernel pivots and `/`)
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        coeff = a[k + len(b) - 1] * inv_lead
-        q[k] = coeff
-        if coeff:
-            for i, bi in enumerate(b):
-                a[k + i] -= coeff * bi
-    return q, _poly_trim(a)
-
-
-def _poly_modular_inverse(f: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
-    """u with u*f = 1 mod modulus, via extended Euclid over Q[x]."""
-    r0, r1 = list(modulus), _poly_trim(list(f))
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while len(r1) > 1 or (len(r1) == 1 and r1[0] != 0):
-        if len(r1) == 1:
-            break
-        q, r = _poly_divmod(r0, r1)
-        # s_new = s0 - q*s1
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1)
-        for i, qi in enumerate(q):
-            if qi:
-                for k, sk in enumerate(s1):
-                    prod[i + k] += qi * sk
-        s_new = [Fraction(0)] * max(len(s0), len(prod))
-        for i, c in enumerate(s0):
-            s_new[i] += c
-        for i, c in enumerate(prod):
-            s_new[i] -= c
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_trim(s_new)
-    if not r1 or r1[0] == 0:
-        raise ZeroDivisionError("element shares a factor with the modulus")
-    scale = 1 / r1[0]
-    return [c * scale for c in s1]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ Two independent routes decide (ir)reducibility and (in)finiteness:
   element tested by Kronecker's theorem), and an exactly solved invariant
   Hermitian form.
 
-The oracle divides only in the form's kernel solve: companion inverses are
+The oracle divides only at the pivots of the form's kernel solve, by the
+integer norm quotient of CyclotomicNumber.inverse: companion inverses are
 closed forms, walk inverses are products via g0*g1*ginf = 1, and the form
 is X + X*.
 
@@ -304,7 +305,7 @@ def has_finite_order(m: Mat, level: int) -> bool:
         return False
     err = _float_error_bound(t)
     norm = None
-    for h in units(level) if level > 2 else [1]:
+    for h in units(level):
         size = abs(t.complex_value(h))
         if size < 2 - err:
             continue

@@ -262,6 +262,20 @@ def test_output_unchanged_under_python_O(argv):
     assert runs[0].stdout and runs[0].stdout == runs[1].stdout
 
 
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so every self-check is an explicit raise
+    import ast
+
+    import fujitacert
+
+    sources = sorted(Path(fujitacert.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 

@@ -1,3 +1,5 @@
+import io
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fujitacert import cli, cyclotomic
 from fujitacert.cyclotomic import (
     CyclotomicNumber,
     NonRealElementError,
@@ -12,7 +15,7 @@ from fujitacert.cyclotomic import (
     real_sign,
     zeta,
 )
-from fujitacert.residues import euler_phi, units
+from fujitacert.residues import InternalInconsistencyError, euler_phi, units
 
 LEVELS = st.integers(min_value=2, max_value=13)
 
@@ -97,6 +100,67 @@ def test_inverse_roundtrip(data):
             x.inverse()
         return
     assert x * x.inverse() == CyclotomicNumber.one(level)
+
+
+def _inverse_cases():
+    """Each zeta^k and 1 - zeta^u (u a unit), and seeded elements, at levels 2..40."""
+    rng = random.Random(6)
+    for level in range(2, 41):
+        deg = euler_phi(level)
+        yield from (zeta(level, k) for k in range(level))
+        yield from (1 - zeta(level, u) for u in units(level))
+        dens = [rng.randint(1, 6) for _ in range(3)] + [-rng.randint(1, 6)]
+        yield from (CyclotomicNumber(level, tuple(rng.randint(-5, 5) for _ in range(deg)), d) for d in dens)
+
+
+def test_inverse_deterministic_cases():
+    for x in _inverse_cases():
+        if x.is_zero():
+            continue
+        inv = x.inverse()
+        assert x * inv == CyclotomicNumber.one(x.level), x
+        assert inv.inverse() == x, x
+    # level 97: dense inverses have ~100-bit coefficients, so only the
+    # sparse 1 - zeta^5 is inverted twice
+    rng = random.Random(97)
+    dense = [CyclotomicNumber(97, tuple(rng.randint(-3, 3) for _ in range(96)), d) for d in (1, 6, -5)]
+    for x in dense + [2 - zeta(97, 5)]:
+        assert x * x.inverse() == CyclotomicNumber.one(97), x
+    assert (1 - zeta(97, 5)).inverse().inverse() == 1 - zeta(97, 5)
+    for level in (2, 3, 12, 97):
+        with pytest.raises(ZeroDivisionError):
+            CyclotomicNumber.zero(level).inverse()
+
+
+def test_inverse_is_integer_only(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("Fraction on the inverse path")
+
+    cases = [
+        CyclotomicNumber(7, (3, 0, 0, 0, 0, 0), -4),
+        CyclotomicNumber(2, (5,), 3),
+        CyclotomicNumber(12, (1, -2, 0, 3), 5),
+        1 - zeta(9, 2),
+    ]
+    monkeypatch.setattr(cyclotomic, "Fraction", no_fraction)
+    for x in cases:
+        assert x * x.inverse() == CyclotomicNumber.one(x.level)
+
+
+def test_inverse_checks_the_norm(monkeypatch):
+    galois = CyclotomicNumber.galois
+
+    def wrong_conjugate(self, h):
+        image = galois(self, h)
+        return image if h % self.level in (1, self.level - 1) else image.mul_zeta_power(1)
+
+    monkeypatch.setattr(CyclotomicNumber, "galois", wrong_conjugate)
+    with pytest.raises(InternalInconsistencyError, match="not a nonzero rational"):
+        (1 + zeta(5) + zeta(5, 3)).inverse()
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.main(["oracle", "-n", "5", "-m", "1,1,1,2", "-j", "1"], out=out, err=err) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: internal: norm of ")
 
 
 @settings(max_examples=40)
