@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from .eigenspace import (
     SplitClass,
@@ -130,42 +130,41 @@ class InfiniteWitness:
 
 @dataclass(frozen=True)
 class Certificate:
+    """The facts certify established, each stored once, up to the first failed gate.
+
+    Fields the pipeline did not reach stay None; the verdict, admissibility
+    and oracle agreement are read off the stored reasons and verdicts.
+    """
+
     family: FamilyData
-    admissible: bool
-    admissibility_reason: str | None
-    smooth: bool | None
-    invariants: SurfaceInvariants | None
-    splitting: SplittingReport | None
-    irreducible_all: bool | None
-    infinite_witness: InfiniteWitness | None
-    oracle_agreement: bool | None
-    oracle_verdicts: tuple[str, str] | None
-    verdict: str  # "COUNTEREXAMPLE" | "NOT_CERTIFIED"
-    not_certified_reason: str | None
-    prose: str = CERTIFICATE_PROSE
+    admissibility_reason: str | None = None
+    smooth: bool | None = None
+    invariants: SurfaceInvariants | None = None
+    splitting: SplittingReport | None = None
+    irreducible_all: bool | None = None
+    infinite_witness: InfiniteWitness | None = None
+    oracle_verdicts: tuple[str, str] | None = None  # (criterion kind, closure kind)
+    not_certified_reason: str | None = None
+    prose: ClassVar[str] = CERTIFICATE_PROSE
+
+    @property
+    def admissible(self) -> bool:
+        return self.admissibility_reason is None
 
     @property
     def is_counterexample(self) -> bool:
-        return self.verdict == "COUNTEREXAMPLE"
+        return self.not_certified_reason is None
 
+    @property
+    def verdict(self) -> str:
+        return "COUNTEREXAMPLE" if self.is_counterexample else "NOT_CERTIFIED"
 
-def _not_certified(f: FamilyData, reason: str, **partial) -> Certificate:
-    fields = dict(
-        family=f,
-        admissible=False,
-        admissibility_reason=None,
-        smooth=None,
-        invariants=None,
-        splitting=None,
-        irreducible_all=None,
-        infinite_witness=None,
-        oracle_agreement=None,
-        oracle_verdicts=None,
-        verdict="NOT_CERTIFIED",
-        not_certified_reason=reason,
-    )
-    fields.update(partial)
-    return Certificate(**fields)
+    @property
+    def oracle_agreement(self) -> bool | None:
+        """None without an oracle run or when the closure is INCONCLUSIVE."""
+        if self.oracle_verdicts is None or self.oracle_verdicts[1] == "INCONCLUSIVE":
+            return None
+        return self.oracle_verdicts[0] == self.oracle_verdicts[1]
 
 
 def certify(
@@ -174,94 +173,46 @@ def certify(
     cap: int = DEFAULT_CLOSURE_CAP,
     max_word_len: int = DEFAULT_MAX_WORD_LEN,
 ) -> Certificate:
-    """Run the full certification pipeline; never raises on admissibility failures.
+    """Run the gate ladder; never raises on admissibility failures.
 
     COUNTEREXAMPLE requires: admissible, smooth, no degenerate characters,
     every character irreducible, flat rank >= 2, and a valid infinite-monodromy
-    witness.  With with_oracle the matrix oracle re-decides the witness
-    character and the agreement is recorded.
+    witness.  A failed gate returns the certificate built so far with its
+    reason.  With with_oracle the matrix oracle re-decides the witness
+    character and both verdicts are recorded.
     """
     adm = is_admissible(f)
+    facts = {"admissibility_reason": adm.reason}  # the fields established so far
+
+    def stop(reason: str) -> Certificate:
+        return Certificate(f, **facts, not_certified_reason=reason)
+
     if not adm.ok:
-        return _not_certified(
-            f, f"admissibility: {adm.reason}", admissibility_reason=adm.reason
-        )
-    smooth_report = smoothness_check(f)
-    if not smooth_report.ok:
-        return _not_certified(
-            f, "smoothness check failed", admissible=True, smooth=False
-        )
-    inv = invariants(f)
-    split = splitting(f.w)
-    if split.has_degenerate:
-        return _not_certified(
-            f,
-            "degenerate character present",
-            admissible=True,
-            smooth=True,
-            invariants=inv,
-            splitting=split,
-        )
+        return stop(f"admissibility: {adm.reason}")
+    facts["smooth"] = smoothness_check(f).ok
+    if not facts["smooth"]:
+        return stop("smoothness check failed")
     w = f.w
-    irreducible_all = all(is_irreducible(w, j) for j in range(1, w.n))
-    if not irreducible_all:
-        return _not_certified(
-            f,
-            "some character is reducible",
-            admissible=True,
-            smooth=True,
-            invariants=inv,
-            splitting=split,
-            irreducible_all=False,
-        )
+    facts["invariants"] = invariants(f)
+    split = facts["splitting"] = splitting(w)
+    if split.has_degenerate:
+        return stop("degenerate character present")
+    facts["irreducible_all"] = all(is_irreducible(w, j) for j in range(1, w.n))
+    if not facts["irreducible_all"]:
+        return stop("some character is reducible")
     if split.rank_flat < 2:
-        return _not_certified(
-            f,
-            "no flat rank-2 summand",
-            admissible=True,
-            smooth=True,
-            invariants=inv,
-            splitting=split,
-            irreducible_all=True,
-        )
+        return stop("no flat rank-2 summand")
     try:
         j_star = find_infinite_character(w)
     except NonUnitError as exc:
-        return _not_certified(
-            f,
-            f"no infinite-monodromy witness: {exc}",
-            admissible=True,
-            smooth=True,
-            invariants=inv,
-            splitting=split,
-            irreducible_all=True,
-        )
+        return stop(f"no infinite-monodromy witness: {exc}")
     unit_h = (-j_star) % w.n  # [h * (n-1)] = j_star
-    witness = InfiniteWitness(j_star=j_star, unit=unit_h, sigma=sigma_sum(w, j_star))
-    oracle_agreement = None
-    oracle_verdicts = None
+    facts["infinite_witness"] = InfiniteWitness(j_star, unit_h, sigma_sum(w, j_star))
     if with_oracle:
         criterion = finiteness_by_signature(w, j_star)
         oracle = group_closure(triple_from_weights(w, j_star), cap, max_word_len)
-        oracle_verdicts = (criterion.kind, oracle.kind)
-        if oracle.is_inconclusive:
-            oracle_agreement = None
-        else:
-            oracle_agreement = criterion.kind == oracle.kind
-    return Certificate(
-        family=f,
-        admissible=True,
-        admissibility_reason=None,
-        smooth=True,
-        invariants=inv,
-        splitting=split,
-        irreducible_all=True,
-        infinite_witness=witness,
-        oracle_agreement=oracle_agreement,
-        oracle_verdicts=oracle_verdicts,
-        verdict="COUNTEREXAMPLE",
-        not_certified_reason=None,
-    )
+        facts["oracle_verdicts"] = (criterion.kind, oracle.kind)
+    return Certificate(f, **facts)
 
 
 def shimura_count(w: WeightTuple) -> tuple[int, bool]:

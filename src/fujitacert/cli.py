@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
 from functools import cache
 from math import gcd
 
@@ -129,12 +130,12 @@ def _weight_tuple(n: int, m_text: str) -> WeightTuple:
         raise CliInputError(str(exc))
 
 
-def _analysis_weights(n: int, m_text: str) -> WeightTuple | ResidueWeights:
-    """Strict tuple when sum(m) = n, relaxed residue system when sum = 0 mod n."""
+def _analysis_weights(n: int, m_text: str) -> ResidueWeights:
+    """The strict tuple when m validates as one, else the relaxed residue system."""
     m = _parse_int_list(m_text, 4, "-m")
+    with suppress(ValueError):
+        return WeightTuple(n=n, m=m)
     try:
-        if sum(m) == n:
-            return WeightTuple(n=n, m=m)
         return ResidueWeights(n=n, m=m)
     except ValueError as exc:
         raise CliInputError(str(exc))

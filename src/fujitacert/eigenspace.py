@@ -53,55 +53,13 @@ class SplitClass(enum.Enum):
 
 
 @dataclass(frozen=True)
-class WeightTuple:
-    """Covering datum (n; m0, m1, m2, m3) with sum(m) = n.
-
-    Invariants: 0 < m_i <= n - 3 for every i, and gcd(m0, ..., m3, n) = 1.
-    """
-
-    n: int
-    m: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        check_modulus(self.n)
-        m = tuple(self.m)
-        if len(m) != 4:
-            raise ValueError("weight tuple needs exactly four branch exponents")
-        object.__setattr__(self, "m", m)
-        if sum(m) != self.n:
-            raise ValueError(f"weights must sum to n: sum{m} = {sum(m)} != {self.n}")
-        for i, mi in enumerate(m):
-            if not 0 < mi <= self.n - 3:
-                raise ValueError(f"m_{i} = {mi} outside (0, n-3] for n = {self.n}")
-        if gcd(gcd(gcd(gcd(m[0], m[1]), m[2]), m[3]), self.n) != 1:
-            raise ValueError(f"gcd(m0,...,m3, n) != 1 for m = {m}, n = {self.n}")
-
-    def all_units(self) -> bool:
-        return all(is_unit(mi, self.n) for mi in self.m)
-
-
-def compositions(n: int, k: int):
-    """Tuples of k positive integers summing to n >= 1, in lexicographic order."""
-    # cut points of [0, n] taken in lexicographic order give the parts in that order
-    for cuts in itertools.combinations(range(1, n), k - 1):
-        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
-
-
-def iter_weight_tuples(n: int):
-    """All valid weight tuples for this n, lexicographically."""
-    for m in compositions(n, 4):
-        if gcd(*m, n) == 1:
-            yield WeightTuple(n=n, m=m)
-
-
-@dataclass(frozen=True)
 class ResidueWeights:
-    """Relaxed covering datum: four residues mod n with sum = 0 mod n.
+    """Covering datum as four residues mod n with sum = 0 mod n.
 
     The per-character sigma and dimension formulas need only this much; the
-    strict WeightTuple (sum exactly n, positive exponents) is what the
-    surface construction consumes.  Residues equal to 0 are allowed here and
-    simply degenerate at every character.
+    strict WeightTuple subclass is what the surface construction consumes.
+    Residues equal to 0 are allowed here and simply degenerate at every
+    character.
     """
 
     n: int
@@ -123,6 +81,43 @@ class ResidueWeights:
 
 
 @dataclass(frozen=True)
+class WeightTuple(ResidueWeights):
+    """Strict covering datum (n; m0, m1, m2, m3) with sum(m) = n.
+
+    Invariants: 0 < m_i <= n - 3 for every i, and gcd(m0, ..., m3, n) = 1.
+    They are checked on the exponents as given, before any reduction mod n.
+    """
+
+    def __post_init__(self):
+        check_modulus(self.n)
+        m = tuple(self.m)
+        if len(m) != 4:
+            raise ValueError("weight tuple needs exactly four branch exponents")
+        if sum(m) != self.n:
+            raise ValueError(f"weights must sum to n: sum{m} = {sum(m)} != {self.n}")
+        for i, mi in enumerate(m):
+            if not 0 < mi <= self.n - 3:
+                raise ValueError(f"m_{i} = {mi} outside (0, n-3] for n = {self.n}")
+        if gcd(gcd(gcd(gcd(m[0], m[1]), m[2]), m[3]), self.n) != 1:
+            raise ValueError(f"gcd(m0,...,m3, n) != 1 for m = {m}, n = {self.n}")
+        object.__setattr__(self, "m", m)  # 0 < m_i < n and sum n: the residue checks hold
+
+
+def compositions(n: int, k: int):
+    """Tuples of k positive integers summing to n >= 1, in lexicographic order."""
+    # cut points of [0, n] taken in lexicographic order give the parts in that order
+    for cuts in itertools.combinations(range(1, n), k - 1):
+        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
+
+
+def iter_weight_tuples(n: int):
+    """All valid weight tuples for this n, lexicographically."""
+    for m in compositions(n, 4):
+        if gcd(*m, n) == 1:
+            yield WeightTuple(n=n, m=m)
+
+
+@dataclass(frozen=True)
 class EigenspaceReport:
     """Exact data of one character eigenspace: dims, signature, split class.
 
@@ -139,14 +134,14 @@ class EigenspaceReport:
     degenerate: bool = False
 
 
-def _check_character(w: WeightTuple | ResidueWeights, j: int) -> int:
+def _check_character(w: ResidueWeights, j: int) -> int:
     j = j % w.n
     if j == 0:
         raise ValueError("character index j must be nonzero mod n")
     return j
 
 
-def mu(w: WeightTuple | ResidueWeights, i: int, j: int) -> Fraction:
+def mu(w: ResidueWeights, i: int, j: int) -> Fraction:
     """The normalized residue mu_{i,j} = [m_i * j] / n, an exact rational in (0,1)."""
     if i not in (0, 1, 2, 3):
         raise ValueError(f"branch index must be 0..3, got {i}")
@@ -157,7 +152,7 @@ def mu(w: WeightTuple | ResidueWeights, i: int, j: int) -> Fraction:
     return Fraction(r, w.n)
 
 
-def sigma_sum(w: WeightTuple | ResidueWeights, j: int) -> int:
+def sigma_sum(w: ResidueWeights, j: int) -> int:
     """sum_i [m_i * j]; always one of n, 2n, 3n for a non-degenerate character."""
     j = _check_character(w, j)
     total = 0
@@ -171,7 +166,7 @@ def sigma_sum(w: WeightTuple | ResidueWeights, j: int) -> int:
     return total
 
 
-def signature(w: WeightTuple | ResidueWeights, j: int) -> tuple[int, int]:
+def signature(w: ResidueWeights, j: int) -> tuple[int, int]:
     """Index (p, q) of the invariant Hermitian form on the j-eigenspace.
 
     (2,0) and (0,2) are definite, (1,1) indefinite.  The index coincides with
@@ -191,7 +186,7 @@ def split_class_of_sigma(sigma: int, n: int) -> SplitClass:
     raise ValueError(f"sigma = {sigma} is not in {{n, 2n, 3n}} for n = {n}")
 
 
-def sigma_table(w: WeightTuple | ResidueWeights) -> list[int]:
+def sigma_table(w: ResidueWeights) -> list[int]:
     """sigma_j for j = 1 .. n-1 in one integer pass; 0 marks a degenerate character.
 
     Every entry is checked: a value outside {0, n, 2n, 3n} raises
@@ -220,11 +215,11 @@ def _report(j: int, sigma: int, n: int) -> EigenspaceReport:
     )
 
 
-def eigenspace_report(w: WeightTuple | ResidueWeights, j: int) -> EigenspaceReport:
+def eigenspace_report(w: ResidueWeights, j: int) -> EigenspaceReport:
     return _report(j % w.n, sigma_sum(w, j), w.n)
 
 
-def eigenspace_table(w: WeightTuple | ResidueWeights) -> list[EigenspaceReport]:
+def eigenspace_table(w: ResidueWeights) -> list[EigenspaceReport]:
     """Reports for j = 1 .. n-1, read off one sigma_table pass.
 
     Degenerate characters are flagged entries (sigma = 0, dims = -1), not

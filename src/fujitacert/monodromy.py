@@ -6,7 +6,8 @@ Two independent routes decide (ir)reducibility and (in)finiteness:
   conditions for irreducibility, and Galois-definiteness for finiteness
   (finite iff every unit conjugate of the character has a definite form);
 * oracle - an explicit rigid rank-2 matrix triple over Q(zeta_n) built from
-  companion matrices with integer exponents, one breadth-first walk of the
+  companion matrices with integer exponents, reducibility as the vanishing of
+  the commutator determinant det(g0*g1 - g1*g0), one breadth-first walk of the
   group it generates (exact closure and the infinite-order word search, each
   element tested by Kronecker's theorem), and an exactly solved invariant
   Hermitian form.
@@ -156,11 +157,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
         (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11),
     )
-
-
-def mat_vec(a: Mat, v) -> tuple[CyclotomicNumber, CyclotomicNumber]:
-    (a00, a01), (a10, a11) = a
-    return (a00 * v[0] + a01 * v[1], a10 * v[0] + a11 * v[1])
 
 
 def mat_trace(a: Mat) -> CyclotomicNumber:
@@ -394,58 +390,21 @@ def infinite_order_witness(t: MonodromyTriple, max_word_len: int = DEFAULT_MAX_W
 # ---------------------------------------------------------------------------
 # common eigenvectors (irreducibility oracle)
 
-Vec = tuple[CyclotomicNumber, CyclotomicNumber]
-
-
-def _eigenvector_candidates(m: Mat, level: int) -> list[Vec] | None:
-    """Eigenvectors of m for its in-field root-of-unity eigenvalues.
-
-    Returns None when m is scalar (every vector is an eigenvector).
-    Generator eigenvalues are prescribed roots of unity, so the +-zeta^k
-    scan is exhaustive for the triples built here.
-    """
-    if _scalar_of(m) is not None:
-        return None
-    t = mat_trace(m)
-    d = mat_det(m)
-    candidates: list[Vec] = []
-    seen_eigs = set()
-    for k in range(level):
-        for sign in (1, -1):
-            lam = zeta(level, k) if sign == 1 else -zeta(level, k)
-            if lam in seen_eigs:
-                continue
-            value = lam * lam - t * lam + d
-            if not value.is_zero():
-                continue
-            seen_eigs.add(lam)
-            p = m[0][0] - lam
-            q = m[0][1]
-            if not (p.is_zero() and q.is_zero()):
-                candidates.append((-q, p))
-            else:
-                candidates.append((m[1][1] - lam, -m[1][0]))
-    return candidates
-
-
-def _is_eigenvector(m: Mat, v: Vec) -> bool:
-    w = mat_vec(m, v)
-    return (w[0] * v[1] - w[1] * v[0]).is_zero()
-
 
 def has_common_eigenvector(t: MonodromyTriple) -> bool:
-    """Exact reducibility oracle: some nonzero vector fixed (projectively) by all three."""
-    candidates = _eigenvector_candidates(t.g0, t.level)
-    if candidates is None:
-        candidates = _eigenvector_candidates(t.g1, t.level)
-    if candidates is None:
-        return True  # g0, g1 scalar forces ginf scalar: everything is invariant
-    for v in candidates:
-        if v[0].is_zero() and v[1].is_zero():
-            continue
-        if all(_is_eigenvector(g, v) for _, g in t.generators()):
-            return True
-    return False
+    """Exact reducibility oracle: det(g0*g1 - g1*g0) = 0 (Shemesh, Linear Algebra Appl. 62, 1984).
+
+    A common eigenvector v of g0 and g1 has [g0, g1]v = 0, so the determinant
+    vanishes.  Conversely, a scalar g0 shares every eigenvector of g1; else
+    write g0 - lambda = u*w^T, so det[g0, g1] = -det(u, g1*u)*det(g1^T*w, w)
+    and u or ker w^T, both eigenvectors of g0, is one of g1.  For a Levelt
+    triple g0 has eigenvalues zeta^-kc and 1, so lambda and the vector lie in
+    Q(zeta_n); ginf = (g0*g1)^-1 shares it.  Only the matrices are read, never
+    the weight criterion.
+    """
+    gh, hg = mat_mul(t.g0, t.g1), mat_mul(t.g1, t.g0)
+    commutator = tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(gh, hg))
+    return mat_det(commutator).is_zero()
 
 
 # ---------------------------------------------------------------------------

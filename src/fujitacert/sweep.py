@@ -4,7 +4,7 @@ For every valid weight tuple (from eigenspace.iter_weight_tuples) with n up
 to a safe bound and every character, three independent cross-checks run:
 
 * irreducibility: the four non-integrality conditions against the
-  common-eigenvector test on the explicit triple;
+  commutator determinant det(g0*g1 - g1*g0) of the explicit triple;
 * finiteness: Galois-definiteness against brute-force group closure plus
   infinite-order word search;
 * signature: the eigenspace index against the exactly solved invariant form.
@@ -75,7 +75,6 @@ def run_sweep(
     cap: int = DEFAULT_CLOSURE_CAP,
     max_word_len: int = DEFAULT_MAX_WORD_LEN,
     n_min: int = 4,
-    check_signatures: bool = True,
 ) -> SweepSummary:
     if n_max > SAFE_N_MAX:
         raise ValueError(f"sweep bound {n_max} exceeds the safe bound {SAFE_N_MAX}")
@@ -118,11 +117,10 @@ def run_sweep(
                     agreements += 1
                 else:
                     disagreements.append((n, w.m, j, criterion.kind, oracle.kind))
-                if check_signatures:
-                    _, sig_oracle = invariant_hermitian_form(triple)
-                    sig_checked += 1
-                    if sig_oracle != signature(w, j):
-                        sig_mismatches.append((n, w.m, j))
+                _, sig_oracle = invariant_hermitian_form(triple)
+                sig_checked += 1
+                if sig_oracle != signature(w, j):
+                    sig_mismatches.append((n, w.m, j))
     return SweepSummary(
         n_min=n_min,
         n_max=n_max,

@@ -1,6 +1,12 @@
+import dataclasses
+import hashlib
+import json
+import sys
+from math import gcd
+
 import pytest
 
-from math import gcd
+from fujitacert import records
 
 from fujitacert.certify import (
     CERTIFICATE_PROSE,
@@ -21,8 +27,11 @@ from fujitacert.eigenspace import (
     iter_weight_tuples,
     sigma_sum,
 )
-from fujitacert.residues import units
-from fujitacert.surfaces import family, standard_family
+from fujitacert.residues import NonUnitError, units
+from fujitacert.surfaces import SmoothnessReport, family, standard_family
+
+# the module itself: the package re-exports a function named certify
+CERTIFY_MODULE = sys.modules["fujitacert.certify"]
 
 W5 = WeightTuple(5, (1, 1, 1, 2))
 W7 = WeightTuple(7, (1, 1, 1, 4))
@@ -262,3 +271,107 @@ def test_enumerate_rejects_bad_range():
         enumerate_families(13, 5)
     with pytest.raises(ValueError):
         enumerate_families(4, 10)
+
+
+# ---------------------------------------------------------------------------
+# the gate ladder: every gate's certificate record, pinned
+
+
+def _failing_smoothness(f):
+    return SmoothnessReport(ok=False, order_failures=(), pair_failures=())
+
+
+def _splitting_with(**changes):
+    return lambda w: dataclasses.replace(splitting(w), **changes)
+
+
+def _no_unit_witness(w):
+    raise NonUnitError(f"m0+m3 is not a unit mod {w.n}")
+
+
+# (family, patched names of fujitacert.certify, certify keywords, reason,
+#  record keys that are None, sha256 of the JSON certificate record)
+GATE_CASES = {
+    "inadmissible_gcd": (
+        family(9, (1, 1, 1, 6), (1, 1, 7)), {}, {},
+        "admissibility: gcd(n, 6) = 3 != 1",
+        ["smooth", "invariants", "splitting", "irreducible_all", "infinite_witness", "oracle"],
+        "ef07cb72e0d389a239032c5e175d0bb7567b5675c3c992372224568668d6628e",
+    ),
+    "inadmissible_pair_sum": (
+        family(25, (1, 2, 19, 3), (1, 1, 23)), {}, {},
+        "admissibility: m_1 + m_3 = 5 is not a unit mod 25",
+        ["smooth", "invariants", "splitting", "irreducible_all", "infinite_witness", "oracle"],
+        "15fb8cfb637acb32c642ec6894c75ada23f9b07a4f2c51254117e04fbec423d9",
+    ),
+    "not_smooth": (
+        standard_family(7), {"smoothness_check": _failing_smoothness}, {},
+        "smoothness check failed",
+        ["admissibility_reason", "invariants", "splitting", "irreducible_all", "infinite_witness", "oracle"],
+        "c13fa1c6f19db3ca0e27c93366bea125836dc767173291cb7f1a7a97bde7fb18",
+    ),
+    "degenerate": (
+        standard_family(7), {"splitting": _splitting_with(has_degenerate=True)}, {},
+        "degenerate character present",
+        ["admissibility_reason", "irreducible_all", "infinite_witness", "oracle"],
+        "0e9692c239328005afeb1dbea248f702e0a1446ddc9e40494ad694b74311b10b",
+    ),
+    "reducible": (
+        standard_family(7), {"is_irreducible": lambda w, j: j != 2}, {},
+        "some character is reducible",
+        ["admissibility_reason", "infinite_witness", "oracle"],
+        "5f618fd9cb6327788ed462ccd7ff1de9acad4e96d3dd4c05074f8f31fcffc70a",
+    ),
+    "no_flat_summand": (
+        standard_family(7), {"splitting": _splitting_with(rank_flat=0)}, {},
+        "no flat rank-2 summand",
+        ["admissibility_reason", "infinite_witness", "oracle"],
+        "957771f649f81307d2af7c216383d6ab75f977e84fcab6781debdf2da2cd731d",
+    ),
+    "no_witness": (
+        standard_family(7), {"find_infinite_character": _no_unit_witness}, {},
+        "no infinite-monodromy witness: m0+m3 is not a unit mod 7",
+        ["admissibility_reason", "infinite_witness", "oracle"],
+        "b3f44310c0370f6a108b9db71539cadd5bb52b971f4cf417e28e4d74f75b119c",
+    ),
+    "counterexample": (
+        standard_family(7), {}, {},
+        None,
+        ["admissibility_reason", "oracle", "not_certified_reason"],
+        "de4fd9dc80dde1059d9b9568ad2fcafcc9d2da2fe1c2199b11f9f9af81ed93ff",
+    ),
+    "oracle_agrees": (
+        standard_family(7), {}, {"with_oracle": True},
+        None,
+        ["admissibility_reason", "not_certified_reason"],
+        "53c59af5942c87f2907b83696bb95e8c45df85e2cd7312570372ea619bcb6a7a",
+    ),
+    "oracle_inconclusive": (
+        standard_family(5), {}, {"with_oracle": True, "cap": 1, "max_word_len": 1},
+        None,
+        ["admissibility_reason", "not_certified_reason"],
+        "503d9e73c48fdb25ba186f6d208f27da4d9c4fdb43ce65ae2bac5041bf031b54",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GATE_CASES))
+def test_certify_gate_records_pinned(monkeypatch, case):
+    fam, patches, kwargs, reason, none_keys, digest = GATE_CASES[case]
+    for name, replacement in patches.items():
+        monkeypatch.setattr(CERTIFY_MODULE, name, replacement)
+    cert = certify(fam, **kwargs)
+    record = records.certificate_dict(cert)
+    assert cert.is_counterexample is (reason is None)
+    assert record["verdict"] == ("COUNTEREXAMPLE" if reason is None else "NOT_CERTIFIED")
+    assert record["not_certified_reason"] == reason
+    assert record["admissible"] is not case.startswith("inadmissible")
+    assert [key for key, value in record.items() if value is None] == none_keys
+    assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == digest
+
+
+def test_certify_oracle_inconclusive_has_no_agreement():
+    cert = certify(standard_family(5), with_oracle=True, cap=1, max_word_len=1)
+    assert cert.oracle_verdicts == ("INFINITE", "INCONCLUSIVE")
+    assert cert.oracle_agreement is None
+    assert cert.is_counterexample

@@ -56,6 +56,37 @@ def test_analyze_relaxed_residue_system():
     assert row["mu"] == ["1/2", "1/2", "3/8", "5/8"]
 
 
+@pytest.mark.parametrize(
+    "n, spellings",
+    [
+        (8, ("2,2,2,2", "10,2,2,2", "2,-6,2,2")),
+        (6, ("0,1,2,3", "6,1,2,3")),
+        (12, ("3,4,6,11", "15,4,-6,11")),
+        (5, ("1,1,1,2", "6,1,1,2")),  # a strict tuple and a respelling of it
+    ],
+)
+@pytest.mark.parametrize("j", [None, "1"])
+def test_analyze_depends_only_on_the_residues(n, spellings, j):
+    echoed = set()
+    for m in spellings:
+        code, out, err = run_cli(["analyze", "-n", str(n), "-m", m] + (["-j", j] if j else []))
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        echoed.add(json.dumps([record["inputs"], record["result"]]))
+    assert len(echoed) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["certify", "-n", "7", "-m", "1,1,1,11", "--nw", "1,1,5"], ["oracle", "-n", "7", "-m", "8,1,1,4", "-j", "1"]],
+)
+def test_strict_commands_check_the_exponents_as_given(argv):
+    # both reduce mod 7 to a valid tuple, but the strict checks read the raw exponents
+    code, out, err = run_cli(argv)
+    m = argv[argv.index("-m") + 1].replace(",", ", ")
+    assert (code, out, err) == (1, "", f"error: weights must sum to n: sum({m}) = 14 != 7\n")
+
+
 def test_analyze_rejects_character_zero():
     code, _, err = run_cli(["analyze", "-n", "5", "-m", "1,1,1,2", "-j", "5"])
     assert code == 1 and "nonzero" in err

@@ -50,6 +50,14 @@ def test_weight_tuple_validation():
     WeightTuple(7, (1, 1, 1, 4))
 
 
+def test_weight_tuple_is_the_strict_residue_system():
+    assert issubclass(WeightTuple, ResidueWeights) and "all_units" not in vars(WeightTuple)
+    # (1, 1, 1, 11) names the residues of (1, 1, 1, 4) mod 7: relaxed yes, strict no
+    assert ResidueWeights(7, (1, 1, 1, 11)).m == WeightTuple(7, (1, 1, 1, 4)).m == (1, 1, 1, 4)
+    with pytest.raises(ValueError, match=r"sum\(1, 1, 1, 11\) = 14 != 7"):
+        WeightTuple(7, (1, 1, 1, 11))
+
+
 def test_mu_examples():
     w = WeightTuple(5, (1, 1, 1, 2))
     assert mu(w, 3, 2) == Fraction(4, 5)

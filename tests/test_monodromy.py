@@ -1,5 +1,6 @@
 import io
 import json
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -448,6 +449,64 @@ def _diagonal_triple(level=5):
 
 def test_common_eigenvector_for_reducible_triple():
     assert has_common_eigenvector(_diagonal_triple())
+
+
+def _inverse(m):
+    # closed-form 2x2 inverse: adjugate over determinant
+    (a, b), (c, d) = m
+    r = mat_det(m).inverse()
+    return ((d * r, -b * r), (-c * r, a * r))
+
+
+def _triple(level, g0, g1):
+    return MonodromyTriple(level, g0, g1, _inverse(mat_mul(g0, g1)), exponents=(0, 0, 0))
+
+
+def _random_element(level, rng, size=2):
+    return CyclotomicNumber(level, tuple(rng.randint(-size, size) for _ in range(euler_phi(level))))
+
+
+def _conjugated_upper_triangular_triple(level, rng):
+    """g0, g1 upper triangular with root-of-unity diagonals, both conjugated by one invertible P."""
+    zero = CyclotomicNumber.zero(level)
+
+    def upper():
+        a, d = (zeta(level, rng.randrange(level)) for _ in range(2))
+        return ((a, _random_element(level, rng)), (zero, d))
+
+    p = ((zero, zero), (zero, zero))
+    while mat_det(p).is_zero():
+        p = tuple(tuple(_random_element(level, rng) for _ in range(2)) for _ in range(2))
+    p_inv = _inverse(p)
+    return _triple(level, *(mat_mul(mat_mul(p, upper()), p_inv) for _ in range(2)))
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 7, 8, 9, 12])
+def test_common_eigenvector_for_conjugated_triangular_pairs(level):
+    rng = random.Random(8100 + level)
+    noncommuting = 0
+    for _ in range(6):
+        t = _conjugated_upper_triangular_triple(level, rng)
+        assert has_common_eigenvector(t)
+        noncommuting += mat_mul(t.g0, t.g1) != mat_mul(t.g1, t.g0)
+    assert noncommuting  # a nonzero nilpotent commutator, not only a zero one
+
+
+@pytest.mark.parametrize("scalar_at", [0, 1])
+def test_common_eigenvector_with_one_scalar_generator(scalar_at):
+    t = triple_from_weights(W7, 2)
+    scalar = tuple(tuple(zeta(7, 3) if r == c else CyclotomicNumber.zero(7) for c in range(2)) for r in range(2))
+    pair = (scalar, t.g1) if scalar_at == 0 else (t.g0, scalar)
+    assert has_common_eigenvector(_triple(7, *pair))
+
+
+def test_common_eigenvector_for_commuting_non_scalar_pairs():
+    t = triple_from_weights(W5, 1)
+    assert has_common_eigenvector(_triple(5, t.g0, mat_mul(t.g0, t.g0)))
+    # a unipotent g0 and a non-semisimple g1 commuting with it: only e1 is common
+    one, zero, z = CyclotomicNumber.one(5), CyclotomicNumber.zero(5), zeta(5)
+    unipotent = ((one, one), (zero, one))
+    assert has_common_eigenvector(_triple(5, unipotent, ((z, one + z), (zero, z))))
 
 
 # ---------------------------------------------------------------------------
