@@ -53,10 +53,8 @@ from .surfaces import (
     canonical_family,
     family,
     invariants,
-    is_admissible,
     iter_admissible_families,
     iter_canonical_families,
-    singular_fibre_profile,
     smoothness_check,
     standard_family,
 )
@@ -97,7 +95,6 @@ __all__ = [
     "infinite_order_witness",
     "invariant_hermitian_form",
     "invariants",
-    "is_admissible",
     "is_irreducible",
     "is_unit",
     "iter_admissible_families",
@@ -112,7 +109,6 @@ __all__ = [
     "sigma_sum",
     "sigma_table",
     "signature",
-    "singular_fibre_profile",
     "smoothness_check",
     "splitting",
     "standard_family",

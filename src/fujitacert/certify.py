@@ -41,9 +41,9 @@ from .residues import NonUnitError
 from .surfaces import (
     FamilyData,
     SurfaceInvariants,
+    admissibility_reason,
     admissible_exists,
     invariants,
-    is_admissible,
     iter_admissible_families,
     iter_canonical_families,
     smoothness_check,
@@ -181,14 +181,14 @@ def certify(
     reason.  With with_oracle the matrix oracle re-decides the witness
     character and both verdicts are recorded.
     """
-    adm = is_admissible(f)
-    facts = {"admissibility_reason": adm.reason}  # the fields established so far
+    adm_reason = admissibility_reason(f.n, f.w.m, f.base_weights)
+    facts = {"admissibility_reason": adm_reason}  # the fields established so far
 
     def stop(reason: str) -> Certificate:
         return Certificate(f, **facts, not_certified_reason=reason)
 
-    if not adm.ok:
-        return stop(f"admissibility: {adm.reason}")
+    if adm_reason is not None:
+        return stop(f"admissibility: {adm_reason}")
     facts["smooth"] = smoothness_check(f).ok
     if not facts["smooth"]:
         return stop("smoothness check failed")
@@ -235,7 +235,6 @@ def enumerate_families(
     n_max: int,
     mode: EnumerationMode = EnumerationMode.STANDARD_ONLY,
     normalize: bool = False,
-    with_oracle: bool = False,
 ) -> Iterator[Certificate]:
     """Certify families for every admissible n in [n_min, n_max], yielded in increasing order.
 
@@ -247,7 +246,7 @@ def enumerate_families(
         raise ValueError("need 5 <= n_min <= n_max")
     walk = iter_canonical_families if normalize else iter_admissible_families
     return (
-        certify(fam, with_oracle=with_oracle)
+        certify(fam)
         for n in range(n_min, n_max + 1)
         if admissible_exists(n)
         for fam in ([standard_family(n)] if mode is EnumerationMode.STANDARD_ONLY else walk(n))

@@ -35,7 +35,6 @@ from .eigenspace import (
 from .monodromy import (
     DEFAULT_CLOSURE_CAP,
     DEFAULT_MAX_WORD_LEN,
-    ReducibleParametersError,
     finiteness_by_signature,
     group_closure,
     invariant_hermitian_form,
@@ -175,7 +174,7 @@ def cmd_analyze(args, out) -> int:
             for j in range(1, n)
         )
         checks.append(check("complementary_characters", complementary, "sigma_j + sigma_{n-j} = 4n"))
-        if isinstance(w, WeightTuple) and w.all_units():
+        if w.all_units():
             total = sum(r["dim_h10"] for r in rows)
             checks.append(check("h10_total", total == n - 1, f"sum of dim_h10 = {total}, want n-1"))
     result = {"n": n, "m": list(w.m), "table": rows}
@@ -294,10 +293,7 @@ def cmd_oracle(args, out) -> int:
         raise CliInputError("character index j must be nonzero mod n")
     if not is_irreducible(w, j):
         raise CliInputError(f"character j={j} is reducible for m={w.m} mod {w.n}")
-    try:
-        triple = triple_from_weights(w, j)
-    except ReducibleParametersError as exc:
-        raise CliInputError(str(exc))
+    triple = triple_from_weights(w, j)
     form, sig = invariant_hermitian_form(triple)
     closure = group_closure(triple, args.cap, args.max_word)
     criterion = finiteness_by_signature(w, j)

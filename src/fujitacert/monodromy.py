@@ -5,12 +5,13 @@ Two independent routes decide (ir)reducibility and (in)finiteness:
 * criteria - integer arithmetic on the weight tuple: the four non-integrality
   conditions for irreducibility, and Galois-definiteness for finiteness
   (finite iff every unit conjugate of the character has a definite form);
-* oracle - an explicit rigid rank-2 matrix triple over Q(zeta_n) built from
-  companion matrices with integer exponents, reducibility as the vanishing of
-  the commutator determinant det(g0*g1 - g1*g0), one breadth-first walk of the
-  group it generates (exact closure and the infinite-order word search, each
-  element tested by Kronecker's theorem), and an exactly solved invariant
-  Hermitian form.
+* oracle - an explicit rank-2 matrix triple over Q(zeta_n) built from
+  companion matrices with integer exponents for every character, reducible
+  ones included; reducibility as the vanishing of the commutator
+  determinant det(g0*g1 - g1*g0), one breadth-first walk of the group it
+  generates (exact closure and the infinite-order word search, each element
+  tested by Kronecker's theorem), and an exactly solved invariant Hermitian
+  form.
 
 The oracle divides only at the pivots of the form's kernel solve, by the
 integer norm quotient of CyclotomicNumber.inverse: companion inverses are
@@ -32,10 +33,6 @@ from .residues import InternalInconsistencyError, NonUnitError, inverse_mod, uni
 
 DEFAULT_CLOSURE_CAP = 20000
 DEFAULT_MAX_WORD_LEN = 8
-
-
-class ReducibleParametersError(ValueError):
-    """Levelt construction rejected: local eigenvalue multisets at 0 and oo share a root."""
 
 
 class IrreducibilityRequiredError(InternalInconsistencyError):
@@ -226,22 +223,20 @@ def _companion(level: int, trace: CyclotomicNumber, k: int) -> tuple[Mat, Mat]:
 
 
 def levelt_triple(exponents: Exponents, n: int) -> MonodromyTriple:
-    """Companion-matrix realization of the rigid rank-2 local system.
+    """Companion-matrix realization of the rank-2 local system, for every exponent triple.
 
-    ginf is the companion matrix with eigenvalues zeta^ka, zeta^kb; the
+    ginf = A is the companion matrix with eigenvalues zeta^ka, zeta^kb; the
     companion matrix B with eigenvalues zeta^kc, 1 yields g0 = B^-1 and
-    g1 = B*ginf^-1 (closed-form companion inverses, no division), so the
+    g1 = B*A^-1 (closed-form companion inverses, no division), so the
     product relation holds by construction; MonodromyTriple re-checks it.
-    Exponents whose local eigenvalue multisets at 0 and oo intersect are
-    rejected: the rigid construction only covers the irreducible case.
+    Reducible exponents are built too: for each eigenvalue lambda of
+    ((0, -zeta^k), (1, t)), (1, lambda) is a left eigenvector, since
+    lambda^2 - t*lambda + zeta^k = 0.  A root shared by the multisets at 0
+    and oo is thus a left eigenvector w of both A and B, and ker w is fixed
+    by g0 and g1; has_common_eigenvector finds that line from the matrices.
     """
     level = n
     ka, kb, kc = (k % level for k in exponents)
-    if {ka, kb} & {kc, 0}:
-        raise ReducibleParametersError(
-            f"eigenvalue sharing between local multisets: alpha exps {{{ka},{kb}}}, "
-            f"beta exps {{{kc},0}} (level {level})"
-        )
     a_mat, a_inv = _companion(level, zeta(level, ka) + zeta(level, kb), ka + kb)
     b_mat, b_inv = _companion(level, zeta(level, kc) + CyclotomicNumber.one(level), kc)
     g1 = mat_mul(b_mat, a_inv)

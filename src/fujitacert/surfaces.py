@@ -63,15 +63,6 @@ def family(n: int, m: tuple[int, int, int, int], base_weights: tuple[int, int, i
 # admissibility
 
 
-@dataclass(frozen=True)
-class AdmissibilityResult:
-    ok: bool
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def admissibility_reason(n: int, m, base_weights) -> str | None:
     """First violated constraint for raw integer data, None if admissible.
 
@@ -108,11 +99,6 @@ def admissibility_reason(n: int, m, base_weights) -> str | None:
         if gcd((m[i] + m[3]) % n, n) != 1:
             return f"m_{i} + m_3 = {m[i] + m[3]} is not a unit mod {n}"
     return None
-
-
-def is_admissible(f: FamilyData) -> AdmissibilityResult:
-    reason = admissibility_reason(f.n, f.w.m, f.base_weights)
-    return AdmissibilityResult(ok=reason is None, reason=reason)
 
 
 def admissible_exists(n: int) -> bool:
@@ -275,12 +261,13 @@ def invariants(f: FamilyData) -> SurfaceInvariants:
     """All numerical invariants of the fibred surface, exactly.
 
     deg V is computed as chi - (g-1)(b-1) with chi from Noether; the closed
-    form (n^2 - 1)/12 and the Zeuthen-Segre count mu = 3 are checked on
-    every call (InternalInconsistencyError otherwise).
+    form (n^2 - 1)/12 and the Zeuthen-Segre count mu = 3 of singular fibres
+    (each two genus-b curves meeting once) are checked on every call
+    (InternalInconsistencyError otherwise).
     """
-    adm = is_admissible(f)
-    if not adm:
-        raise InadmissibleFamilyError(adm.reason)
+    reason = admissibility_reason(f.n, f.w.m, f.base_weights)
+    if reason is not None:
+        raise InadmissibleFamilyError(reason)
     n = f.n
     g = n - 1
     b = (n - 1) // 2
@@ -307,33 +294,6 @@ def invariants(f: FamilyData) -> SurfaceInvariants:
         ball_quotient=slope == 3,
         irregularity=b,
         p_g=p_g,
-    )
-
-
-@dataclass(frozen=True)
-class SingularFibreProfile:
-    count: int
-    component_genus: int
-    components_per_fibre: int
-    intersection: str
-
-
-def singular_fibre_profile(f: FamilyData) -> SingularFibreProfile:
-    """Three singular fibres, each two genus-b curves meeting transversally once."""
-    adm = is_admissible(f)
-    if not adm:
-        raise InadmissibleFamilyError(adm.reason)
-    n = f.n
-    b = (n - 1) // 2
-    g = n - 1
-    # arithmetic genus of the fibre: 2 components, 1 node -> g = 2b
-    if g != 2 * b:
-        raise InternalInconsistencyError(f"fibre genus {g} != 2 * component genus {b}")
-    return SingularFibreProfile(
-        count=3,
-        component_genus=b,
-        components_per_fibre=2,
-        intersection="transverse single point",
     )
 
 

@@ -4,7 +4,8 @@ For every valid weight tuple (from eigenspace.iter_weight_tuples) with n up
 to a safe bound and every character, three independent cross-checks run:
 
 * irreducibility: the four non-integrality conditions against the
-  commutator determinant det(g0*g1 - g1*g0) of the explicit triple;
+  commutator determinant det(g0*g1 - g1*g0) of the explicit triple, which
+  is built for every character, so the oracle decides the reducible ones too;
 * finiteness: Galois-definiteness against brute-force group closure plus
   infinite-order word search;
 * signature: the eigenspace index against the exactly solved invariant form.
@@ -21,7 +22,6 @@ from .eigenspace import WeightTuple, iter_weight_tuples, signature
 from .monodromy import (
     DEFAULT_CLOSURE_CAP,
     DEFAULT_MAX_WORD_LEN,
-    ReducibleParametersError,
     finiteness_by_signature,
     group_closure,
     has_common_eigenvector,
@@ -82,13 +82,11 @@ def run_sweep(
         raise ValueError("weight tuples need n >= 4")
     tuples = 0
     characters = 0
-    irr_checked = 0
     irr_mismatches = []
     fin_checked = 0
     agreements = 0
     disagreements = []
     inconclusive = []
-    sig_checked = 0
     sig_mismatches = []
     for n in range(n_min, n_max + 1):
         for w in iter_weight_tuples(n):
@@ -96,31 +94,23 @@ def run_sweep(
             for j in range(1, n):
                 characters += 1
                 irr_criterion = is_irreducible(w, j)
-                triple = None
-                try:
-                    triple = triple_from_weights(w, j)
-                    irr_oracle = not has_common_eigenvector(triple)
-                except ReducibleParametersError:
-                    irr_oracle = False
-                irr_checked += 1
+                triple = triple_from_weights(w, j)
+                irr_oracle = not has_common_eigenvector(triple)
                 if irr_criterion != irr_oracle:
                     irr_mismatches.append((n, w.m, j))
-                    continue
-                if not irr_criterion:
-                    continue
-                criterion = finiteness_by_signature(w, j)
-                oracle = group_closure(triple, cap, max_word_len)
-                fin_checked += 1
-                if oracle.is_inconclusive:
-                    inconclusive.append((n, w.m, j))
-                elif criterion.kind == oracle.kind:
-                    agreements += 1
-                else:
-                    disagreements.append((n, w.m, j, criterion.kind, oracle.kind))
-                _, sig_oracle = invariant_hermitian_form(triple)
-                sig_checked += 1
-                if sig_oracle != signature(w, j):
-                    sig_mismatches.append((n, w.m, j))
+                elif irr_criterion:
+                    criterion = finiteness_by_signature(w, j)
+                    oracle = group_closure(triple, cap, max_word_len)
+                    fin_checked += 1
+                    if oracle.is_inconclusive:
+                        inconclusive.append((n, w.m, j))
+                    elif criterion.kind == oracle.kind:
+                        agreements += 1
+                    else:
+                        disagreements.append((n, w.m, j, criterion.kind, oracle.kind))
+                    _, sig_oracle = invariant_hermitian_form(triple)
+                    if sig_oracle != signature(w, j):
+                        sig_mismatches.append((n, w.m, j))
     return SweepSummary(
         n_min=n_min,
         n_max=n_max,
@@ -128,13 +118,13 @@ def run_sweep(
         max_word_len=max_word_len,
         weight_tuples=tuples,
         characters=characters,
-        irreducibility_checked=irr_checked,
+        irreducibility_checked=characters,
         irreducibility_mismatches=tuple(irr_mismatches),
         finiteness_checked=fin_checked,
         agreements=agreements,
         disagreements=tuple(disagreements),
         inconclusive=tuple(inconclusive),
-        signature_checked=sig_checked,
+        signature_checked=fin_checked,
         signature_mismatches=tuple(sig_mismatches),
     )
 

@@ -72,7 +72,7 @@ def test_analyze_depends_only_on_the_residues(n, spellings, j):
         code, out, err = run_cli(["analyze", "-n", str(n), "-m", m] + (["-j", j] if j else []))
         assert (code, err) == (0, "")
         record = json.loads(out)
-        echoed.add(json.dumps([record["inputs"], record["result"]]))
+        echoed.add(json.dumps([record["inputs"], record["result"], record["checks"]]))
     assert len(echoed) == 1
 
 
@@ -390,6 +390,17 @@ def test_sweep_disagreement_exit2(monkeypatch):
     assert code == 2
     record = json.loads(out)
     assert record["result"]["disagreements"] == [[5, [1, 1, 1, 2], 1, "FINITE", "INFINITE"]]
+
+
+SWEEP_DIGEST_N8 = "9c7535e33f3975a9404bfe1fc5ffff68a58ddf03c82316d310949074d6eae92f"
+
+
+def test_sweep_output_digest_pinned():
+    # stdout of the default-limit sweep over 4 <= n <= 8; a schema_version
+    # change must re-pin this digest
+    code, out, err = run_cli(["sweep", "--n-max", "8"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGEST_N8
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from fujitacert.monodromy import (
     IrreducibilityRequiredError,
     MonodromyTriple,
     ReducibleNoUniqueFormError,
-    ReducibleParametersError,
     finiteness_by_signature,
     find_infinite_character,
     group_closure,
@@ -238,10 +237,11 @@ def test_triple_and_walk_use_no_field_inverse(monkeypatch):
     assert checks["oracle_agrees"] is True
 
 
-def test_levelt_rejects_reducible_parameters():
+def test_levelt_builds_reducible_parameters():
+    # exponents (3, 3, 3): the root -1 is shared by the multisets at 0 and oo
     w6 = WeightTuple(6, (1, 2, 2, 1))
-    with pytest.raises(ReducibleParametersError):
-        levelt_triple(levelt_exponents(w6, 3), 6)
+    assert not is_irreducible(w6, 3)
+    assert has_common_eigenvector(levelt_triple(levelt_exponents(w6, 3), 6))
 
 
 # ---------------------------------------------------------------------------
@@ -566,15 +566,29 @@ def test_criterion_oracle_equivalence_small(n):
     for w in iter_weight_tuples(n):
         for j in range(1, n):
             irr = is_irreducible(w, j)
-            try:
-                t = triple_from_weights(w, j)
-                oracle_irr = not has_common_eigenvector(t)
-            except ReducibleParametersError:
-                oracle_irr = False
-            assert irr == oracle_irr
+            t = triple_from_weights(w, j)
+            assert irr == (not has_common_eigenvector(t))
             if not irr:
                 continue
             criterion = finiteness_by_signature(w, j)
             oracle = group_closure(t)
             assert not oracle.is_inconclusive
             assert criterion.kind == oracle.kind
+
+
+def test_sweep_asks_the_oracle_about_every_character(monkeypatch):
+    # an oracle that never finds a common eigenvector disagrees on exactly the reducible characters
+    from fujitacert import sweep
+
+    monkeypatch.setattr(sweep, "has_common_eigenvector", lambda t: False)
+    summary = sweep.run_sweep(6)
+    reducible = [
+        (n, w.m, j)
+        for n in range(4, 7)
+        for w in iter_weight_tuples(n)
+        for j in range(1, n)
+        if not is_irreducible(w, j)
+    ]
+    assert len(reducible) == 14
+    assert list(summary.irreducibility_mismatches) == reducible
+    assert summary.irreducibility_checked == summary.characters

@@ -17,10 +17,8 @@ from fujitacert.surfaces import (
     family,
     family_orbit,
     invariants,
-    is_admissible,
     iter_admissible_families,
     iter_canonical_families,
-    singular_fibre_profile,
     smoothness_check,
     standard_family,
 )
@@ -52,8 +50,8 @@ def _search_admissible(n):
 
 
 def test_admissible_examples():
-    assert is_admissible(family(5, (1, 1, 1, 2), (1, 2, 2))).ok
-    assert is_admissible(family(7, (1, 1, 1, 4), (1, 1, 5))).ok
+    assert admissibility_reason(5, (1, 1, 1, 2), (1, 2, 2)) is None
+    assert admissibility_reason(7, (1, 1, 1, 4), (1, 1, 5)) is None
     reason = admissibility_reason(8, (1, 1, 1, 5), (1, 1, 6))
     assert reason is not None and "gcd" in reason
 
@@ -92,7 +90,8 @@ def test_standard_family_admissible(n):
         with pytest.raises(NotCoprimeTo6Error):
             standard_family(n)
         return
-    assert is_admissible(standard_family(n)).ok
+    f = standard_family(n)
+    assert admissibility_reason(n, f.w.m, f.base_weights) is None
 
 
 def test_branch_table_values():
@@ -185,14 +184,6 @@ def test_invariants_rejects_inadmissible():
 def test_ball_quotient_only_n5():
     for n in (5, 7, 11, 13, 17, 19, 23, 25):
         assert invariants(standard_family(n)).ball_quotient == (n == 5)
-
-
-def test_singular_fibre_profile():
-    prof = singular_fibre_profile(standard_family(5))
-    assert prof.count == 3 and prof.component_genus == 2 and prof.components_per_fibre == 2
-    assert singular_fibre_profile(standard_family(7)).component_genus == 3
-    with pytest.raises(InadmissibleFamilyError):
-        singular_fibre_profile(family(9, (1, 1, 1, 6), (1, 1, 7)))
 
 
 @given(st.integers(min_value=5, max_value=3000))
