@@ -7,8 +7,9 @@ minimal surface of general type fibred over a curve; every numerical
 invariant is a closed form in n and is computed exactly here, with the
 smoothness verification reduced to its combinatorial content (orders and
 pairwise spans of inertia elements in (Z/n)^2).  Families are walked in
-increasing order from compositions of n, and normalization forms each
-symmetry orbit once along that walk.
+increasing order from compositions of n; normalization keeps a family when it
+is least in its symmetry orbit (m least among its images, base weights least
+under m's stabilizer), since an image with a larger m-part is a larger pair.
 """
 
 from __future__ import annotations
@@ -115,16 +116,19 @@ def standard_family(n: int) -> FamilyData:
     return family(n, (1, 1, 1, n - 3), (1, 1, n - 2))
 
 
+def _admissible_parts(n: int) -> tuple[list, list]:
+    """Admissible m and unit base weights for this n, each in increasing order."""
+    unit = set(units(n)).issuperset
+    ms = [m for m in compositions(n, 4) if unit(m) and unit((m[i] + m[3]) % n for i in range(3))]
+    return ms, [bw for bw in compositions(n, 3) if unit(bw)]
+
+
 def iter_admissible_families(n: int):
     """All admissible families for this n, in strictly increasing (m, base_weights) order."""
     if n < 5 or not admissible_exists(n):
         return
-    unit_set = set(units(n))
-    base_choices = [bw for bw in compositions(n, 3) if unit_set.issuperset(bw)]
-    for m in compositions(n, 4):
-        if unit_set.issuperset(m) and all((m[i] + m[3]) % n in unit_set for i in range(3)):
-            for bw in base_choices:
-                yield family(n, m, bw)
+    for m, bw in itertools.product(*_admissible_parts(n)):
+        yield family(n, m, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +305,13 @@ def invariants(f: FamilyData) -> SurfaceInvariants:
 # normalization up to the construction's symmetries
 
 
+def _images(n: int, hs, xs) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """For each permutation p of the first three places, the p(h*xs) over units h with sum n."""
+    # rescaling commutes with permuting, so xs is rescaled once and then permuted
+    hxs = [hx for hx in (tuple(h * x % n for x in xs) for h in hs) if sum(hx) == n]
+    return {p: [(hx[p[0]], hx[p[1]], hx[p[2]], *hx[3:]) for hx in hxs] for p in itertools.permutations(range(3))}
+
+
 def family_orbit(f: FamilyData):
     """Orbit of the family datum under the symmetries of the construction.
 
@@ -309,20 +320,15 @@ def family_orbit(f: FamilyData):
     permutations of (m0, m1, m2) and (n0, n1, n2) (the three blown-up points
     are permuted as pairs, m3's role is fixed).
     """
-    n = f.n
-    hs = units(n)
-    # rescaling commutes with permuting, so each side is rescaled once and then permuted
-    m_images = [hm for hm in (tuple(h * x % n for x in f.w.m) for h in hs) if sum(hm) == n]
-    bw_images = [ub for ub in (tuple(h * x % n for x in f.base_weights) for h in hs) if sum(ub) == n]
+    hs = units(f.n)
+    bw_images = _images(f.n, hs, f.base_weights)
     seen = set()
-    for p in itertools.permutations(range(3)):
-        for hm in m_images:
-            pm = (hm[p[0]], hm[p[1]], hm[p[2]], hm[3])
-            for ub in bw_images:
-                key = (pm, (ub[p[0]], ub[p[1]], ub[p[2]]))
-                if key not in seen:
-                    seen.add(key)
-                    yield key
+    for p, pms in _images(f.n, hs, f.w.m).items():
+        for pm in pms:
+            for pb in bw_images[p]:
+                if (pm, pb) not in seen:
+                    seen.add((pm, pb))
+                    yield pm, pb
 
 
 def canonical_family(f: FamilyData) -> FamilyData:
@@ -332,11 +338,19 @@ def canonical_family(f: FamilyData) -> FamilyData:
 
 
 def iter_canonical_families(n: int):
-    """canonical_family of each symmetry class for this n, in increasing order, each orbit formed once."""
-    # every orbit image is admissible, so it comes up in iter_admissible_families's
-    # increasing walk: the first unseen member of an orbit is its least, canonical_family's choice
-    seen = set()
-    for f in iter_admissible_families(n):
-        if (f.w.m, f.base_weights) not in seen:
-            seen.update(family_orbit(f))
-            yield f
+    """canonical_family of each symmetry class for this n, in increasing order, by a least-in-orbit test."""
+    # (m, bw) is least in its orbit iff m is least among the p(h*m) and bw among the p(u*bw)
+    # for every p in m's stabilizer: an image with a larger m-part is a larger pair
+    if n < 5 or not admissible_exists(n):
+        return
+    hs = units(n)
+    ms, bws = _admissible_parts(n)
+    least_bw = {bw: {p: min(pbs) for p, pbs in _images(n, hs, bw).items()} for bw in bws}
+    for m in ms:
+        m_images = _images(n, hs, m)
+        if min(map(min, m_images.values())) < m:
+            continue
+        stabilizer = [p for p, pms in m_images.items() if m in pms]
+        for bw, least in least_bw.items():
+            if all(least[p] >= bw for p in stabilizer):
+                yield family(n, m, bw)

@@ -403,6 +403,18 @@ def test_sweep_output_digest_pinned():
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGEST_N8
 
 
+ENUMERATE_DIGEST_N5_17 = "a6560eaf54d26f1d7a00c61b1a5cd428162d157290b2872657f20c11a05d0ba9"
+
+
+def test_enumerate_normalize_output_digest_pinned():
+    # stdout of the normalized census over 5 <= n <= 17 (805 records); a
+    # schema_version change must re-pin this digest
+    code, out, err = run_cli(["enumerate", "--n-min", "5", "--n-max", "17", "--all", "--normalize"])
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 805
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGEST_N5_17
+
+
 # ---------------------------------------------------------------------------
 # shimura
 

@@ -234,7 +234,7 @@ def test_orbit_members_stay_admissible():
 
 
 # normalized class counts per n: regression fixtures for the orbit walk
-CLASS_COUNTS = {5: 3, 7: 16, 11: 100, 13: 189, 17: 497, 19: 734}
+CLASS_COUNTS = {5: 3, 7: 16, 11: 100, 13: 189, 17: 497, 19: 734, 23: 1410, 25: 255, 29: 3055, 31: 3804}
 
 
 @pytest.mark.parametrize("n", sorted(CLASS_COUNTS))
@@ -249,8 +249,15 @@ def test_orbit_walk_matches_brute_force_canonical(n):
     assert walk == sorted((f.w.m, f.base_weights) for f in reps)
 
 
+@pytest.mark.parametrize("n", [17, 19])
+def test_walk_yields_only_canonical_families(n):
+    # the stabilizer test against the full-orbit minimum, past the brute-force range above
+    for f in iter_canonical_families(n):
+        assert canonical_family(f) == f
+
+
 @pytest.mark.parametrize("n", [5, 7, 11, 13, 17])
 def test_admissible_families_strictly_increasing(n):
-    # the orbit walk is correct only because of this order
+    # iter_canonical_families keeps this order in what it yields
     keys = [(f.w.m, f.base_weights) for f in iter_admissible_families(n)]
     assert keys and all(a < b for a, b in zip(keys, keys[1:]))
