@@ -13,7 +13,6 @@ from .certify import (
     SplittingReport,
     certify,
     enumerate_families,
-    flat_summand_census,
     shimura_count,
     splitting,
 )
@@ -44,7 +43,7 @@ from .monodromy import (
     levelt_triple,
     triple_from_weights,
 )
-from .residues import InternalInconsistencyError, euler_phi, galois_orbit, is_unit, reduce_mod, units
+from .residues import InternalInconsistencyError, euler_phi, is_unit, units
 from .surfaces import (
     FamilyData,
     SurfaceInvariants,
@@ -88,8 +87,6 @@ __all__ = [
     "family",
     "find_infinite_character",
     "finiteness_by_signature",
-    "flat_summand_census",
-    "galois_orbit",
     "group_closure",
     "has_common_eigenvector",
     "infinite_order_witness",
@@ -103,7 +100,6 @@ __all__ = [
     "levelt_triple",
     "mu",
     "real_sign",
-    "reduce_mod",
     "run_sweep",
     "shimura_count",
     "sigma_sum",

@@ -8,9 +8,10 @@ splitting bookkeeping, irreducibility of all characters, and an explicit
 unit conjugate carrying an indefinite form, which forces the flat summand's
 monodromy to be infinite.  A family with all of these is a counterexample
 to the semiampleness question; anything less is NOT_CERTIFIED with a reason.
-The splitting and the other all-characters counts read one sigma_table pass,
-which checks every character's sigma on the way.  Enumeration yields
-certificates one at a time, in increasing family order.
+The splitting's entries are the per-character EigenspaceReports; it and the
+Shimura count each read one sigma_table pass, which checks every character's
+sigma on the way.  Enumeration yields certificates one at a time, in
+increasing family order.
 """
 
 from __future__ import annotations
@@ -18,19 +19,18 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple
+from typing import ClassVar
 
 from .eigenspace import (
-    SplitClass,
+    EigenspaceReport,
     WeightTuple,
+    character_reports,
     sigma_sum,
     sigma_table,
-    split_class_of_sigma,
 )
 from .monodromy import (
     DEFAULT_CLOSURE_CAP,
     DEFAULT_MAX_WORD_LEN,
-    FinitenessVerdict,
     finiteness_by_signature,
     find_infinite_character,
     group_closure,
@@ -65,18 +65,11 @@ CERTIFICATE_PROSE = (
 )
 
 
-class CharacterSplit(NamedTuple):
-    j: int
-    dim_Vj: int
-    split_class: SplitClass | None
-    degenerate: bool
-
-
 @dataclass(frozen=True)
 class SplittingReport:
-    """Rank bookkeeping of V = sum of V_j over nontrivial characters."""
+    """Rank bookkeeping of V = sum of V_j over nontrivial characters; dim V_j = dim_h10."""
 
-    entries: tuple[CharacterSplit, ...]
+    entries: tuple[EigenspaceReport, ...]
     rank_V: int
     rank_flat: int
     rank_ample_candidate: int
@@ -85,7 +78,7 @@ class SplittingReport:
 
 
 def splitting(w: WeightTuple) -> SplittingReport:
-    """Per-character split classes with rank totals, read off one sigma_table pass.
+    """Per-character reports with rank totals, read off one sigma_table pass.
 
     sigma_table checks every character's sigma.  Degenerate characters are
     carried as flagged entries; downstream certification fails closed on
@@ -93,26 +86,16 @@ def splitting(w: WeightTuple) -> SplittingReport:
     """
     n = w.n
     table = sigma_table(w)
-    classes = {s: split_class_of_sigma(s, n) for s in (n, 2 * n, 3 * n)}
-    entries = tuple(
-        CharacterSplit(j, s // n - 1, classes[s], False) if s else CharacterSplit(j, 0, None, True)
-        for j, s in enumerate(table, 1)
-    )
     ample, flat = table.count(2 * n), table.count(3 * n)
     deg_v = (n * n - 1) // 12 if (n * n - 1) % 12 == 0 else None
     return SplittingReport(
-        entries=entries,
-        rank_V=ample + 2 * flat,  # sum of dim V_j = s // n - 1 over the non-degenerate s
+        entries=tuple(character_reports(table, n)),
+        rank_V=ample + 2 * flat,  # dim V_j is 1 at an ample candidate and 2 at a flat character
         rank_flat=2 * flat,
         rank_ample_candidate=ample,
         deg_V=deg_v,
         has_degenerate=0 in table,
     )
-
-
-def flat_summand_census(w: WeightTuple) -> list[tuple[int, FinitenessVerdict]]:
-    """Each FLAT character paired with its finiteness verdict (criterion route)."""
-    return [(j, finiteness_by_signature(w, j)) for j, s in enumerate(sigma_table(w), 1) if s == 3 * w.n]
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .monodromy import (
     DEFAULT_MAX_WORD_LEN,
     finiteness_by_signature,
     group_closure,
+    has_common_eigenvector,
     invariant_hermitian_form,
     is_irreducible,
     mat_det,
@@ -291,9 +292,12 @@ def cmd_oracle(args, out) -> int:
     j = args.j % w.n
     if j == 0:
         raise CliInputError("character index j must be nonzero mod n")
-    if not is_irreducible(w, j):
-        raise CliInputError(f"character j={j} is reducible for m={w.m} mod {w.n}")
     triple = triple_from_weights(w, j)
+    reducible = has_common_eigenvector(triple)
+    if reducible == is_irreducible(w, j):
+        raise InternalInconsistencyError(f"oracle and criterion disagree on reducibility at j={j}, m={w.m}, n={w.n}")
+    if reducible:
+        raise CliInputError(f"character j={j} is reducible for m={w.m} mod {w.n}")
     form, sig = invariant_hermitian_form(triple)
     closure = group_closure(triple, args.cap, args.max_word)
     criterion = finiteness_by_signature(w, j)

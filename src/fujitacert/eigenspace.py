@@ -10,17 +10,22 @@ data governed by the normalized residues mu_i = [m_i * j] / n:
 and the invariant Hermitian form has index (dim H^{1,0}, dim H^{0,1}).
 All of it follows from sigma_j = sum_i [m_i * j], which is n, 2n or 3n;
 sigma_table computes every sigma_j in one integer pass and checks each
-against that set.  Everything here is integer/rational arithmetic; no
-periods are computed.
+against that set.  EigenspaceReport, the one per-character record, holds
+sigma_j and what hodge_rows reads off it: the Hodge numbers and the split
+class.  Everything here is integer/rational arithmetic; no periods are
+computed.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add
+from typing import NamedTuple
 
 from .residues import InternalInconsistencyError, check_modulus, is_unit
 
@@ -44,7 +49,7 @@ class SplitClass(enum.Enum):
 
     AMPLE_CANDIDATE (not AMPLE) reflects that the indefinite case can a
     priori split either way for the individual rank-1 piece; the certifier
-    never claims more than it can check.
+    never claims more than it can check.  Members are in dim H^{1,0} order.
     """
 
     ZERO = "ZERO"
@@ -117,21 +122,20 @@ def iter_weight_tuples(n: int):
             yield WeightTuple(n=n, m=m)
 
 
-@dataclass(frozen=True)
-class EigenspaceReport:
-    """Exact data of one character eigenspace: dims, signature, split class.
+class EigenspaceReport(NamedTuple):
+    """Exact data of one character eigenspace: sigma_j, Hodge numbers, split class.
 
-    A degenerate character (some m_i * j = 0 mod n) yields a flagged entry
-    with split_class None and placeholder dims.
+    The Hodge numbers are also the signature of the invariant form.  A
+    degenerate character (some m_i * j = 0 mod n) is a flagged entry with
+    sigma 0 and None for its dims and class.
     """
 
     j: int
     sigma: int
-    dim_h10: int
-    dim_h01: int
-    signature: tuple[int, int]
+    dim_h10: int | None
+    dim_h01: int | None
     split_class: SplitClass | None
-    degenerate: bool = False
+    degenerate: bool
 
 
 def _check_character(w: ResidueWeights, j: int) -> int:
@@ -172,18 +176,8 @@ def signature(w: ResidueWeights, j: int) -> tuple[int, int]:
     (2,0) and (0,2) are definite, (1,1) indefinite.  The index coincides with
     the Hodge numbers (dim H^{1,0}, dim H^{0,1}), which always sum to 2.
     """
-    h10 = sigma_sum(w, j) // w.n - 1
-    return h10, 2 - h10
-
-
-def split_class_of_sigma(sigma: int, n: int) -> SplitClass:
-    if sigma == n:
-        return SplitClass.ZERO
-    if sigma == 2 * n:
-        return SplitClass.AMPLE_CANDIDATE
-    if sigma == 3 * n:
-        return SplitClass.FLAT
-    raise ValueError(f"sigma = {sigma} is not in {{n, 2n, 3n}} for n = {n}")
+    report = eigenspace_report(w, j)
+    return report.dim_h10, report.dim_h01
 
 
 def sigma_table(w: ResidueWeights) -> list[int]:
@@ -203,29 +197,34 @@ def sigma_table(w: ResidueWeights) -> list[int]:
     return table
 
 
-def _report(j: int, sigma: int, n: int) -> EigenspaceReport:
-    h10 = sigma // n - 1
-    return EigenspaceReport(
-        j=j,
-        sigma=sigma,
-        dim_h10=h10,
-        dim_h01=2 - h10,
-        signature=(h10, 2 - h10),
-        split_class=split_class_of_sigma(sigma, n),
-    )
+def hodge_rows(n: int) -> dict[int, tuple]:
+    """sigma -> the report fields after j: (sigma, dim_h10, dim_h01, split_class, degenerate).
+
+    dim H^{1,0} = sigma / n - 1 is 0, 1 or 2, and names the class ZERO,
+    AMPLE_CANDIDATE or FLAT in that order; sigma = 0 marks a degenerate
+    character.
+    """
+    rows = {0: (0, None, None, None, True)}
+    for h10, split_class in enumerate(SplitClass):
+        rows[(h10 + 1) * n] = ((h10 + 1) * n, h10, 2 - h10, split_class, False)
+    return rows
+
+
+def character_reports(table: list[int], n: int) -> Iterator[EigenspaceReport]:
+    """The report of each character j = 1 .. n-1, read off its sigma_table entry."""
+    rows = hodge_rows(n)
+    return map(EigenspaceReport._make, map(add, zip(range(1, n)), map(rows.__getitem__, table)))
 
 
 def eigenspace_report(w: ResidueWeights, j: int) -> EigenspaceReport:
-    return _report(j % w.n, sigma_sum(w, j), w.n)
+    """The report of one non-degenerate character, from sigma_sum."""
+    return EigenspaceReport(j % w.n, *hodge_rows(w.n)[sigma_sum(w, j)])
 
 
 def eigenspace_table(w: ResidueWeights) -> list[EigenspaceReport]:
     """Reports for j = 1 .. n-1, read off one sigma_table pass.
 
-    Degenerate characters are flagged entries (sigma = 0, dims = -1), not
-    silent omissions and not fatal: bulk sweeps must see them.
+    Degenerate characters are flagged entries, not silent omissions and not
+    fatal: bulk sweeps must see them.
     """
-    return [
-        _report(j, sigma, w.n) if sigma else EigenspaceReport(j, 0, -1, -1, (-1, -1), None, True)
-        for j, sigma in enumerate(sigma_table(w), 1)
-    ]
+    return list(character_reports(sigma_table(w), w.n))

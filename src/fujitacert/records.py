@@ -64,9 +64,9 @@ def eigenspace_report_dict(report: EigenspaceReport, mu_values=None) -> dict:
         "j": report.j,
         "degenerate": report.degenerate,
         "sigma": report.sigma if not report.degenerate else None,
-        "dim_h10": report.dim_h10 if not report.degenerate else None,
-        "dim_h01": report.dim_h01 if not report.degenerate else None,
-        "signature": list(report.signature) if not report.degenerate else None,
+        "dim_h10": report.dim_h10,
+        "dim_h01": report.dim_h01,
+        "signature": [report.dim_h10, report.dim_h01] if not report.degenerate else None,
         "split_class": report.split_class.value if report.split_class else None,
     }
     if mu_values is not None:
@@ -96,7 +96,7 @@ def splitting_dict(split: SplittingReport) -> dict:
         "entries": [
             {
                 "j": e.j,
-                "dim_Vj": e.dim_Vj,
+                "dim_Vj": e.dim_h10 or 0,  # None for a degenerate character
                 "split_class": e.split_class.value if e.split_class else None,
                 "degenerate": e.degenerate,
             }

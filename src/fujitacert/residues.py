@@ -1,8 +1,9 @@
-"""Exact arithmetic in Z/n: canonical representatives, units, Galois orbits.
+"""Exact arithmetic in Z/n: moduli, units, Euler's phi and modular inverses.
 
-Residues are plain integers kept in the canonical range [0, n-1]; every
-bracket expression [x] elsewhere in the package maps to :func:`reduce_mod`.
-Moduli are plain machine integers (all sweeps stay far below word range).
+Residues are plain integers kept in the canonical range [0, n-1]; a bracket
+expression [x] elsewhere in the package is Python's x % n with n >= 2, which
+lands in that range.  Moduli are plain machine integers (all sweeps stay far
+below word range).  The package's shared error types live here too.
 """
 
 from __future__ import annotations
@@ -22,12 +23,6 @@ def check_modulus(n: int) -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValueError(f"modulus must be an integer >= 2, got {n!r}")
     return n
-
-
-def reduce_mod(x: int, n: int) -> int:
-    """Canonical representative of x mod n, in [0, n-1]."""
-    check_modulus(n)
-    return x % n
 
 
 def is_unit(x: int, n: int) -> bool:
@@ -69,15 +64,3 @@ def inverse_mod(x: int, n: int) -> int:
         raise NonUnitError(f"{x} is not a unit mod {n}")
     return pow(x, -1, n)
 
-
-def galois_orbit(j: int, n: int) -> set[int]:
-    """The set { [h*j] : h a unit mod n }.
-
-    The character index j = 0 is rejected: its orbit is trivial and no
-    downstream consumer is licensed to use it.
-    """
-    check_modulus(n)
-    j = j % n
-    if j == 0:
-        raise ValueError("galois_orbit requires j != 0 mod n")
-    return {(h * j) % n for h in units(n)}

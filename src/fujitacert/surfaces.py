@@ -148,12 +148,6 @@ class BranchLabel(enum.Enum):
     E2 = "E2"
 
 
-@dataclass(frozen=True)
-class BranchDivisor:
-    label: BranchLabel
-    monodromy: tuple[int, int]
-
-
 # Intersection pairs on the del Pezzo: the three blown-up points separate
 # {y-line, x-line, diagonal} triples, each exceptional curve meets its three
 # branches, and the remaining grid crossings survive.  This is data, fixed by
@@ -190,23 +184,23 @@ def _adjacency_sanity():
 _adjacency_sanity()
 
 
-def branch_table(f: FamilyData) -> list[BranchDivisor]:
+def branch_table(f: FamilyData) -> dict[BranchLabel, tuple[int, int]]:
     """The ten branch divisors with their (Z/n)^2 local monodromies."""
     n = f.n
     m0, m1, m2, m3 = f.w.m
     n0, n1, n2 = f.base_weights
-    return [
-        BranchDivisor(BranchLabel.Y_INF, (m0 % n, 0)),
-        BranchDivisor(BranchLabel.Y_0, (m1 % n, 0)),
-        BranchDivisor(BranchLabel.Y_1, (m2 % n, 0)),
-        BranchDivisor(BranchLabel.X_INF, ((n - m3) % n, n0 % n)),
-        BranchDivisor(BranchLabel.X_0, (0, n1 % n)),
-        BranchDivisor(BranchLabel.X_1, (0, n2 % n)),
-        BranchDivisor(BranchLabel.DELTA, (m3 % n, 0)),
-        BranchDivisor(BranchLabel.E0, (m0 % n, n0 % n)),
-        BranchDivisor(BranchLabel.E1, ((m1 + m3) % n, n1 % n)),
-        BranchDivisor(BranchLabel.E2, ((m2 + m3) % n, n2 % n)),
-    ]
+    return {
+        BranchLabel.Y_INF: (m0 % n, 0),
+        BranchLabel.Y_0: (m1 % n, 0),
+        BranchLabel.Y_1: (m2 % n, 0),
+        BranchLabel.X_INF: ((n - m3) % n, n0 % n),
+        BranchLabel.X_0: (0, n1 % n),
+        BranchLabel.X_1: (0, n2 % n),
+        BranchLabel.DELTA: (m3 % n, 0),
+        BranchLabel.E0: (m0 % n, n0 % n),
+        BranchLabel.E1: ((m1 + m3) % n, n1 % n),
+        BranchLabel.E2: ((m2 + m3) % n, n2 % n),
+    }
 
 
 @dataclass(frozen=True)
@@ -224,7 +218,7 @@ def smoothness_check(f: FamilyData) -> SmoothnessReport:
     the two monodromies is a unit mod n, i.e. the pair generates (Z/n)^2.
     """
     n = f.n
-    table = {d.label: d.monodromy for d in branch_table(f)}
+    table = branch_table(f)
     order_failures = []
     for label, (u, v) in table.items():
         if gcd(gcd(u, v), n) != 1:

@@ -32,6 +32,7 @@ from .monodromy import (
 from .residues import InternalInconsistencyError
 
 SAFE_N_MAX = 12
+N_MIN = 4  # the least n with a weight tuple
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,9 @@ def run_sweep(
     n_max: int,
     cap: int = DEFAULT_CLOSURE_CAP,
     max_word_len: int = DEFAULT_MAX_WORD_LEN,
-    n_min: int = 4,
 ) -> SweepSummary:
     if n_max > SAFE_N_MAX:
         raise ValueError(f"sweep bound {n_max} exceeds the safe bound {SAFE_N_MAX}")
-    if n_min < 4:
-        raise ValueError("weight tuples need n >= 4")
     tuples = 0
     characters = 0
     irr_mismatches = []
@@ -88,7 +86,7 @@ def run_sweep(
     disagreements = []
     inconclusive = []
     sig_mismatches = []
-    for n in range(n_min, n_max + 1):
+    for n in range(N_MIN, n_max + 1):
         for w in iter_weight_tuples(n):
             tuples += 1
             for j in range(1, n):
@@ -112,7 +110,7 @@ def run_sweep(
                     if sig_oracle != signature(w, j):
                         sig_mismatches.append((n, w.m, j))
     return SweepSummary(
-        n_min=n_min,
+        n_min=N_MIN,
         n_max=n_max,
         cap=cap,
         max_word_len=max_word_len,

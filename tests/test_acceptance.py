@@ -153,7 +153,7 @@ def test_criterion_04_infinite_character_has_sigma_2n():
 
 def test_criteria_05_06_07_criterion_oracle_equivalence_sweep():
     start = time.perf_counter()
-    summary = run_sweep(12, n_min=4)  # defaults: cap 20000, word length 8
+    summary = run_sweep(12)  # defaults: cap 20000, word length 8
     default_ok = (
         not summary.disagreements
         and not summary.irreducibility_mismatches

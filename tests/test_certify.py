@@ -10,23 +10,23 @@ from fujitacert import records
 
 from fujitacert.certify import (
     CERTIFICATE_PROSE,
-    CharacterSplit,
     EnumerationMode,
     SplittingReport,
     certify,
     enumerate_families,
-    flat_summand_census,
     shimura_count,
     splitting,
 )
 from fujitacert.eigenspace import (
     DegenerateCharacterError,
+    EigenspaceReport,
     SplitClass,
     WeightTuple,
     eigenspace_report,
     iter_weight_tuples,
     sigma_sum,
 )
+from fujitacert.monodromy import finiteness_by_signature
 from fujitacert.residues import NonUnitError, units
 from fujitacert.surfaces import SmoothnessReport, family, standard_family
 
@@ -87,9 +87,9 @@ def _splitting_reference(w):
             report = eigenspace_report(w, j)
         except DegenerateCharacterError:
             degenerate = True
-            entries.append(CharacterSplit(j, 0, None, True))
+            entries.append(EigenspaceReport(j, 0, None, None, None, True))
             continue
-        entries.append(CharacterSplit(j, report.dim_h10, report.split_class, False))
+        entries.append(report)
         rank_v += report.dim_h10
         flat += report.split_class is SplitClass.FLAT
         ample += report.split_class is SplitClass.AMPLE_CANDIDATE
@@ -115,7 +115,7 @@ def test_splitting_matches_per_character_reference():
     for w in weights:
         split = splitting(w)
         assert split == _splitting_reference(w), w
-        assert all(type(e) is CharacterSplit for e in split.entries)
+        assert all(type(e) is EigenspaceReport for e in split.entries)
         degenerate += split.has_degenerate
     assert degenerate > 0
 
@@ -131,12 +131,18 @@ def test_shimura_count_matches_per_character_reference():
         assert shimura_count(w) == _shimura_reference(w), w
 
 
+def _flat_census(w):
+    # each FLAT character of the splitting with its criterion finiteness verdict
+    flat = (e.j for e in splitting(w).entries if e.split_class is SplitClass.FLAT)
+    return [(j, finiteness_by_signature(w, j)) for j in flat]
+
+
 def test_flat_summand_census():
-    census = flat_summand_census(W5)
+    census = _flat_census(W5)
     assert [(j, v.kind) for j, v in census] == [(4, "INFINITE")]
-    census11 = flat_summand_census(W11)
+    census11 = _flat_census(W11)
     assert [(j, v.kind) for j, v in census11] == [(10, "INFINITE")]
-    census25 = flat_summand_census(WeightTuple(25, (1, 1, 1, 22)))
+    census25 = _flat_census(WeightTuple(25, (1, 1, 1, 22)))
     flat_js = [j for j, _ in census25]
     assert flat_js == [25 - j for j in range(8, 0, -1)]  # all n-j with 3j <= n
     assert all(v.is_infinite for _, v in census25)

@@ -222,6 +222,15 @@ ORACLE_ARGV = ["oracle", "-n", "5", "-m", "1,1,1,2", "-j", "1"]
             ["certify", "-n", "7", "-m", "1,1,1,4", "--nw", "1,1,5", "--oracle"],
             monodromy.IrreducibilityRequiredError,
         ),
+        # the oracle contradicts the criterion: reducible where it finds none, and the reverse
+        (cli, "has_common_eigenvector", lambda t: True, ORACLE_ARGV, InternalInconsistencyError),
+        (
+            cli,
+            "has_common_eigenvector",
+            lambda t: False,
+            ["oracle", "-n", "6", "-m", "1,2,2,1", "-j", "3"],
+            InternalInconsistencyError,
+        ),
     ],
 )
 def test_internal_errors_exit2(monkeypatch, owner, attr, value, argv, error):

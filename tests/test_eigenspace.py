@@ -114,7 +114,7 @@ def test_degenerate_rows_flagged_not_fatal():
     table = eigenspace_table(w)
     degenerate_js = [r.j for r in table if r.degenerate]
     assert degenerate_js == [3]
-    assert table[2].split_class is None
+    assert table[2] == EigenspaceReport(3, 0, None, None, None, True)
 
 
 def test_character_zero_rejected():
@@ -213,7 +213,7 @@ def _report_reference(w, j):
     try:
         return eigenspace_report(w, j)
     except DegenerateCharacterError:
-        return EigenspaceReport(j, 0, -1, -1, (-1, -1), None, degenerate=True)
+        return EigenspaceReport(j, 0, None, None, None, degenerate=True)
 
 
 def test_sigma_table_matches_sigma_sum():
@@ -233,7 +233,7 @@ def test_eigenspace_table_matches_per_character_reports():
         assert table == [_report_reference(w, j) for j in range(1, w.n)], w
         for r in table:
             if not r.degenerate:
-                assert (r.dim_h10, r.dim_h01) == r.signature == signature(w, r.j)
+                assert (r.dim_h10, r.dim_h01) == signature(w, r.j)
 
 
 def test_sigma_table_checks_every_character():

@@ -5,25 +5,17 @@ from hypothesis import strategies as st
 from fujitacert.residues import (
     NonUnitError,
     euler_phi,
-    galois_orbit,
     inverse_mod,
     is_unit,
-    reduce_mod,
     units,
 )
 
 
-def test_reduce_examples():
-    assert reduce_mod(16, 8) == 0
-    assert reduce_mod(4 * 3, 8) == 4
-    assert reduce_mod(-1, 5) == 4
-
-
-def test_reduce_rejects_bad_modulus():
+def test_units_rejects_bad_modulus():
     with pytest.raises(ValueError):
-        reduce_mod(3, 1)
+        units(1)
     with pytest.raises(ValueError):
-        reduce_mod(3, 0)
+        units(0)
 
 
 def test_is_unit_examples():
@@ -38,45 +30,13 @@ def test_units_examples():
     assert units(12) == [1, 5, 7, 11]
 
 
-def test_galois_orbit_examples():
-    assert galois_orbit(4, 5) == {1, 2, 3, 4}
-    assert galois_orbit(2, 8) == {2, 6}
-    assert galois_orbit(3, 9) == {3, 6}
-
-
-def test_galois_orbit_rejects_zero():
-    with pytest.raises(ValueError):
-        galois_orbit(0, 7)
-    with pytest.raises(ValueError):
-        galois_orbit(14, 7)
-
-
 def test_inverse_mod():
     assert inverse_mod(3, 7) == 5
     with pytest.raises(NonUnitError):
         inverse_mod(4, 8)
 
 
-@given(st.integers(min_value=-(10**6), max_value=10**6), st.integers(min_value=2, max_value=500))
-def test_reduce_idempotent(x, n):
-    r = reduce_mod(x, n)
-    assert 0 <= r < n
-    assert reduce_mod(r, n) == r
-
-
 @given(st.integers(min_value=2, max_value=400))
 def test_unit_count_is_phi(n):
     assert len(units(n)) == euler_phi(n)
 
-
-@given(st.integers(min_value=2, max_value=120), st.data())
-def test_orbit_invariant_under_units(n, data):
-    j = data.draw(st.integers(min_value=1, max_value=n - 1))
-    h = data.draw(st.sampled_from(units(n)))
-    assert galois_orbit(j, n) == galois_orbit((h * j) % n, n)
-
-
-@given(st.integers(min_value=2, max_value=200), st.data())
-def test_j_in_own_orbit(n, data):
-    j = data.draw(st.integers(min_value=1, max_value=n - 1))
-    assert j in galois_orbit(j, n)

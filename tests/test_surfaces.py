@@ -96,13 +96,13 @@ def test_standard_family_admissible(n):
 
 def test_branch_table_values():
     f5 = standard_family(5)
-    table = {d.label: d.monodromy for d in branch_table(f5)}
+    table = branch_table(f5)
     assert table[BranchLabel.E2] == (3, 3)
     assert table[BranchLabel.Y_INF] == (1, 0)
     assert table[BranchLabel.X_INF] == (3, 1)  # (n - m3, n0) = (5-2, 1)
     assert table[BranchLabel.X_0] == (0, 1)
     f7 = standard_family(7)
-    t7 = {d.label: d.monodromy for d in branch_table(f7)}
+    t7 = branch_table(f7)
     assert t7[BranchLabel.X_INF] == (3, 1)
     assert t7[BranchLabel.DELTA] == (4, 0)
 
@@ -111,7 +111,7 @@ def test_branch_table_values():
 def test_delta_second_coordinate_zero(n):
     if gcd(n, 6) != 1:
         return
-    table = {d.label: d.monodromy for d in branch_table(standard_family(n))}
+    table = branch_table(standard_family(n))
     assert table[BranchLabel.DELTA][1] == 0
     assert table[BranchLabel.DELTA][0] == n - 3
 
@@ -142,7 +142,7 @@ def test_smoothness_standard_families():
 def test_smoothness_e0_xinf_pair_needs_m0_plus_m3():
     # det for {E0, X_INF} is n0*(m0+m3) mod n: fails exactly when m0+m3 is a non-unit
     f = family(25, (1, 7, 10, 7), (1, 1, 23))  # m0+m3 = 8, unit; but m2 = 10 non-unit
-    table = {d.label: d.monodromy for d in branch_table(f)}
+    table = branch_table(f)
     (u1, v1) = table[BranchLabel.E0]
     (u2, v2) = table[BranchLabel.X_INF]
     det = (u1 * v2 - u2 * v1) % 25
