@@ -34,10 +34,9 @@ from .monodromy import (
     finiteness_by_signature,
     find_infinite_character,
     group_closure,
-    is_irreducible,
     triple_from_weights,
 )
-from .residues import NonUnitError
+from .residues import NonUnitError, is_unit
 from .surfaces import (
     FamilyData,
     SurfaceInvariants,
@@ -180,7 +179,8 @@ def certify(
     split = facts["splitting"] = splitting(w)
     if split.has_degenerate:
         return stop("degenerate character present")
-    facts["irreducible_all"] = all(is_irreducible(w, j) for j in range(1, w.n))
+    # is_irreducible at every j, that is n divides no j*m_i: each m_i is a unit mod n
+    facts["irreducible_all"] = all(is_unit(m, w.n) for m in w.m)
     if not facts["irreducible_all"]:
         return stop("some character is reducible")
     if split.rank_flat < 2:

@@ -28,6 +28,7 @@ from .eigenspace import (
     DegenerateCharacterError,
     ResidueWeights,
     WeightTuple,
+    eigenspace_entry,
     eigenspace_table,
     mu,
     signature as eigen_signature,
@@ -155,8 +156,7 @@ def cmd_analyze(args, out) -> int:
                 mu_values.append(mu(w, i, j))
             except DegenerateCharacterError:
                 mu_values.append(None)
-        table = eigenspace_table(w)
-        rows = [records.eigenspace_report_dict(table[j - 1], mu_values)]
+        rows = [records.eigenspace_report_dict(eigenspace_entry(w, j), mu_values)]
     else:
         rows = [records.eigenspace_report_dict(rep) for rep in eigenspace_table(w)]
     live = [r for r in rows if not r["degenerate"]]

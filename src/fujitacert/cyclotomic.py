@@ -11,8 +11,14 @@ the product of the other Galois conjugates of the numerator over its rational
 norm.  `Fraction` appears only where outside rationals come in or go out.
 
 Signs of real elements are decided exactly: an exact-zero shortcut via the
-normal form, then mpmath.iv interval evaluation of the distinguished embedding
-zeta = exp(2*pi*i/N) at rising precision until the interval excludes zero.
+normal form, then a float sum at the distinguished embedding
+zeta = exp(2*pi*i/N) that decides whenever it lies outside a rigorous error
+band around zero, and only inside that band mpmath.iv interval evaluation at
+rising precision until the interval excludes zero.
+
+The roots of unity in Q(zeta_n) form mu_N, N = 2n for odd n and n otherwise;
+mu_orbit_exponent names one canonical element of each mu_N-orbit, the key
+the monodromy closure uses to walk its group modulo root-of-unity scalars.
 """
 
 from __future__ import annotations
@@ -284,6 +290,43 @@ class CyclotomicNumber:
                 raw[(i + k) % n] += c
         return CyclotomicNumber(n, tuple(_reduce_exponents(n, raw)), self.den)
 
+    def mul_root_of_unity(self, u: int) -> CyclotomicNumber:
+        """zeta_N^u * self for the generator zeta_N of mu_N: zeta_n, or -zeta_n^((n+1)/2) at odd n.
+
+        At odd n, zeta_N^2 = zeta_n^(n+1) = zeta_n and zeta_N^n = -1; at even
+        n, -1 = zeta_n^(n/2).  So zeta_n = zeta_N^(N/n) and -1 = zeta_N^(N/2).
+        """
+        n = self.level
+        if n % 2 == 0:
+            return self.mul_zeta_power(u)
+        image = self.mul_zeta_power(u * (n + 1) // 2)
+        return -image if u % 2 else image
+
+    def mu_orbit_exponent(self) -> int:
+        """The u in [0, N) with zeta_N^u * self the least of the N multiples of self by mu_N.
+
+        The multiples are +-zeta_n^k * self, stepped through k by one shift and
+        one folded row each.  They share the denominator, so "least" compares
+        coefficient vectors.  For self != 0 they are distinct, so u is unique,
+        and the least multiple is the same for every root-of-unity multiple
+        of self.
+        """
+        n, deg = self.level, len(self.num)
+        count = roots_of_unity_order(n)
+        step, half = count // n, count // 2
+        fold = zeta(n, deg).num  # x^deg in the power basis
+        y = list(self.num)
+        best, best_u = y, 0
+        for k in range(n):
+            for candidate, u in ((y, k * step), ([-c for c in y], k * step + half)):
+                if candidate < best:
+                    best, best_u = candidate, u % count
+            top = y[-1]
+            y = [0] + y[:-1]
+            if top:
+                y = [a + top * b for a, b in zip(y, fold)]
+        return best_u
+
     # -- numeric evaluation ----------------------------------------------
 
     def complex_value(self, h: int = 1) -> complex:
@@ -294,6 +337,23 @@ class CyclotomicNumber:
             if c:
                 total += c * cmath.exp(2j * cmath.pi * ((i * h) % n) / n)
         return total / self.den
+
+
+def roots_of_unity_order(level: int) -> int:
+    """N = |mu(Q(zeta_level))|: 2*level for odd level, level otherwise."""
+    return 2 * level if level % 2 else level
+
+
+def float_error_bound(x: CyclotomicNumber) -> float:
+    """Bound on |complex_value(h) - sigma_h(num)| for the numerator num of x, with a 4x margin.
+
+    This bounds complex_value itself when x is integral.  Each term
+    c*exp(2*pi*i*k/N) is off by at most |c|*27*2^-53 (rounding of the angle,
+    cos/sin within one ulp, one product), each of the phi(N) additions by at
+    most 2^-53 of a partial sum bounded by S = sum|c|, and abs() by one ulp:
+    S*(phi(N) + 27)*2^-53 + 2^-51 in all.
+    """
+    return (sum(abs(c) for c in x.num) * (len(x.num) + 32) + 8) * 2.0**-51
 
 
 def zeta(level: int, k: int = 1) -> CyclotomicNumber:
@@ -326,8 +386,11 @@ _SIGN_DPS_LADDER = (30, 80, 200, 500, 1200, 3000, 8000)
 def real_sign(x: CyclotomicNumber) -> int:
     """Exact sign (-1, 0, 1) of a real cyclotomic number.
 
-    Zero is decided by the canonical form; a nonzero value is enclosed in
-    mpmath.iv intervals at rising precision until one excludes 0 (a proof).
+    Zero is decided by the canonical form.  The sign of x is that of its
+    integral numerator (den > 0), whose float value at zeta = exp(2*pi*i/N)
+    is within float_error_bound of the true value: outside that band the
+    float sign is a proof.  Inside it, the value is enclosed in mpmath.iv
+    intervals at rising precision until one excludes 0 (a proof).
     """
     if x.is_zero():
         return 0
@@ -336,6 +399,12 @@ def real_sign(x: CyclotomicNumber) -> int:
     if not x.is_real():
         raise NonRealElementError(f"real_sign on non-real element {x!r}")
     n = x.level
+    try:
+        approx = CyclotomicNumber(n, x.num).complex_value().real
+        if abs(approx) > float_error_bound(x):
+            return 1 if approx > 0 else -1
+    except OverflowError:  # coefficients past the float range: the ladder alone decides
+        pass
     saved = iv.dps
     try:
         for dps in _SIGN_DPS_LADDER:

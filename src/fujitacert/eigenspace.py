@@ -221,6 +221,14 @@ def eigenspace_report(w: ResidueWeights, j: int) -> EigenspaceReport:
     return EigenspaceReport(j % w.n, *hodge_rows(w.n)[sigma_sum(w, j)])
 
 
+def eigenspace_entry(w: ResidueWeights, j: int) -> EigenspaceReport:
+    """eigenspace_table(w)[j - 1] from one sigma_sum: the flagged entry when j is degenerate."""
+    try:
+        return eigenspace_report(w, j)
+    except DegenerateCharacterError:
+        return EigenspaceReport(j % w.n, *hodge_rows(w.n)[0])
+
+
 def eigenspace_table(w: ResidueWeights) -> list[EigenspaceReport]:
     """Reports for j = 1 .. n-1, read off one sigma_table pass.
 

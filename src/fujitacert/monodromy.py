@@ -8,10 +8,11 @@ Two independent routes decide (ir)reducibility and (in)finiteness:
 * oracle - an explicit rank-2 matrix triple over Q(zeta_n) built from
   companion matrices with integer exponents for every character, reducible
   ones included; reducibility as the vanishing of the commutator
-  determinant det(g0*g1 - g1*g0), one breadth-first walk of the group it
-  generates (exact closure and the infinite-order word search, each element
-  tested by Kronecker's theorem), and an exactly solved invariant Hermitian
-  form.
+  determinant det(g0*g1 - g1*g0), a breadth-first walk of the group it
+  generates (an exact walk of the words of length <= 2, then one walk of
+  the group modulo its root-of-unity scalars, which gives the exact order
+  as |G/Z| * |Z|; Kronecker's theorem tests each element for finite order),
+  and an exactly solved invariant Hermitian form.
 
 The oracle divides only at the pivots of the form's kernel solve, by the
 integer norm quotient of CyclotomicNumber.inverse: companion inverses are
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .cyclotomic import CyclotomicNumber, real_sign, zeta
+from .cyclotomic import CyclotomicNumber, float_error_bound, real_sign, roots_of_unity_order, zeta
 from .eigenspace import WeightTuple, sigma_sum
 from .residues import InternalInconsistencyError, NonUnitError, inverse_mod, units
 
@@ -260,17 +261,6 @@ def _is_root_of_unity(x: CyclotomicNumber) -> bool:
     return x.den == 1 and x * x.conjugate() == CyclotomicNumber.one(x.level)
 
 
-def _float_error_bound(x: CyclotomicNumber) -> float:
-    """Bound on |x.complex_value(h) - sigma_h(x)| for integral x, with a 4x margin.
-
-    Each term c*exp(2*pi*i*k/N) is off by at most |c|*27*2^-53 (rounding of
-    the angle, cos/sin within one ulp, one product), each of the phi(N)
-    additions by at most 2^-53 of a partial sum bounded by S = sum|c|, and
-    abs() by one ulp: S*(phi(N) + 27)*2^-53 + 2^-51 in all.
-    """
-    return (sum(abs(c) for c in x.num) * (len(x.num) + 32) + 8) * 2.0**-51
-
-
 def has_finite_order(m: Mat, level: int) -> bool:
     """Exact finite-order test for a 2x2 matrix over Q(zeta_level), by Kronecker.
 
@@ -294,7 +284,7 @@ def has_finite_order(m: Mat, level: int) -> bool:
     d = mat_det(m)
     if not _is_root_of_unity(d) or t != d * t.conjugate():
         return False
-    err = _float_error_bound(t)
+    err = float_error_bound(t)
     norm = None
     for h in units(level):
         size = abs(t.complex_value(h))
@@ -312,31 +302,56 @@ def has_finite_order(m: Mat, level: int) -> bool:
 # ---------------------------------------------------------------------------
 # the oracle walk
 
+SHORT_WORD_LEN = 2  # every INFINITE witness met so far (n <= 12, certify --oracle) is this short
 
-def _walk(t: MonodromyTriple):
-    """Breadth-first walk of the group generated by g0, g1, ginf.
 
-    Letters are g0, g1, ginf, then t.inverses() (products, no division) in that
-    order (a repeated matrix keeps its first name).  Every element other than
-    the identity is yielded once, as (matrix, word) with the first word
-    reaching it, in order of word length.
+def _exact_key(m: Mat) -> tuple[int, Mat]:
+    return 0, m
+
+
+def _projective_key(m: Mat) -> tuple[int, Mat]:
+    """(u, zeta_N^u * m), the same for every root-of-unity multiple of m.
+
+    u comes from mu_orbit_exponent of m's first nonzero entry, which sits at the
+    same place in every multiple of m.
+    """
+    u = next(x for x in m[0] + m[1] if not x.is_zero()).mu_orbit_exponent()
+    return u, tuple(tuple(x.mul_root_of_unity(u) for x in row) for row in m)
+
+
+def _walk(t: MonodromyTriple, key):
+    """Breadth-first walk of the classes of the group G generated by g0, g1, ginf.
+
+    key(m) = (u, r) names the class r of m, with r = zeta_N^u * m: the exact
+    key (0, m) makes every element its own class, the projective key puts
+    the root-of-unity multiples of m in one.  Letters are g0, g1, ginf, then
+    t.inverses() (products, no division) in that order (a repeated matrix
+    keeps its first name).  Every class other than the identity's is
+    yielded once, as (matrix, word, None) with the first word reaching it,
+    in order of word length.  A product p that meets a known class q with
+    p = zeta_N^d * q, d != 0, is yielded as (p, word, d): zeta_N^d * I is in G.
     """
     letters: dict[Mat, str] = {}
     for name, g in t.generators() + t.inverses():
         letters.setdefault(g, name)
     identity = mat_identity(t.level)
-    seen = {identity}
+    u, r = key(identity)
+    seen = {r: u}
     frontier: list[tuple[Mat, tuple[str, ...]]] = [(identity, ())]
     while frontier:
         next_frontier = []
         for mat, word in frontier:
             for g, name in letters.items():
                 prod = mat_mul(mat, g)
-                if prod not in seen:
-                    seen.add(prod)
-                    step = (prod, word + (name,))
-                    next_frontier.append(step)
-                    yield step
+                u, r = key(prod)
+                if r in seen:
+                    if seen[r] != u:
+                        yield prod, word + (name,), seen[r] - u
+                    continue
+                seen[r] = u
+                step = (prod, word + (name,))
+                next_frontier.append(step)
+                yield *step, None
         frontier = next_frontier
 
 
@@ -345,27 +360,52 @@ def group_closure(
     cap: int = DEFAULT_CLOSURE_CAP,
     max_word_len: int = DEFAULT_MAX_WORD_LEN,
 ) -> FinitenessVerdict:
-    """Decide finiteness from one walk, exactly.
+    """Decide finiteness exactly: an exact walk of the short words, then one of G modulo mu_N.
 
-    INFINITE with the first word of length <= max_word_len that has infinite
-    order; otherwise FINITE with the exact group order if it is at most cap;
-    otherwise INCONCLUSIVE.  The walk stops at a witness, or once it is past
-    both max_word_len and cap elements.
+    INFINITE with the first word (in walk order) of length <= max_word_len
+    that has infinite order; otherwise FINITE with the exact group order if
+    it is at most cap; otherwise INCONCLUSIVE.
+
+    The exact walk tests the words of length <= SHORT_WORD_LEN.  Without a
+    witness there, the projective walk visits the classes of G modulo the
+    scalars mu_N * I (mu_N: the roots of unity of Q(zeta_n)) and tests the
+    longer words.  Finite order is unchanged by a root-of-unity scalar, so
+    every element of a class with a shorter first word has finite order:
+    the exact walk's first infinite-order element is first in its class,
+    and the projective walk reaches it by the same word.  A product meeting
+    a known class as zeta_N^d times it puts zeta_N^d * I in G; once the
+    walk closes these are the Schreier generators of the scalars Z of G, so
+    |Z| = N / gcd(N, every d) and |G| = |G/Z| * |Z|, |G/Z| the number of
+    classes.  The walk stops at a witness, or once it is past max_word_len
+    and the classes times the |Z| found so far exceed cap.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if max_word_len < 1:
         raise ValueError("max_word_len must be >= 1")
-    order = 1
-    for mat, word in _walk(t):
+    short = min(SHORT_WORD_LEN, max_word_len)
+
+    def infinite(word):
+        return FinitenessVerdict(kind="INFINITE", witness=(("kind", "infinite_order_word"), ("word", "*".join(word))))
+
+    for mat, word, _ in _walk(t, _exact_key):
+        if len(word) > short:
+            break
+        if not has_finite_order(mat, t.level):
+            return infinite(word)
+    count = roots_of_unity_order(t.level)
+    scalars, classes = count, 1  # scalars: gcd of N and every d met so far
+    for mat, word, shift in _walk(t, _projective_key):
+        if shift is not None:
+            scalars = gcd(scalars, shift)
+            continue
+        classes += 1
         if len(word) <= max_word_len:
-            if not has_finite_order(mat, t.level):
-                return FinitenessVerdict(
-                    kind="INFINITE", witness=(("kind", "infinite_order_word"), ("word", "*".join(word)))
-                )
-        elif order >= cap:
+            if len(word) > short and not has_finite_order(mat, t.level):
+                return infinite(word)
+        elif classes * (count // scalars) > cap:
             return FinitenessVerdict(kind="INCONCLUSIVE", cap=cap)
-        order += 1
+    order = classes * (count // scalars)
     if order > cap:
         return FinitenessVerdict(kind="INCONCLUSIVE", cap=cap)
     return FinitenessVerdict(kind="FINITE", order=order)

@@ -26,7 +26,7 @@ from fujitacert.eigenspace import (
     iter_weight_tuples,
     sigma_sum,
 )
-from fujitacert.monodromy import finiteness_by_signature
+from fujitacert.monodromy import finiteness_by_signature, is_irreducible
 from fujitacert.residues import NonUnitError, units
 from fujitacert.surfaces import SmoothnessReport, family, standard_family
 
@@ -77,6 +77,13 @@ def test_standard_case_zero_up_to_n_over_3():
         for e in s.entries:
             assert (e.split_class is SplitClass.ZERO) == (3 * e.j <= n)
             assert (e.split_class is SplitClass.FLAT) == (3 * (n - e.j) <= n)
+
+
+def test_irreducible_all_is_all_units():
+    # certify's irreducible_all gate asks whether every m_i is a unit where it tested every j
+    for n in range(4, 41):
+        for w in iter_weight_tuples(n):
+            assert all(gcd(m, n) == 1 for m in w.m) == all(is_irreducible(w, j) for j in range(1, n)), w
 
 
 def _splitting_reference(w):
@@ -323,7 +330,7 @@ GATE_CASES = {
         "0e9692c239328005afeb1dbea248f702e0a1446ddc9e40494ad694b74311b10b",
     ),
     "reducible": (
-        standard_family(7), {"is_irreducible": lambda w, j: j != 2}, {},
+        standard_family(7), {"is_unit": lambda x, n: x != 4}, {},
         "some character is reducible",
         ["admissibility_reason", "infinite_witness", "oracle"],
         "5f618fd9cb6327788ed462ccd7ff1de9acad4e96d3dd4c05074f8f31fcffc70a",

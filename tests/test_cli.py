@@ -87,6 +87,22 @@ def test_strict_commands_check_the_exponents_as_given(argv):
     assert (code, out, err) == (1, "", f"error: weights must sum to n: sum({m}) = 14 != 7\n")
 
 
+@pytest.mark.parametrize(
+    "n, m",
+    [(5, "1,1,1,2"), (6, "1,2,2,1"), (8, "4,4,3,5"), (12, "3,4,6,11"), (12, "1,2,3,6"), (6, "0,1,2,3"), (101, "2,3,5,91")],
+)
+def test_analyze_rows_with_and_without_j_agree(n, m):
+    code, out, _ = run_cli(["analyze", "-n", str(n), "-m", m])
+    assert code == 0
+    table = json.loads(out)["result"]["table"]
+    for j in range(1, n):
+        code, out, _ = run_cli(["analyze", "-n", str(n), "-m", m, "-j", str(j)])
+        assert code == 0
+        (row,) = json.loads(out)["result"]["table"]
+        assert len(row.pop("mu")) == 4
+        assert row == table[j - 1]
+
+
 def test_analyze_rejects_character_zero():
     code, _, err = run_cli(["analyze", "-n", "5", "-m", "1,1,1,2", "-j", "5"])
     assert code == 1 and "nonzero" in err
@@ -234,6 +250,8 @@ ORACLE_ARGV = ["oracle", "-n", "5", "-m", "1,1,1,2", "-j", "1"]
     ],
 )
 def test_internal_errors_exit2(monkeypatch, owner, attr, value, argv, error):
+    # an infinite float band sends every real sign to the interval ladder, the step that can run out
+    monkeypatch.setattr(cyclotomic, "float_error_bound", lambda x: float("inf"))
     monkeypatch.setattr(owner, attr, value)
     assert issubclass(error, InternalInconsistencyError)
     with pytest.raises(error):

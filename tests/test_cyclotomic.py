@@ -215,6 +215,54 @@ def test_real_sign_examples():
     assert real_sign(-root5) == -1
 
 
+def test_real_sign_decides_by_floats_outside_the_band(monkeypatch):
+    monkeypatch.setattr(cyclotomic, "iv", None)  # the interval ladder is not reached
+    assert real_sign(zeta(7) + zeta(7, 6)) == 1
+    assert real_sign(Fraction(1, 3) * (zeta(7, 3) + zeta(7, 4))) == -1
+
+
+@pytest.mark.parametrize("k", [40, 41])
+def test_real_sign_ladder_decides_inside_the_band(k):
+    # F_k * 2cos(2pi/5) - F_(k-1) = F_k * (sqrt 5 - 1)/2 - F_(k-1) is about 1e-9 in size, far
+    # inside the float band of its 1e8-sized coefficients; its sign alternates with k
+    fib = [0, 1]
+    while len(fib) <= k:
+        fib.append(fib[-1] + fib[-2])
+    q, p = fib[k], -fib[k - 1]
+    x = p + q * (zeta(5) + zeta(5, 4))
+    assert abs(x.complex_value().real) <= cyclotomic.float_error_bound(x)
+    # exact sign of (2p - q) + q*sqrt(5) with q > 0
+    a = 2 * p - q
+    want = 1 if a >= 0 or 5 * q * q > a * a else -1
+    assert real_sign(x) == want and real_sign(-x) == -want
+
+
+def test_mul_root_of_unity_is_a_power_of_a_generator():
+    for level in (1, 2, 5, 6, 9, 12):
+        count = cyclotomic.roots_of_unity_order(level)
+        gen = zeta(level) if level % 2 == 0 else -zeta(level, (level + 1) // 2)
+        one = CyclotomicNumber.one(level)
+        assert gen**count == one and all(gen ** (count // p) != one for p in (2, 3, 5) if count % p == 0)
+        x = CyclotomicNumber(level, tuple(range(1, euler_phi(level) + 1)), 2)
+        for u in range(-count, 2 * count):
+            assert x.mul_root_of_unity(u) == x * gen ** (u % count), (level, u)
+
+
+@given(level_and_elements(1))
+@settings(max_examples=60, deadline=None)
+def test_mu_orbit_exponent_names_the_least_multiple(data):
+    level, (x,) = data
+    count = cyclotomic.roots_of_unity_order(level)
+    u = x.mu_orbit_exponent()
+    multiples = [x.mul_root_of_unity(v) for v in range(count)]
+    assert 0 <= u < count
+    y = multiples[u]
+    assert y.num == min(m.num for m in multiples)
+    if not x.is_zero():
+        assert len(set(multiples)) == count
+        assert all(m.mul_root_of_unity(m.mu_orbit_exponent()) == y for m in multiples)
+
+
 def test_real_sign_rejects_non_real():
     with pytest.raises(NonRealElementError):
         real_sign(zeta(5))

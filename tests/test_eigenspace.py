@@ -14,6 +14,7 @@ from fujitacert.eigenspace import (
     WeightTuple,
     EigenspaceReport,
     compositions,
+    eigenspace_entry,
     eigenspace_report,
     eigenspace_table,
     iter_weight_tuples,
@@ -234,6 +235,20 @@ def test_eigenspace_table_matches_per_character_reports():
         for r in table:
             if not r.degenerate:
                 assert (r.dim_h10, r.dim_h01) == signature(w, r.j)
+
+
+def test_eigenspace_entry_matches_the_table():
+    # analyze -j reads one sigma_sum where it read the whole eigenspace_table; every
+    # tuple is checked at one character, j cycling so that each n meets every j
+    degenerate = 0
+    for n in range(4, 41):
+        for i, w in enumerate(iter_weight_tuples(n)):
+            j = i % (n - 1) + 1
+            report = eigenspace_entry(w, j)
+            assert report == eigenspace_table(w)[j - 1], (w, j)
+            assert eigenspace_entry(w, j + n) == report
+            degenerate += report.degenerate
+    assert degenerate > 1000
 
 
 def test_sigma_table_checks_every_character():

@@ -2,15 +2,16 @@ import io
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import mpmath
 import pytest
 
 from fujitacert import cli, monodromy
-from fujitacert.cyclotomic import CyclotomicNumber, real_sign, zeta
+from fujitacert.cyclotomic import CyclotomicNumber, real_sign, roots_of_unity_order, zeta
 from fujitacert.eigenspace import WeightTuple, iter_weight_tuples, signature, sigma_sum
 from fujitacert.monodromy import (
+    FinitenessVerdict,
     IrreducibilityRequiredError,
     MonodromyTriple,
     ReducibleNoUniqueFormError,
@@ -22,6 +23,8 @@ from fujitacert.monodromy import (
     infinite_order_witness,
     invariant_hermitian_form,
     is_irreducible,
+    _exact_key,
+    _projective_key,
     _walk,
     levelt_exponents,
     levelt_triple,
@@ -302,6 +305,158 @@ def test_witness_rejects_bad_bound():
 
 
 # ---------------------------------------------------------------------------
+# the projective walk against the exact walk
+
+
+def _exact_group_closure(t, cap, max_word_len):
+    """group_closure as one exact walk: every element visited and, up to max_word_len, tested."""
+    letters = {}
+    for name, g in t.generators() + t.inverses():
+        letters.setdefault(g, name)
+    identity = mat_identity(t.level)
+    seen, frontier, order = {identity}, [(identity, ())], 1
+    while frontier:
+        next_frontier = []
+        for mat, word in frontier:
+            for g, name in letters.items():
+                prod = mat_mul(mat, g)
+                if prod in seen:
+                    continue
+                seen.add(prod)
+                next_frontier.append((prod, word + (name,)))
+                if len(word) + 1 <= max_word_len:
+                    if not has_finite_order(prod, t.level):
+                        witness = (("kind", "infinite_order_word"), ("word", "*".join(word + (name,))))
+                        return FinitenessVerdict(kind="INFINITE", witness=witness)
+                elif order >= cap:
+                    return FinitenessVerdict(kind="INCONCLUSIVE", cap=cap)
+                order += 1
+        frontier = next_frontier
+    if order > cap:
+        return FinitenessVerdict(kind="INCONCLUSIVE", cap=cap)
+    return FinitenessVerdict(kind="FINITE", order=order)
+
+
+IRREDUCIBLE_LIMITS = [(20000, 8), (1, 8), (1, 1), (24, 3), (7, 2)]
+REDUCIBLE_LIMITS = [(20000, 8), (1, 2), (10, 1)]
+
+
+def test_group_closure_matches_exact_walk_n_le_8():
+    kinds = set()
+    for n in range(4, 9):
+        for w in iter_weight_tuples(n):
+            for j in range(1, n):
+                t = triple_from_weights(w, j)
+                for cap, max_len in IRREDUCIBLE_LIMITS if is_irreducible(w, j) else REDUCIBLE_LIMITS:
+                    verdict = group_closure(t, cap, max_len)
+                    assert verdict == _exact_group_closure(t, cap, max_len), (w, j, cap, max_len)
+                    kinds.add(verdict.kind)
+    assert kinds == {"FINITE", "INFINITE", "INCONCLUSIVE"}
+
+
+def test_group_closure_matches_exact_walk_past_the_short_words():
+    # triangular, with diagonal exponent gaps 1, 2, 4 mod 7: every word of length <= 2
+    # other than 1 has distinct eigenvalues, and g0*g0*g1^-1 is unipotent, not 1
+    z = zeta(7)
+    g0, g1 = _mat(7, [[z, 1], [0, 1]]), _mat(7, [[z**2, 0], [0, 1]])
+    ginf = _mat(7, [[z**4, -(z**4)], [0, 1]])
+    t = MonodromyTriple(level=7, g0=g0, g1=g1, ginf=ginf, exponents=(0, 0, 0))
+    for cap, max_len in IRREDUCIBLE_LIMITS + [(50, 3)]:
+        assert group_closure(t, cap, max_len) == _exact_group_closure(t, cap, max_len)
+    assert infinite_order_witness(t, 3) == "g0*g0*g1^-1"
+
+
+def _random_matrix(level, rng):
+    def entry():
+        return CyclotomicNumber(level, tuple(rng.randint(-3, 3) for _ in range(euler_phi(level))))
+
+    return ((CyclotomicNumber.zero(level) if rng.random() < 0.3 else entry(), entry()), (entry(), entry()))
+
+
+@pytest.mark.parametrize("level", [4, 5, 6, 7, 10, 12, 15])
+def test_projective_key_is_constant_on_root_of_unity_multiples(level):
+    rng = random.Random(level)
+    for _ in range(4):
+        m = _random_matrix(level, rng)
+        u, key = _projective_key(m)
+        assert 0 <= u < roots_of_unity_order(level)
+        assert key == tuple(tuple(x.mul_root_of_unity(u) for x in row) for row in m)
+        for k in range(level):
+            for sign in (1, -1):
+                scaled = tuple(tuple(x.mul_zeta_power(k) * sign for x in row) for row in m)
+                assert _projective_key(scaled)[1] == key, (k, sign)
+
+
+def _projective_split(t):
+    """(|G/Z|, |Z|) from one projective walk: its classes, and N over the gcd of its shifts."""
+    count = roots_of_unity_order(t.level)
+    classes, scalars = 1, count
+    for _, _, shift in _walk(t, _projective_key):
+        if shift is None:
+            classes += 1
+        else:
+            scalars = gcd(scalars, shift)
+    return classes, count // scalars
+
+
+# (n, |G|) -> (|G/Z|, |Z|) over the finite irreducible characters with n <= 12
+PROJECTIVE_ORDERS = {
+    (4, 8): (4, 2),
+    (6, 6): (6, 1),
+    (6, 12): (6, 2),
+    (6, 18): (6, 3),
+    (6, 24): (12, 2),
+    (6, 72): (12, 6),
+    (8, 8): (4, 2),
+    (8, 16): (8, 2),
+    (8, 32): (8, 4),
+    (10, 10): (10, 1),
+    (10, 20): (10, 2),
+    (10, 50): (10, 5),
+    (10, 600): (60, 10),
+    (12, 6): (6, 1),
+    (12, 8): (4, 2),
+    (12, 12): (6, 2),
+    (12, 18): (6, 3),
+    (12, 24): (12, 2),
+    (12, 48): (12, 4),
+    (12, 72): (12, 6),
+    (12, 96): (24, 4),
+    (12, 288): (24, 12),
+}
+# Klein: a finite subgroup of PGL2(C) is cyclic, dihedral, A4 (12), S4 (24) or A5 (60);
+# an irreducible one is not cyclic, and Q(zeta_n), n <= 12, meets dihedral orders 4 to 12
+KLEIN_ORDERS = {4, 6, 8, 10, 12, 24, 60}
+
+
+def test_projective_orders_n_le_12():
+    # the matrices depend on n, {ka, kb} and kc only, so one triple per such key
+    keys = set()
+    for w, j in _irreducible_instances(12):
+        if finiteness_by_signature(w, j).is_finite:
+            ka, kb, kc = levelt_exponents(w, j)
+            keys.add((w.n, min(ka, kb), max(ka, kb), kc))
+    found = {}
+    for n, ka, kb, kc in sorted(keys):
+        t = levelt_triple((ka, kb, kc), n)
+        verdict = group_closure(t)
+        pg, z = _projective_split(t)
+        assert verdict.is_finite and verdict.order == pg * z
+        assert found.setdefault((n, verdict.order), (pg, z)) == (pg, z)
+    assert found == PROJECTIVE_ORDERS
+    assert {pg for pg, _ in found.values()} == KLEIN_ORDERS
+
+
+@pytest.mark.parametrize("m, order", [((1, 2, 8, 4), 600), ((1, 2, 4, 8), 1800)])
+def test_icosahedral_closures_n15(m, order):
+    w = WeightTuple(15, m)
+    assert finiteness_by_signature(w, 1).is_finite
+    t = triple_from_weights(w, 1)
+    assert group_closure(t) == FinitenessVerdict(kind="FINITE", order=order)
+    assert _projective_split(t) == (60, order // 60)
+
+
+# ---------------------------------------------------------------------------
 # Kronecker's finite-order test against the exact reference M^B == I
 
 
@@ -344,7 +499,7 @@ def test_finite_order_bound_values():
 def test_kronecker_agrees_with_reference_on_walk(w, max_len):
     t = triple_from_weights(w, 1)
     visited = 0
-    for mat, word in _walk(t):
+    for mat, word, _ in _walk(t, _exact_key):
         if max_len is not None and len(word) > max_len:
             break
         assert has_finite_order(mat, t.level) == _has_finite_order_reference(mat, t.level), word
