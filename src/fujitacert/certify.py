@@ -31,6 +31,8 @@ from .eigenspace import (
 from .monodromy import (
     DEFAULT_CLOSURE_CAP,
     DEFAULT_MAX_WORD_LEN,
+    Finiteness,
+    agreement,
     finiteness_by_signature,
     find_infinite_character,
     group_closure,
@@ -125,7 +127,7 @@ class Certificate:
     splitting: SplittingReport | None = None
     irreducible_all: bool | None = None
     infinite_witness: InfiniteWitness | None = None
-    oracle_verdicts: tuple[str, str] | None = None  # (criterion kind, closure kind)
+    oracle_verdicts: tuple[Finiteness, Finiteness] | None = None  # (criterion kind, closure kind)
     not_certified_reason: str | None = None
     prose: ClassVar[str] = CERTIFICATE_PROSE
 
@@ -144,9 +146,7 @@ class Certificate:
     @property
     def oracle_agreement(self) -> bool | None:
         """None without an oracle run or when the closure is INCONCLUSIVE."""
-        if self.oracle_verdicts is None or self.oracle_verdicts[1] == "INCONCLUSIVE":
-            return None
-        return self.oracle_verdicts[0] == self.oracle_verdicts[1]
+        return None if self.oracle_verdicts is None else agreement(*self.oracle_verdicts)
 
 
 def certify(

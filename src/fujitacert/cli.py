@@ -36,6 +36,7 @@ from .eigenspace import (
 from .monodromy import (
     DEFAULT_CLOSURE_CAP,
     DEFAULT_MAX_WORD_LEN,
+    agreement,
     finiteness_by_signature,
     group_closure,
     has_common_eigenvector,
@@ -238,7 +239,7 @@ def cmd_certify(args, out) -> int:
     }
     record = output_record("certify", inputs, records.certificate_dict(cert), _certificate_checks(cert))
     out.write(dumps_record(record))
-    if args.oracle and cert.oracle_agreement is False:
+    if cert.oracle_agreement is False:
         return EXIT_INCONSISTENT
     return EXIT_OK if cert.is_counterexample else EXIT_NOT_CERTIFIED
 
@@ -315,19 +316,14 @@ def cmd_oracle(args, out) -> int:
         "closure": records.verdict_dict(closure),
         "criterion": records.verdict_dict(criterion),
     }
-    agree = None if closure.is_inconclusive else closure.kind == criterion.kind
+    agree = agreement(criterion.kind, closure.kind)
+    eigen_sig = eigen_signature(w, j)
     checks = [
         check("criterion_oracle_agree", agree is not False, f"{criterion.kind} vs {closure.kind}"),
-        check(
-            "signature_matches_eigenspace",
-            sig == eigen_signature(w, j),
-            f"form {sig}, eigenspace {eigen_signature(w, j)}",
-        ),
+        check("signature_matches_eigenspace", sig == eigen_sig, f"form {sig}, eigenspace {eigen_sig}"),
     ]
     out.write(dumps_record(output_record("oracle", inputs, result, checks)))
-    if agree is False or sig != eigen_signature(w, j):
-        return EXIT_INCONSISTENT
-    return EXIT_OK
+    return EXIT_OK if all(c["passed"] for c in checks) else EXIT_INCONSISTENT
 
 
 _COMMANDS = {

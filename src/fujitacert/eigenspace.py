@@ -23,6 +23,7 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from operator import add
 from typing import NamedTuple
@@ -197,17 +198,16 @@ def sigma_table(w: ResidueWeights) -> list[int]:
     return table
 
 
+@cache
 def hodge_rows(n: int) -> dict[int, tuple]:
     """sigma -> the report fields after j: (sigma, dim_h10, dim_h01, split_class, degenerate).
 
     dim H^{1,0} = sigma / n - 1 is 0, 1 or 2, and names the class ZERO,
     AMPLE_CANDIDATE or FLAT in that order; sigma = 0 marks a degenerate
-    character.
+    character.  Built once per n; callers only read it.
     """
-    rows = {0: (0, None, None, None, True)}
-    for h10, split_class in enumerate(SplitClass):
-        rows[(h10 + 1) * n] = ((h10 + 1) * n, h10, 2 - h10, split_class, False)
-    return rows
+    rows = {(h10 + 1) * n: ((h10 + 1) * n, h10, 2 - h10, c, False) for h10, c in enumerate(SplitClass)}
+    return {0: (0, None, None, None, True), **rows}
 
 
 def character_reports(table: list[int], n: int) -> Iterator[EigenspaceReport]:

@@ -25,6 +25,7 @@ severity invariant; neither side may be shortcut through the other.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from math import gcd
 
@@ -75,6 +76,16 @@ def is_irreducible(w: WeightTuple, j: int) -> bool:
     return not {ka, kb} & {kc, 0}
 
 
+class Finiteness(str, enum.Enum):
+    """The kind of a finiteness verdict; prints and serializes as its bare name."""
+
+    FINITE = "FINITE"
+    INFINITE = "INFINITE"
+    INCONCLUSIVE = "INCONCLUSIVE"
+
+    __str__ = str.__str__
+
+
 @dataclass(frozen=True)
 class FinitenessVerdict:
     """FINITE(order) | INFINITE(witness) | INCONCLUSIVE(cap).
@@ -85,22 +96,15 @@ class FinitenessVerdict:
     with an infinite-order word witness.
     """
 
-    kind: str  # "FINITE" | "INFINITE" | "INCONCLUSIVE"
+    kind: Finiteness
     order: int | None = None
     witness: tuple[tuple[str, object], ...] | None = None
     cap: int | None = None
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "FINITE"
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.kind == "INFINITE"
-
-    @property
-    def is_inconclusive(self) -> bool:
-        return self.kind == "INCONCLUSIVE"
+def agreement(criterion: Finiteness, closure: Finiteness) -> bool | None:
+    """Whether the two routes agree; None when the closure is INCONCLUSIVE (no answer)."""
+    return None if closure is Finiteness.INCONCLUSIVE else criterion is closure
 
 
 def finiteness_by_signature(w: WeightTuple, j: int) -> FinitenessVerdict:
@@ -119,8 +123,8 @@ def finiteness_by_signature(w: WeightTuple, j: int) -> FinitenessVerdict:
         hj = (h * j) % n
         if sigma_sum(w, hj) == 2 * n:
             witness = (("unit", h), ("character", hj), ("sigma", 2 * n))
-            return FinitenessVerdict(kind="INFINITE", witness=witness)
-    return FinitenessVerdict(kind="FINITE")
+            return FinitenessVerdict(Finiteness.INFINITE, witness=witness)
+    return FinitenessVerdict(Finiteness.FINITE)
 
 
 def find_infinite_character(w: WeightTuple) -> int:
@@ -386,7 +390,7 @@ def group_closure(
     short = min(SHORT_WORD_LEN, max_word_len)
 
     def infinite(word):
-        return FinitenessVerdict(kind="INFINITE", witness=(("kind", "infinite_order_word"), ("word", "*".join(word))))
+        return FinitenessVerdict(Finiteness.INFINITE, witness=(("kind", "infinite_order_word"), ("word", "*".join(word))))
 
     for mat, word, _ in _walk(t, _exact_key):
         if len(word) > short:
@@ -404,11 +408,11 @@ def group_closure(
             if len(word) > short and not has_finite_order(mat, t.level):
                 return infinite(word)
         elif classes * (count // scalars) > cap:
-            return FinitenessVerdict(kind="INCONCLUSIVE", cap=cap)
+            return FinitenessVerdict(Finiteness.INCONCLUSIVE, cap=cap)
     order = classes * (count // scalars)
     if order > cap:
-        return FinitenessVerdict(kind="INCONCLUSIVE", cap=cap)
-    return FinitenessVerdict(kind="FINITE", order=order)
+        return FinitenessVerdict(Finiteness.INCONCLUSIVE, cap=cap)
+    return FinitenessVerdict(Finiteness.FINITE, order=order)
 
 
 def infinite_order_witness(t: MonodromyTriple, max_word_len: int = DEFAULT_MAX_WORD_LEN) -> str | None:
@@ -419,7 +423,7 @@ def infinite_order_witness(t: MonodromyTriple, max_word_len: int = DEFAULT_MAX_W
     finite groups have none at any bound).
     """
     verdict = group_closure(t, cap=1, max_word_len=max_word_len)
-    return dict(verdict.witness)["word"] if verdict.is_infinite else None
+    return dict(verdict.witness)["word"] if verdict.kind is Finiteness.INFINITE else None
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from .eigenspace import WeightTuple, iter_weight_tuples, signature
 from .monodromy import (
     DEFAULT_CLOSURE_CAP,
     DEFAULT_MAX_WORD_LEN,
+    Finiteness,
+    agreement,
     finiteness_by_signature,
     group_closure,
     has_common_eigenvector,
@@ -29,7 +31,6 @@ from .monodromy import (
     is_irreducible,
     triple_from_weights,
 )
-from .residues import InternalInconsistencyError
 
 SAFE_N_MAX = 12
 N_MIN = 4  # the least n with a weight tuple
@@ -47,7 +48,7 @@ class SweepSummary:
     irreducibility_mismatches: tuple[tuple[int, tuple[int, ...], int], ...]
     finiteness_checked: int
     agreements: int
-    disagreements: tuple[tuple[int, tuple[int, ...], int, str, str], ...]
+    disagreements: tuple[tuple[int, tuple[int, ...], int, Finiteness, Finiteness], ...]
     inconclusive: tuple[tuple[int, tuple[int, ...], int], ...]
     signature_checked: int
     signature_mismatches: tuple[tuple[int, tuple[int, ...], int], ...]
@@ -65,7 +66,7 @@ def sweep_instance(
     cap: int = DEFAULT_CLOSURE_CAP,
     max_word_len: int = DEFAULT_MAX_WORD_LEN,
 ):
-    """(criterion kind, oracle kind) for one irreducible instance."""
+    """(criterion verdict, oracle verdict) for one irreducible instance."""
     criterion = finiteness_by_signature(w, j)
     oracle = group_closure(triple_from_weights(w, j), cap, max_word_len)
     return criterion, oracle
@@ -100,9 +101,10 @@ def run_sweep(
                     criterion = finiteness_by_signature(w, j)
                     oracle = group_closure(triple, cap, max_word_len)
                     fin_checked += 1
-                    if oracle.is_inconclusive:
+                    agree = agreement(criterion.kind, oracle.kind)
+                    if agree is None:
                         inconclusive.append((n, w.m, j))
-                    elif criterion.kind == oracle.kind:
+                    elif agree:
                         agreements += 1
                     else:
                         disagreements.append((n, w.m, j, criterion.kind, oracle.kind))
@@ -125,26 +127,3 @@ def run_sweep(
         signature_checked=fin_checked,
         signature_mismatches=tuple(sig_mismatches),
     )
-
-
-def retry_inconclusive(
-    summary: SweepSummary, cap: int, max_word_len: int
-) -> tuple[tuple[int, tuple[int, ...], int], ...]:
-    """Re-run only the INCONCLUSIVE instances at stronger limits.
-
-    Sound shortcut: FINITE/INFINITE verdicts are stable under raising the
-    limits, so only the inconclusive set can change.  Returns the instances
-    still unresolved.
-    """
-    still = []
-    for n, m, j in summary.inconclusive:
-        w = WeightTuple(n=n, m=m)
-        criterion, oracle = sweep_instance(w, j, cap, max_word_len)
-        if oracle.is_inconclusive:
-            still.append((n, m, j))
-        elif criterion.kind != oracle.kind:
-            raise InternalInconsistencyError(
-                f"criterion/oracle disagreement at n={n}, m={m}, j={j}: "
-                f"{criterion.kind} vs {oracle.kind}"
-            )
-    return tuple(still)

@@ -26,7 +26,7 @@ from fujitacert.eigenspace import (
     iter_weight_tuples,
     sigma_sum,
 )
-from fujitacert.monodromy import finiteness_by_signature, is_irreducible
+from fujitacert.monodromy import Finiteness, finiteness_by_signature, is_irreducible
 from fujitacert.residues import NonUnitError, units
 from fujitacert.surfaces import SmoothnessReport, family, standard_family
 
@@ -146,13 +146,13 @@ def _flat_census(w):
 
 def test_flat_summand_census():
     census = _flat_census(W5)
-    assert [(j, v.kind) for j, v in census] == [(4, "INFINITE")]
+    assert [(j, v.kind) for j, v in census] == [(4, Finiteness.INFINITE)]
     census11 = _flat_census(W11)
-    assert [(j, v.kind) for j, v in census11] == [(10, "INFINITE")]
+    assert [(j, v.kind) for j, v in census11] == [(10, Finiteness.INFINITE)]
     census25 = _flat_census(WeightTuple(25, (1, 1, 1, 22)))
     flat_js = [j for j, _ in census25]
     assert flat_js == [25 - j for j in range(8, 0, -1)]  # all n-j with 3j <= n
-    assert all(v.is_infinite for _, v in census25)
+    assert all(v.kind is Finiteness.INFINITE for _, v in census25)
 
 
 def test_certify_standard_families():
@@ -174,7 +174,7 @@ def test_certify_not_coprime():
 def test_certify_with_oracle_agrees():
     cert = certify(standard_family(5), with_oracle=True)
     assert cert.oracle_agreement is True
-    assert cert.oracle_verdicts == ("INFINITE", "INFINITE")
+    assert cert.oracle_verdicts == (Finiteness.INFINITE, Finiteness.INFINITE)
 
 
 def test_certificate_prose_states_desk_scale_limits():
@@ -385,6 +385,6 @@ def test_certify_gate_records_pinned(monkeypatch, case):
 
 def test_certify_oracle_inconclusive_has_no_agreement():
     cert = certify(standard_family(5), with_oracle=True, cap=1, max_word_len=1)
-    assert cert.oracle_verdicts == ("INFINITE", "INCONCLUSIVE")
+    assert cert.oracle_verdicts == (Finiteness.INFINITE, Finiteness.INCONCLUSIVE)
     assert cert.oracle_agreement is None
     assert cert.is_counterexample

@@ -11,7 +11,7 @@ import pytest
 
 from fujitacert import cli, cyclotomic, monodromy, records
 from fujitacert.eigenspace import iter_weight_tuples
-from fujitacert.monodromy import FinitenessVerdict
+from fujitacert.monodromy import Finiteness, FinitenessVerdict
 from fujitacert.residues import InternalInconsistencyError
 from fujitacert.sweep import SweepSummary
 
@@ -168,7 +168,7 @@ def test_certify_oracle_disagreement_exit2(monkeypatch):
     monkeypatch.setattr(
         certify_mod,
         "group_closure",
-        lambda *a, **k: FinitenessVerdict(kind="FINITE", order=1),
+        lambda *a, **k: FinitenessVerdict(Finiteness.FINITE, order=1),
     )
     code, out, _ = run_cli(
         ["certify", "-n", "5", "-m", "1,1,1,2", "--nw", "1,1,3", "--oracle"]
@@ -407,7 +407,7 @@ def test_sweep_disagreement_exit2(monkeypatch):
         irreducibility_mismatches=(),
         finiteness_checked=1,
         agreements=0,
-        disagreements=((5, (1, 1, 1, 2), 1, "FINITE", "INFINITE"),),
+        disagreements=((5, (1, 1, 1, 2), 1, Finiteness.FINITE, Finiteness.INFINITE),),
         inconclusive=(),
         signature_checked=1,
         signature_mismatches=(),
@@ -477,6 +477,15 @@ def test_oracle_record():
     assert all(c["passed"] for c in record["checks"])
 
 
+def test_oracle_inconclusive_closure_is_no_disagreement():
+    code, out, _ = run_cli(["oracle", "-n", "4", "-m", "1,1,1,1", "-j", "1", "--cap", "1"])
+    assert code == 0
+    record = json.loads(out)
+    assert record["result"]["closure"] == {"kind": "INCONCLUSIVE", "order": None, "witness": None, "cap": 1}
+    assert record["result"]["criterion"]["kind"] == "FINITE"
+    assert {"name": "criterion_oracle_agree", "passed": True, "details": "FINITE vs INCONCLUSIVE"} in record["checks"]
+
+
 def test_oracle_rejects_reducible_character():
     code, _, err = run_cli(["oracle", "-n", "6", "-m", "1,2,2,1", "-j", "3"])
     assert code == 1 and "reducible" in err
@@ -527,7 +536,7 @@ def test_splitting_output_digest_pinned():
 
 def test_oracle_internal_inconsistency_exit2(monkeypatch):
     monkeypatch.setattr(
-        cli, "group_closure", lambda *a, **k: FinitenessVerdict(kind="FINITE", order=1)
+        cli, "group_closure", lambda *a, **k: FinitenessVerdict(Finiteness.FINITE, order=1)
     )
     code, out, _ = run_cli(["oracle", "-n", "5", "-m", "1,1,1,2", "-j", "1"])
     assert code == 2
@@ -586,6 +595,18 @@ def test_emitted_keys_match_schema(entry, argv):
         assert set(record["result"]) == set(schema["results"][entry])
         for row in record["result"].get("table", []):
             assert set(row) == set(schema["results"]["analyze"]["table"][0])
+        assert set(_verdict_kinds(entry, record["result"])) <= {kind.value for kind in Finiteness}
+
+
+def _verdict_kinds(entry, result):
+    """Every finiteness verdict kind a result prints."""
+    if entry == "oracle":
+        return [result["closure"]["kind"], result["criterion"]["kind"]]
+    if entry == "certify" and result["oracle"] is not None:
+        return [result["oracle"]["criterion"], result["oracle"]["closure"]]
+    if entry == "sweep":
+        return [kind for row in result["disagreements"] for kind in row[3:]]
+    return []
 
 
 def test_parser_built_once_per_process():

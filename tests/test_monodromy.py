@@ -11,10 +11,12 @@ from fujitacert import cli, monodromy
 from fujitacert.cyclotomic import CyclotomicNumber, real_sign, roots_of_unity_order, zeta
 from fujitacert.eigenspace import WeightTuple, iter_weight_tuples, signature, sigma_sum
 from fujitacert.monodromy import (
+    Finiteness,
     FinitenessVerdict,
     IrreducibilityRequiredError,
     MonodromyTriple,
     ReducibleNoUniqueFormError,
+    agreement,
     finiteness_by_signature,
     find_infinite_character,
     group_closure,
@@ -99,11 +101,11 @@ def test_irreducible_iff_no_branch_annihilated():
 
 def test_finiteness_examples():
     v = finiteness_by_signature(W5, 4)
-    assert v.is_infinite
+    assert v.kind is Finiteness.INFINITE
     witness = dict(v.witness)
     assert (witness["unit"] * 4) % 5 in (2, 3)
-    assert finiteness_by_signature(W4, 1).is_finite
-    assert finiteness_by_signature(WeightTuple(6, (1, 1, 1, 3)), 1).is_finite
+    assert finiteness_by_signature(W4, 1).kind is Finiteness.FINITE
+    assert finiteness_by_signature(WeightTuple(6, (1, 1, 1, 3)), 1).kind is Finiteness.FINITE
 
 
 def test_finiteness_requires_irreducibility():
@@ -231,7 +233,7 @@ def test_triple_and_walk_use_no_field_inverse(monkeypatch):
     monkeypatch.setattr(CyclotomicNumber, "inverse", no_inverse)
     fam = standard_family(97)
     j = find_infinite_character(fam.w)
-    assert group_closure(triple_from_weights(fam.w, j)).is_infinite
+    assert group_closure(triple_from_weights(fam.w, j)).kind is Finiteness.INFINITE
     m, nw = (",".join(map(str, v)) for v in (fam.w.m, fam.base_weights))
     out, err = io.StringIO(), io.StringIO()
     code = cli.main(["certify", "-n", "97", "-m", m, "--nw", nw, "--oracle"], out=out, err=err)
@@ -259,7 +261,7 @@ def test_group_closure_finite_fixtures():
 
 def test_group_closure_infinite_n5():
     v = group_closure(triple_from_weights(W5, 1))
-    assert v.is_infinite
+    assert v.kind is Finiteness.INFINITE
     assert dict(v.witness)["kind"] == "infinite_order_word"
 
 
@@ -274,12 +276,23 @@ def test_group_closure_identity_triple():
         exponents=(0, 0, 0),
     )
     v = group_closure(t)
-    assert v.is_finite and v.order == 1
+    assert v.kind is Finiteness.FINITE and v.order == 1
 
 
 def test_group_closure_small_cap_inconclusive():
     v = group_closure(triple_from_weights(WeightTuple(6, (1, 1, 1, 3)), 1), cap=5)
-    assert v.is_inconclusive and v.cap == 5
+    assert v.kind is Finiteness.INCONCLUSIVE and v.cap == 5
+
+
+def test_agreement_truth_table():
+    # an INCONCLUSIVE closure gives no answer; otherwise the two kinds must be equal
+    F, I, X = Finiteness.FINITE, Finiteness.INFINITE, Finiteness.INCONCLUSIVE
+    table = {
+        (F, F): True, (F, I): False, (F, X): None,
+        (I, F): False, (I, I): True, (I, X): None,
+        (X, F): False, (X, I): False, (X, X): None,
+    }
+    assert {(c, o): agreement(c, o) for c in Finiteness for o in Finiteness} == table
 
 
 def test_infinite_order_witness_examples():
@@ -327,14 +340,14 @@ def _exact_group_closure(t, cap, max_word_len):
                 if len(word) + 1 <= max_word_len:
                     if not has_finite_order(prod, t.level):
                         witness = (("kind", "infinite_order_word"), ("word", "*".join(word + (name,))))
-                        return FinitenessVerdict(kind="INFINITE", witness=witness)
+                        return FinitenessVerdict(Finiteness.INFINITE, witness=witness)
                 elif order >= cap:
-                    return FinitenessVerdict(kind="INCONCLUSIVE", cap=cap)
+                    return FinitenessVerdict(Finiteness.INCONCLUSIVE, cap=cap)
                 order += 1
         frontier = next_frontier
     if order > cap:
-        return FinitenessVerdict(kind="INCONCLUSIVE", cap=cap)
-    return FinitenessVerdict(kind="FINITE", order=order)
+        return FinitenessVerdict(Finiteness.INCONCLUSIVE, cap=cap)
+    return FinitenessVerdict(Finiteness.FINITE, order=order)
 
 
 IRREDUCIBLE_LIMITS = [(20000, 8), (1, 8), (1, 1), (24, 3), (7, 2)]
@@ -351,7 +364,7 @@ def test_group_closure_matches_exact_walk_n_le_8():
                     verdict = group_closure(t, cap, max_len)
                     assert verdict == _exact_group_closure(t, cap, max_len), (w, j, cap, max_len)
                     kinds.add(verdict.kind)
-    assert kinds == {"FINITE", "INFINITE", "INCONCLUSIVE"}
+    assert kinds == set(Finiteness)
 
 
 def test_group_closure_matches_exact_walk_past_the_short_words():
@@ -433,7 +446,7 @@ def test_projective_orders_n_le_12():
     # the matrices depend on n, {ka, kb} and kc only, so one triple per such key
     keys = set()
     for w, j in _irreducible_instances(12):
-        if finiteness_by_signature(w, j).is_finite:
+        if finiteness_by_signature(w, j).kind is Finiteness.FINITE:
             ka, kb, kc = levelt_exponents(w, j)
             keys.add((w.n, min(ka, kb), max(ka, kb), kc))
     found = {}
@@ -441,7 +454,7 @@ def test_projective_orders_n_le_12():
         t = levelt_triple((ka, kb, kc), n)
         verdict = group_closure(t)
         pg, z = _projective_split(t)
-        assert verdict.is_finite and verdict.order == pg * z
+        assert verdict.kind is Finiteness.FINITE and verdict.order == pg * z
         assert found.setdefault((n, verdict.order), (pg, z)) == (pg, z)
     assert found == PROJECTIVE_ORDERS
     assert {pg for pg, _ in found.values()} == KLEIN_ORDERS
@@ -450,9 +463,9 @@ def test_projective_orders_n_le_12():
 @pytest.mark.parametrize("m, order", [((1, 2, 8, 4), 600), ((1, 2, 4, 8), 1800)])
 def test_icosahedral_closures_n15(m, order):
     w = WeightTuple(15, m)
-    assert finiteness_by_signature(w, 1).is_finite
+    assert finiteness_by_signature(w, 1).kind is Finiteness.FINITE
     t = triple_from_weights(w, 1)
-    assert group_closure(t) == FinitenessVerdict(kind="FINITE", order=order)
+    assert group_closure(t) == FinitenessVerdict(Finiteness.FINITE, order=order)
     assert _projective_split(t) == (60, order // 60)
 
 
@@ -727,8 +740,7 @@ def test_criterion_oracle_equivalence_small(n):
                 continue
             criterion = finiteness_by_signature(w, j)
             oracle = group_closure(t)
-            assert not oracle.is_inconclusive
-            assert criterion.kind == oracle.kind
+            assert agreement(criterion.kind, oracle.kind) is True
 
 
 def test_sweep_asks_the_oracle_about_every_character(monkeypatch):
