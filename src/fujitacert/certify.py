@@ -8,10 +8,10 @@ splitting bookkeeping, irreducibility of all characters, and an explicit
 unit conjugate carrying an indefinite form, which forces the flat summand's
 monodromy to be infinite.  A family with all of these is a counterexample
 to the semiampleness question; anything less is NOT_CERTIFIED with a reason.
-The splitting's entries are the per-character EigenspaceReports; it and the
-Shimura count each read one sigma_table pass, which checks every character's
-sigma on the way.  Enumeration yields certificates one at a time, in
-increasing family order.
+The splitting stores the sigma table and derives its per-character
+EigenspaceReports on request; it and the Shimura count each read one
+sigma_table pass, which checks every character's sigma on the way.
+Enumeration yields certificates one at a time, in increasing family order.
 """
 
 from __future__ import annotations
@@ -68,29 +68,31 @@ CERTIFICATE_PROSE = (
 
 @dataclass(frozen=True)
 class SplittingReport:
-    """Rank bookkeeping of V = sum of V_j over nontrivial characters; dim V_j = dim_h10."""
+    """Rank bookkeeping of V = sum of V_j; sigmas[j - 1] is sigma_j (0 if degenerate), dim V_j = dim_h10."""
 
-    entries: tuple[EigenspaceReport, ...]
+    sigmas: tuple[int, ...]
     rank_V: int
     rank_flat: int
     rank_ample_candidate: int
     deg_V: int | None
     has_degenerate: bool
 
+    @property
+    def entries(self) -> tuple[EigenspaceReport, ...]:
+        return tuple(character_reports(self.sigmas, len(self.sigmas) + 1))
+
 
 def splitting(w: WeightTuple) -> SplittingReport:
-    """Per-character reports with rank totals, read off one sigma_table pass.
+    """The sigma table with rank totals, from one sigma_table pass, which checks every sigma.
 
-    sigma_table checks every character's sigma.  Degenerate characters are
-    carried as flagged entries; downstream certification fails closed on
-    them rather than skipping.
+    A degenerate character is carried as sigma 0; certification fails closed on it.
     """
     n = w.n
     table = sigma_table(w)
     ample, flat = table.count(2 * n), table.count(3 * n)
     deg_v = (n * n - 1) // 12 if (n * n - 1) % 12 == 0 else None
     return SplittingReport(
-        entries=tuple(character_reports(table, n)),
+        sigmas=tuple(table),
         rank_V=ample + 2 * flat,  # dim V_j is 1 at an ample candidate and 2 at a flat character
         rank_flat=2 * flat,
         rank_ample_candidate=ample,

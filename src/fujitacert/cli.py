@@ -25,12 +25,11 @@ from .certify import (
     shimura_count,
 )
 from .eigenspace import (
-    DegenerateCharacterError,
     ResidueWeights,
     WeightTuple,
     eigenspace_entry,
-    eigenspace_table,
     mu,
+    sigma_table,
     signature as eigen_signature,
 )
 from .monodromy import (
@@ -151,33 +150,19 @@ def cmd_analyze(args, out) -> int:
         j = args.j % n
         if j == 0:
             raise CliInputError("character index j must be nonzero mod n")
-        mu_values = []
-        for i in range(4):
-            try:
-                mu_values.append(mu(w, i, j))
-            except DegenerateCharacterError:
-                mu_values.append(None)
-        rows = [records.eigenspace_report_dict(eigenspace_entry(w, j), mu_values)]
+        mu_values = [mu(w, i, j) if m * j % n else None for i, m in enumerate(w.m)]  # None where degenerate
+        report = eigenspace_entry(w, j)
+        sigmas = [report.sigma]
+        rows = [records.eigenspace_report_dict(report, mu_values)]
     else:
-        rows = [records.eigenspace_report_dict(rep) for rep in eigenspace_table(w)]
-    live = [r for r in rows if not r["degenerate"]]
-    checks = [
-        check(
-            "sigma_in_range",
-            all(r["sigma"] in (n, 2 * n, 3 * n) for r in live),
-            "sigma values lie in {n, 2n, 3n}",
-        )
-    ]
+        sigmas = sigma_table(w)
+        rows = records.character_rows(sigmas, records.eigenspace_report_dict)
+    checks = [check("sigma_in_range", {0, n, 2 * n, 3 * n}.issuperset(sigmas), "sigma values lie in {n, 2n, 3n}")]
     if args.j is None:
-        complementary = all(
-            rows[j - 1]["degenerate"]
-            or rows[n - j - 1]["degenerate"]
-            or rows[j - 1]["sigma"] + rows[n - j - 1]["sigma"] == 4 * n
-            for j in range(1, n)
-        )
+        complementary = all(a == 0 or b == 0 or a + b == 4 * n for a, b in zip(sigmas, reversed(sigmas)))  # 0: degenerate
         checks.append(check("complementary_characters", complementary, "sigma_j + sigma_{n-j} = 4n"))
         if w.all_units():
-            total = sum(r["dim_h10"] for r in rows)
+            total = sum(sigmas) // n - (n - 1)  # dim_h10 = sigma / n - 1 at every character
             checks.append(check("h10_total", total == n - 1, f"sum of dim_h10 = {total}, want n-1"))
     result = {"n": n, "m": list(w.m), "table": rows}
     out.write(dumps_record(output_record("analyze", inputs, result, checks)))

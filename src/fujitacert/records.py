@@ -5,7 +5,9 @@ of the parsed inputs, a command-specific result payload, and a list of
 named checks.  Exact rationals are serialized as "p/q" strings in lowest
 terms with positive denominator, never floats; the slope additionally gets
 a 6-place decimal string for readability.  Field order is fixed so output
-is byte-identical across runs.
+is byte-identical across runs.  Per-character rows (splitting entries, the
+analyze table) are encoded from the sigma table, the text after "j" once
+per sigma class and n; dumps_record splices them into the rest.
 """
 
 from __future__ import annotations
@@ -13,11 +15,13 @@ from __future__ import annotations
 import dataclasses
 import json
 from fractions import Fraction
+from functools import cache
 
 from .certify import Certificate, SplittingReport
 from .cyclotomic import CyclotomicNumber
-from .eigenspace import EigenspaceReport
+from .eigenspace import EigenspaceReport, hodge_rows
 from .monodromy import FinitenessVerdict, Mat
+from .residues import InternalInconsistencyError
 from .surfaces import SurfaceInvariants
 from .sweep import SweepSummary
 
@@ -51,8 +55,45 @@ def output_record(command: str, inputs: dict, result, checks: list[dict]) -> dic
     }
 
 
+@dataclasses.dataclass(frozen=True)
+class CharacterRows:
+    """The JSON text of a list of per-character rows, spliced in by dumps_record."""
+
+    text: str
+
+
+_PLACEHOLDER = "\0rows\0"  # written where a CharacterRows goes, until its text is spliced in
+_PLACEHOLDER_JSON = json.dumps(_PLACEHOLDER)
+
+
 def dumps_record(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=False) + "\n"
+    """One JSON line; TypeError on any value JSON cannot encode other than CharacterRows."""
+    texts = []
+
+    def splice(obj):
+        if type(obj) is not CharacterRows:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        texts.append(obj.text)
+        return _PLACEHOLDER
+
+    head, *rest = (json.dumps(record, ensure_ascii=False, default=splice) + "\n").split(_PLACEHOLDER_JSON)
+    if len(rest) != len(texts):
+        raise InternalInconsistencyError("a record string spells the rows placeholder")
+    return head + "".join(text + after for text, after in zip(texts, rest))
+
+
+@cache
+def _row_tails(n: int, row_dict) -> dict[int, str]:
+    """sigma -> the JSON text of row_dict's row after its leading "j" key, once per n."""
+    rows = {s: row_dict(EigenspaceReport(0, *fields)) for s, fields in hodge_rows(n).items()}
+    return {s: json.dumps(row, ensure_ascii=False).partition(", ")[2] for s, row in rows.items()}
+
+
+def character_rows(table, row_dict) -> CharacterRows:
+    """The rows row_dict gives characters j = 1 .. n-1, encoded from their sigma_table entries."""
+    tails = _row_tails(len(table) + 1, row_dict)
+    rows = [f'{{"j": {j}, {tails[s]}' for j, s in enumerate(table, 1)]
+    return CharacterRows(f"[{', '.join(rows)}]")
 
 
 # ---------------------------------------------------------------------------
@@ -91,17 +132,18 @@ def invariants_dict(inv: SurfaceInvariants) -> dict:
     }
 
 
+def splitting_row_dict(e: EigenspaceReport) -> dict:
+    return {
+        "j": e.j,
+        "dim_Vj": e.dim_h10 or 0,  # None for a degenerate character
+        "split_class": e.split_class.value if e.split_class else None,
+        "degenerate": e.degenerate,
+    }
+
+
 def splitting_dict(split: SplittingReport) -> dict:
     return {
-        "entries": [
-            {
-                "j": e.j,
-                "dim_Vj": e.dim_h10 or 0,  # None for a degenerate character
-                "split_class": e.split_class.value if e.split_class else None,
-                "degenerate": e.degenerate,
-            }
-            for e in split.entries
-        ],
+        "entries": character_rows(split.sigmas, splitting_row_dict),
         "rank_V": split.rank_V,
         "rank_flat": split.rank_flat,
         "rank_ample_candidate": split.rank_ample_candidate,

@@ -11,7 +11,6 @@ from fujitacert import records
 from fujitacert.certify import (
     CERTIFICATE_PROSE,
     EnumerationMode,
-    SplittingReport,
     certify,
     enumerate_families,
     shimura_count,
@@ -27,7 +26,7 @@ from fujitacert.eigenspace import (
     sigma_sum,
 )
 from fujitacert.monodromy import Finiteness, finiteness_by_signature, is_irreducible
-from fujitacert.residues import NonUnitError, units
+from fujitacert.residues import NonUnitError, is_unit, units
 from fujitacert.surfaces import SmoothnessReport, family, standard_family
 
 # the module itself: the package re-exports a function named certify
@@ -86,6 +85,13 @@ def test_irreducible_all_is_all_units():
             assert all(gcd(m, n) == 1 for m in w.m) == all(is_irreducible(w, j) for j in range(1, n)), w
 
 
+def test_has_degenerate_is_not_all_units():
+    # so certify stops every non-unit m_i at its degenerate gate, and the irreducible_all gate after it never fails
+    for n in range(4, 41):
+        for w in iter_weight_tuples(n):
+            assert splitting(w).has_degenerate is not all(is_unit(m, n) for m in w.m), w
+
+
 def _splitting_reference(w):
     # the per-character loop splitting ran before sigma_table, one eigenspace_report per j
     entries, rank_v, flat, ample, degenerate = [], 0, 0, 0, False
@@ -102,7 +108,7 @@ def _splitting_reference(w):
         ample += report.split_class is SplitClass.AMPLE_CANDIDATE
     n = w.n
     deg_v = (n * n - 1) // 12 if (n * n - 1) % 12 == 0 else None
-    return SplittingReport(tuple(entries), rank_v, 2 * flat, ample, deg_v, degenerate)
+    return tuple(entries), (rank_v, 2 * flat, ample, deg_v, degenerate)
 
 
 def _shimura_reference(w):
@@ -121,8 +127,11 @@ def test_splitting_matches_per_character_reference():
     degenerate = 0
     for w in weights:
         split = splitting(w)
-        assert split == _splitting_reference(w), w
+        entries, totals = _splitting_reference(w)
+        assert split.entries == entries, w
+        assert (split.rank_V, split.rank_flat, split.rank_ample_candidate, split.deg_V, split.has_degenerate) == totals, w
         assert all(type(e) is EigenspaceReport for e in split.entries)
+        assert type(split.sigmas) is tuple and all(type(s) is int for s in split.sigmas)
         degenerate += split.has_degenerate
     assert degenerate > 0
 
@@ -380,7 +389,8 @@ def test_certify_gate_records_pinned(monkeypatch, case):
     assert record["not_certified_reason"] == reason
     assert record["admissible"] is not case.startswith("inadmissible")
     assert [key for key, value in record.items() if value is None] == none_keys
-    assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == digest
+    text = json.dumps(json.loads(records.dumps_record(record)))  # the splitting's rows are pre-encoded text
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_certify_oracle_inconclusive_has_no_agreement():

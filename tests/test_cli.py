@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from fujitacert import cli, cyclotomic, monodromy, records
-from fujitacert.eigenspace import iter_weight_tuples
+from fujitacert.eigenspace import ResidueWeights, WeightTuple, eigenspace_table, iter_weight_tuples, sigma_table
 from fujitacert.monodromy import Finiteness, FinitenessVerdict
 from fujitacert.residues import InternalInconsistencyError
 from fujitacert.sweep import SweepSummary
@@ -667,9 +668,78 @@ def test_records_roundtrip():
         assert out.endswith("\n")
 
 
-def test_rational_and_decimal_strings():
-    from fractions import Fraction
+def _splitting_rows_reference(w):
+    # the row dicts the splitting's entries were written as before their rows were encoded from sigma
+    return [
+        {
+            "j": e.j,
+            "dim_Vj": e.dim_h10 or 0,
+            "split_class": e.split_class.value if e.split_class else None,
+            "degenerate": e.degenerate,
+        }
+        for e in eigenspace_table(w)
+    ]
 
+
+def _analyze_rows_reference(w):
+    # the row dicts analyze wrote for its table before its rows were encoded from sigma
+    return [
+        {
+            "j": e.j,
+            "degenerate": e.degenerate,
+            "sigma": e.sigma if not e.degenerate else None,
+            "dim_h10": e.dim_h10,
+            "dim_h01": e.dim_h01,
+            "signature": [e.dim_h10, e.dim_h01] if not e.degenerate else None,
+            "split_class": e.split_class.value if e.split_class else None,
+        }
+        for e in eigenspace_table(w)
+    ]
+
+
+ENCODER_WEIGHTS = [w for n in range(4, 14) for w in iter_weight_tuples(n)] + [
+    ResidueWeights(12, (1, 2, 3, 6)),
+    ResidueWeights(12, (3, 4, 6, 11)),
+    ResidueWeights(6, (0, 1, 2, 3)),
+    ResidueWeights(8, (4, 4, 3, 5)),
+    WeightTuple(1000, (1, 2, 3, 994)),
+    WeightTuple(1009, (1, 1, 1, 1006)),
+    WeightTuple(1009, (2, 3, 5, 999)),
+    WeightTuple(10007, (1, 1, 1, 10004)),
+]
+
+
+@pytest.mark.parametrize(
+    "row_dict, reference",
+    [(records.splitting_row_dict, _splitting_rows_reference), (records.eigenspace_report_dict, _analyze_rows_reference)],
+)
+def test_character_rows_match_row_dicts(row_dict, reference):
+    degenerate = 0
+    for w in ENCODER_WEIGHTS:
+        table = sigma_table(w)
+        rows = records.character_rows(table, row_dict)
+        expected = reference(w)
+        assert rows.text == json.dumps(expected, ensure_ascii=False), w
+        record = {"n": w.n, "table": rows, "after": [rows, None]}
+        assert records.dumps_record(record) == json.dumps({"n": w.n, "table": expected, "after": [expected, None]}, ensure_ascii=False) + "\n"
+        degenerate += 0 in table
+    assert degenerate > 0
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, Fraction(1, 2), Finiteness, records.CharacterRows])
+def test_dumps_record_rejects_other_objects(value):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        records.dumps_record({"rows": records.character_rows([4, 8, 12], records.splitting_row_dict), "x": value})
+
+
+def test_dumps_record_refuses_a_string_spelling_the_rows_placeholder():
+    rows = records.character_rows([4, 8, 12], records.splitting_row_dict)
+    for record in ({"s": "\0rows\0"}, {"s": "\0rows\0", "rows": rows}):
+        with pytest.raises(InternalInconsistencyError):
+            records.dumps_record(record)
+
+
+def test_rational_and_decimal_strings():
     assert records.rational_str(Fraction(45, 15)) == "3/1"
     assert records.rational_str(Fraction(-4, 6)) == "-2/3"
     assert records.decimal_str(Fraction(5, 2)) == "2.500000"
