@@ -3,8 +3,10 @@
 Elements are stored in the power basis 1, x, ..., x^(phi(N)-1) modulo the
 N-th cyclotomic polynomial, as an integer coefficient vector with a single
 positive common denominator.  This gives canonical forms (equality is
-coefficient-wise), exact multiplication in O(phi(N)^2) integer operations,
-and cheap hashing, which is what the matrix-group closure leans on.
+coefficient-wise) and cheap hashing, which is what the matrix-group closure
+leans on.  One kernel, sum_of_products, forms a_1*b_1 + ... + a_k*b_k in
+O(k*phi(N)^2) integer operations: a sum of products is folded and normalized
+once, and a product is its one-pair case.
 
 All arithmetic stays in integers.  The one field inverse is a norm quotient:
 the product of the other Galois conjugates of the numerator over its rational
@@ -90,16 +92,14 @@ def _level_context(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def _reduce_exponents(n: int, raw: list[int]) -> list[int]:
-    """Fold coefficients at exponents >= phi(n) back into the power basis."""
+    """Fold coefficients at exponents >= phi(n) back into the power basis; len(raw) >= phi(n)."""
     deg, rows = _level_context(n)
-    out = raw[:deg] + [0] * max(0, deg - len(raw))
-    for e in range(deg, len(raw)):
-        c = raw[e]
+    out = raw[:deg]
+    for row, c in zip(rows, raw[deg:]):
         if c:
-            row = rows[e - deg]
-            for i in range(deg):
-                if row[i]:
-                    out[i] += c * row[i]
+            for i, r in enumerate(row):
+                if r:
+                    out[i] += c * r
     return out
 
 
@@ -108,13 +108,13 @@ class CyclotomicNumber:
 
     __slots__ = ("level", "num", "den", "_hash")
 
-    def __init__(self, level: int, num: tuple[int, ...], den: int = 1, _normalized: bool = False):
+    def __init__(self, level: int, num: tuple[int, ...], den: int = 1):
         deg, _ = _level_context(level)
         if len(num) != deg:
             raise ValueError(f"need {deg} coefficients for level {level}, got {len(num)}")
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        if not _normalized and den != 1:
+        if den != 1:
             if den < 0:
                 num = tuple(-c for c in num)
                 den = -den
@@ -137,13 +137,11 @@ class CyclotomicNumber:
 
     @classmethod
     def zero(cls, level: int) -> CyclotomicNumber:
-        deg, _ = _level_context(level)
-        return cls(level, (0,) * deg, 1, _normalized=True)
+        return _element(level, (0,) * _level_context(level)[0], 1)
 
     @classmethod
     def one(cls, level: int) -> CyclotomicNumber:
-        deg, _ = _level_context(level)
-        return cls(level, (1,) + (0,) * (deg - 1), 1, _normalized=True)
+        return _element(level, (1,) + (0,) * (_level_context(level)[0] - 1), 1)
 
     # -- canonical form / comparisons ----------------------------------
 
@@ -193,7 +191,7 @@ class CyclotomicNumber:
     __radd__ = __add__
 
     def __neg__(self) -> CyclotomicNumber:
-        return CyclotomicNumber(self.level, tuple(-c for c in self.num), self.den, _normalized=True)
+        return _element(self.level, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other) -> CyclotomicNumber:
         o = self._coerce(other)
@@ -208,16 +206,7 @@ class CyclotomicNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.num, o.num
-        conv = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for k, bk in enumerate(b):
-                    if bk:
-                        conv[i + k] += ai * bk
-        return CyclotomicNumber(
-            self.level, tuple(_reduce_exponents(self.level, conv)), self.den * o.den
-        )
+        return sum_of_products((self, o))
 
     __rmul__ = __mul__
 
@@ -332,11 +321,46 @@ class CyclotomicNumber:
     def complex_value(self, h: int = 1) -> complex:
         """Float value at the embedding zeta -> exp(2*pi*i*h/N)."""
         n = self.level
-        total = 0j
-        for i, c in enumerate(self.num):
+        table = _embedding_table(n)
+        return sum((c * table[(i * h) % n] for i, c in enumerate(self.num) if c), 0j) / self.den
+
+
+@lru_cache(maxsize=None)
+def _embedding_table(n: int) -> tuple[complex, ...]:
+    """exp(2*pi*i*k/n) for k in [0, n), the values complex_value sums, each computed once."""
+    return tuple(cmath.exp(2j * cmath.pi * k / n) for k in range(n))
+
+
+def _element(level: int, num: tuple[int, ...], den: int) -> CyclotomicNumber:
+    """The element num/den, trusted canonical: phi(level) coefficients, den > 0, gcd(den, num) = 1."""
+    x = object.__new__(CyclotomicNumber)
+    x.level, x.num, x.den, x._hash = level, num, den, None
+    return x
+
+
+def sum_of_products(*pairs: tuple[CyclotomicNumber, CyclotomicNumber]) -> CyclotomicNumber:
+    """a_1*b_1 + ... + a_k*b_k for pairs (a_i, b_i) at one level (Cohen, GTM 138, 4.3).
+
+    Every pair's numerators are convolved into one integer buffer at the common
+    denominator D, the exponents >= phi(N) are folded once by the _level_context
+    rows, and D is normalized once; at D = 1 the result is built unchecked.
+    """
+    level, den = pairs[0][0].level, 1
+    for a, b in pairs:
+        if a.level != level or b.level != level:
+            raise ValueError("mixed cyclotomic levels")
+        den = lcm(den, a.den * b.den)
+    conv = [0] * (2 * len(pairs[0][0].num) - 1)
+    for a, b in pairs:
+        scale = den // (a.den * b.den)
+        for i, c in enumerate(a.num):
             if c:
-                total += c * cmath.exp(2j * cmath.pi * ((i * h) % n) / n)
-        return total / self.den
+                c *= scale
+                for k, e in enumerate(b.num, i):
+                    if e:
+                        conv[k] += c * e
+    num = tuple(_reduce_exponents(level, conv))
+    return _element(level, num, 1) if den == 1 else CyclotomicNumber(level, num, den)
 
 
 def roots_of_unity_order(level: int) -> int:
@@ -358,14 +382,11 @@ def float_error_bound(x: CyclotomicNumber) -> float:
 
 def zeta(level: int, k: int = 1) -> CyclotomicNumber:
     """The root of unity zeta_N^k as a field element."""
-    n = level
-    k %= n
-    deg, rows = _level_context(n)
+    k %= level
+    deg, rows = _level_context(level)
     if k < deg:
-        num = [0] * deg
-        num[k] = 1
-        return CyclotomicNumber(n, tuple(num), 1, _normalized=True)
-    return CyclotomicNumber(n, rows[k - deg], 1)
+        return _element(level, tuple(int(i == k) for i in range(deg)), 1)
+    return _element(level, rows[k - deg], 1)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import enum
 from dataclasses import dataclass
 from math import gcd
 
-from .cyclotomic import CyclotomicNumber, float_error_bound, real_sign, roots_of_unity_order, zeta
+from .cyclotomic import CyclotomicNumber, float_error_bound, real_sign, roots_of_unity_order, sum_of_products, zeta
 from .eigenspace import WeightTuple, sigma_sum
 from .residues import InternalInconsistencyError, NonUnitError, inverse_mod, units
 
@@ -156,8 +156,8 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     (a00, a01), (a10, a11) = a
     (b00, b01), (b10, b11) = b
     return (
-        (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
-        (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11),
+        (sum_of_products((a00, b00), (a01, b10)), sum_of_products((a00, b01), (a01, b11))),
+        (sum_of_products((a10, b00), (a11, b10)), sum_of_products((a10, b01), (a11, b11))),
     )
 
 
@@ -166,7 +166,7 @@ def mat_trace(a: Mat) -> CyclotomicNumber:
 
 
 def mat_det(a: Mat) -> CyclotomicNumber:
-    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    return sum_of_products((a[0][0], a[1][1]), (-a[0][1], a[1][0]))
 
 
 def mat_conj_transpose(a: Mat) -> Mat:
@@ -262,7 +262,7 @@ def _is_root_of_unity(x: CyclotomicNumber) -> bool:
     The power basis is an integral basis of Z[zeta_N], so integrality is
     den == 1; x*conj(x) = 1 in the field holds at every embedding at once.
     """
-    return x.den == 1 and x * x.conjugate() == CyclotomicNumber.one(x.level)
+    return x.den == 1 and sum_of_products((x, x.conjugate())) == CyclotomicNumber.one(x.level)
 
 
 def has_finite_order(m: Mat, level: int) -> bool:
@@ -441,8 +441,12 @@ def has_common_eigenvector(t: MonodromyTriple) -> bool:
     Q(zeta_n); ginf = (g0*g1)^-1 shares it.  Only the matrices are read, never
     the weight criterion.
     """
-    gh, hg = mat_mul(t.g0, t.g1), mat_mul(t.g1, t.g0)
-    commutator = tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(gh, hg))
+    g, h = t.g0, t.g1
+    commutator = [  # g*h - h*g, each entry one sum of four products
+        [sum_of_products((g[r][0], h[0][c]), (g[r][1], h[1][c]), (-h[r][0], g[0][c]), (-h[r][1], g[1][c]))
+         for c in (0, 1)]
+        for r in (0, 1)
+    ]
     return mat_det(commutator).is_zero()
 
 
@@ -470,8 +474,8 @@ def _kernel_of_system(rows: list[list[CyclotomicNumber]], ncols: int, level: int
         matrix[r] = [c * inv for c in matrix[r]]
         for i in range(len(matrix)):
             if i != r and not matrix[i][col].is_zero():
-                factor = matrix[i][col]
-                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[r])]
+                minus_factor = -matrix[i][col]
+                matrix[i] = [sum_of_products((one, a), (minus_factor, b)) for a, b in zip(matrix[i], matrix[r])]
         pivots.append(col)
         r += 1
     free = [c for c in range(ncols) if c not in pivots]
@@ -499,20 +503,16 @@ def invariant_hermitian_form(t: MonodromyTriple) -> tuple[Mat, tuple[int, int]]:
     against the eigenspace signature is a real test.
     """
     level = t.level
-    # unknowns (m00, m01, m10, m11); invariance under g0 and g1 implies ginf
-    rows: list[list[CyclotomicNumber]] = []
-    for g in (t.g0, t.g1):
-        gc = mat_conj_transpose(g)
-        for r in range(2):
-            for c in range(2):
-                row = []
-                for k in range(2):
-                    for l in range(2):
-                        coeff = gc[r][k] * g[l][c]
-                        if k == r and l == c:
-                            coeff = coeff - CyclotomicNumber.one(level)
-                        row.append(coeff)
-                rows.append(row)
+    # unknowns (m00, m01, m10, m11); invariance under g0 and g1 implies ginf.  Equation (r, c) of
+    # g* M g - I M I = 0, g* = gbar^T, gives m_kl the coefficient g*[r][k]*g[l][c] - I[r][k]*I[l][c].
+    eye = mat_identity(level)
+    minus_eye = tuple(tuple(-x for x in row) for row in eye)
+    rows = [
+        [sum_of_products((gc[r][k], g[l][c]), (minus_eye[r][k], eye[l][c])) for k in (0, 1) for l in (0, 1)]
+        for g, gc in ((g, mat_conj_transpose(g)) for g in (t.g0, t.g1))
+        for r in (0, 1)
+        for c in (0, 1)
+    ]
     basis = _kernel_of_system(rows, 4, level)
     if len(basis) != 1:
         raise ReducibleNoUniqueFormError(
@@ -545,8 +545,7 @@ def invariant_hermitian_form(t: MonodromyTriple) -> tuple[Mat, tuple[int, int]]:
 
 
 def _hermitian_signature(m: Mat) -> tuple[int, int]:
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    s_det = real_sign(det)
+    s_det = real_sign(mat_det(m))
     if s_det > 0:
         return (2, 0) if real_sign(m[0][0]) > 0 else (0, 2)
     if s_det < 0:

@@ -1,3 +1,4 @@
+import cmath
 import io
 import random
 from fractions import Fraction
@@ -13,8 +14,10 @@ from fujitacert.cyclotomic import (
     NonRealElementError,
     cyclotomic_polynomial,
     real_sign,
+    sum_of_products,
     zeta,
 )
+from fujitacert.monodromy import mat_det, mat_mul
 from fujitacert.residues import InternalInconsistencyError, euler_phi, units
 
 LEVELS = st.integers(min_value=2, max_value=13)
@@ -89,6 +92,82 @@ def test_ring_axioms(data):
     assert (x + y) + z == x + (y + z)
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
+
+
+def _reference(level, pairs):
+    """sum a*b over the pairs: schoolbook Fraction products, then long division modulo Phi_level."""
+    phi = cyclotomic_polynomial(level)
+    deg = len(phi) - 1
+    total = [Fraction(0)] * (2 * deg - 1)
+    for a, b in pairs:
+        bs = [(k, y) for k, y in enumerate(b.coefficients()) if y]
+        for i, x in enumerate(a.coefficients()):
+            for k, y in bs:
+                total[i + k] += x * y
+    terms = [(i, p) for i, p in enumerate(phi) if p]
+    for top in range(len(total) - 1, deg - 1, -1):  # Phi_level is monic
+        q = total[top]
+        for i, p in terms:
+            total[top - deg + i] -= q * p
+    assert not any(total[deg:])
+    return tuple(total[:deg])
+
+
+@st.composite
+def sparse_elements(draw, level):
+    """Small coefficients, about half of them zero, over denominators 1..12 (so zero elements occur)."""
+    coefficient = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9))
+    nums = draw(st.lists(coefficient, min_size=euler_phi(level), max_size=euler_phi(level)))
+    return CyclotomicNumber(level, tuple(nums), draw(st.integers(min_value=1, max_value=12)))
+
+
+@st.composite
+def level_and_sparse_elements(draw, count):
+    level = draw(st.integers(min_value=1, max_value=101))
+    return level, [draw(sparse_elements(level)) for _ in range(count)]
+
+
+def _assert_canonical(x, level):
+    assert len(x.num) == euler_phi(level) and x.den > 0 and gcd(x.den, *x.num) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(level_and_sparse_elements(6))
+def test_sum_of_products_matches_schoolbook_reference(data):
+    level, (a, b, c, d, e, f) = data
+    for pairs in ([(a, b)], [(a, b), (c, d)], [(a, b), (c, d), (e, f)]):
+        got = sum_of_products(*pairs)
+        _assert_canonical(got, level)
+        assert got.coefficients() == _reference(level, pairs)
+    assert (a * b).coefficients() == _reference(level, [(a, b)])
+    assert a * b == sum_of_products((a, b)) == sum_of_products((b, a))
+
+
+@settings(max_examples=25, deadline=None)
+@given(level_and_sparse_elements(8))
+def test_mat_mul_and_mat_det_match_entrywise_reference(data):
+    level, xs = data
+    a, b = ((xs[0], xs[1]), (xs[2], xs[3])), ((xs[4], xs[5]), (xs[6], xs[7]))
+    prod = mat_mul(a, b)
+    for i in range(2):
+        for j in range(2):
+            _assert_canonical(prod[i][j], level)
+            assert prod[i][j].coefficients() == _reference(level, [(a[i][0], b[0][j]), (a[i][1], b[1][j])])
+    diagonal, anti = _reference(level, [(a[0][0], a[1][1])]), _reference(level, [(a[0][1], a[1][0])])
+    assert mat_det(a).coefficients() == tuple(p - q for p, q in zip(diagonal, anti))
+
+
+def test_sum_of_products_rejects_mixed_levels():
+    with pytest.raises(ValueError, match="mixed cyclotomic levels"):
+        sum_of_products((zeta(5), zeta(5)), (zeta(5), zeta(10)))
+
+
+@pytest.mark.parametrize("n", list(range(3, 14)) + [25, 97])
+def test_embedding_table_is_cmath_exp(n):
+    table = cyclotomic._embedding_table(n)
+    assert len(table) == n
+    for k, value in enumerate(table):
+        assert value == cmath.exp(2j * cmath.pi * k / n)
 
 
 @settings(max_examples=40)
