@@ -18,9 +18,11 @@ zeta = exp(2*pi*i/N) that decides whenever it lies outside a rigorous error
 band around zero, and only inside that band mpmath.iv interval evaluation at
 rising precision until the interval excludes zero.
 
-The roots of unity in Q(zeta_n) form mu_N, N = 2n for odd n and n otherwise;
-mu_orbit_exponent names one canonical element of each mu_N-orbit, the key
-the monodromy closure uses to walk its group modulo root-of-unity scalars.
+The roots of unity in Q(zeta_n) form mu_N = {+-zeta_n^k}, N = 2n for odd n and
+n otherwise (Washington, Ex. 2.3); root_of_unity_exponent finds u with x = zeta_N^u
+by lookup, of a single +-1 coefficient or +- a folded row of _level_context.
+mu_orbit_exponent names one canonical element of each mu_N-orbit, the key the
+monodromy closure uses to walk its group modulo root-of-unity scalars.
 """
 
 from __future__ import annotations
@@ -291,6 +293,22 @@ class CyclotomicNumber:
         image = self.mul_zeta_power(u * (n + 1) // 2)
         return -image if u % 2 else image
 
+    def root_of_unity_exponent(self) -> int | None:
+        """The u in [0, N) with self = zeta_N^u (zeta_N as in mul_root_of_unity), or None.
+
+        Complete, as mu(Q(zeta_n)) = mu_N = {+-zeta_n^k : k < n}: zeta_n^k is the k-th basis
+        vector below phi(n) and a _power_rows key above; zeta_n = zeta_N^(N/n), -1 = zeta_N^(N/2).
+        """
+        if self.den != 1:
+            return None
+        n, count = self.level, roots_of_unity_order(self.level)
+        for num, sign in ((self.num, 0), (tuple(-c for c in self.num), count // 2)):
+            single = num.count(0) == len(num) - 1  # one nonzero coefficient: a root of unity iff it is +-1
+            k = (num.index(1) if 1 in num else None) if single else _power_rows(n).get(num)
+            if k is not None:
+                return (k * (count // n) + sign) % count
+        return None
+
     def mu_orbit_exponent(self) -> int:
         """The u in [0, N) with zeta_N^u * self the least of the N multiples of self by mu_N.
 
@@ -320,15 +338,27 @@ class CyclotomicNumber:
 
     def complex_value(self, h: int = 1) -> complex:
         """Float value at the embedding zeta -> exp(2*pi*i*h/N)."""
-        n = self.level
-        table = _embedding_table(n)
-        return sum((c * table[(i * h) % n] for i, c in enumerate(self.num) if c), 0j) / self.den
+        return next(self.complex_values((h,)))
+
+    def complex_values(self, hs):
+        """complex_value(h) for each h in hs, lazily; the nonzero terms are found once."""
+        n, table = self.level, _embedding_table(self.level)
+        terms = [(i, c) for i, c in enumerate(self.num) if c]
+        for h in hs:
+            yield sum((c * table[(i * h) % n] for i, c in terms), 0j) / self.den
 
 
 @lru_cache(maxsize=None)
 def _embedding_table(n: int) -> tuple[complex, ...]:
     """exp(2*pi*i*k/n) for k in [0, n), the values complex_value sums, each computed once."""
     return tuple(cmath.exp(2j * cmath.pi * k / n) for k in range(n))
+
+
+@lru_cache(maxsize=None)
+def _power_rows(n: int) -> dict[tuple[int, ...], int]:
+    """{row of x^k: k} over phi(n) <= k < n, keyed by the _level_context rows themselves."""
+    deg, rows = _level_context(n)
+    return {row: deg + e for e, row in enumerate(rows[: n - deg])}
 
 
 def _element(level: int, num: tuple[int, ...], den: int) -> CyclotomicNumber:

@@ -14,8 +14,9 @@ Two independent routes decide (ir)reducibility and (in)finiteness:
   as |G/Z| * |Z|; Kronecker's theorem tests each element for finite order),
   and an exactly solved invariant Hermitian form.
 
-The oracle divides only at the pivots of the form's kernel solve, by the
-integer norm quotient of CyclotomicNumber.inverse: companion inverses are
+The oracle divides only at the pivots of the form's kernel solve: by a
+root-of-unity shift where a candidate pivot is a root of unity, else by the
+integer norm quotient of CyclotomicNumber.inverse.  Companion inverses are
 closed forms, walk inverses are products via g0*g1*ginf = 1, and the form
 is X + X*.
 
@@ -27,7 +28,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import gcd
+from itertools import repeat
+from math import gcd, inf
 
 from .cyclotomic import CyclotomicNumber, float_error_bound, real_sign, roots_of_unity_order, sum_of_products, zeta
 from .eigenspace import WeightTuple, sigma_sum
@@ -181,12 +183,6 @@ def mat_is_identity(a: Mat) -> bool:
     return a == mat_identity(level)
 
 
-def _scalar_of(a: Mat) -> CyclotomicNumber | None:
-    if a[0][1].is_zero() and a[1][0].is_zero() and a[0][0] == a[1][1]:
-        return a[0][0]
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the rigid rank-2 triple
 
@@ -256,15 +252,6 @@ def triple_from_weights(w: WeightTuple, j: int) -> MonodromyTriple:
 # exact finite-order testing
 
 
-def _is_root_of_unity(x: CyclotomicNumber) -> bool:
-    """Kronecker: an algebraic integer whose conjugates all have modulus 1.
-
-    The power basis is an integral basis of Z[zeta_N], so integrality is
-    den == 1; x*conj(x) = 1 in the field holds at every embedding at once.
-    """
-    return x.den == 1 and sum_of_products((x, x.conjugate())) == CyclotomicNumber.one(x.level)
-
-
 def has_finite_order(m: Mat, level: int) -> bool:
     """Exact finite-order test for a 2x2 matrix over Q(zeta_level), by Kronecker.
 
@@ -276,28 +263,34 @@ def has_finite_order(m: Mat, level: int) -> bool:
     at every embedding at sqrt(d) times a distinct conjugate pair on the unit
     circle, so the eigenvalues are algebraic integers with all conjugates of
     modulus 1 - roots of unity - and distinct, so the matrix is semisimple.
-    |sigma_h(t)| is compared with 2 in floating point outside the rigorous
-    error band, and inside it by the exact sign of sigma_h(t*conj(t)) - 4.
+    d = zeta_N^u is found by lookup, so t = d*conj(t) is a shift of conj(t).
+    Of each pair {h, n-h} only h is tested, as sigma_{n-h}(t) = conj(sigma_h(t)).
+    |sigma_h(t)| is compared with 2 in floating point outside the rigorous error
+    band, and inside it (or past the float range) by the exact sign of the real
+    number sigma_h(t*conj(t)) - 4.
     """
-    scalar = _scalar_of(m)
-    if scalar is not None:
-        return _is_root_of_unity(scalar)
-    t = mat_trace(m)
-    if t.den != 1:
+    if m[0][1].is_zero() and m[1][0].is_zero() and m[0][0] == m[1][1]:  # a scalar
+        return m[0][0].root_of_unity_exponent() is not None
+    t, u = mat_trace(m), mat_det(m).root_of_unity_exponent()
+    if t.den != 1 or u is None:
         return False
-    d = mat_det(m)
-    if not _is_root_of_unity(d) or t != d * t.conjugate():
+    t_bar = t.conjugate()
+    if t != t_bar.mul_root_of_unity(u):
         return False
-    err = float_error_bound(t)
+    hs = [h for h in units(level) if h <= level - h]
+    try:  # a finite bound keeps every coefficient, and so every float sum, in range
+        err, values = float_error_bound(t), t.complex_values(hs)
+    except OverflowError:  # an infinite band sends every h to the exact step
+        err, values = inf, repeat(0j)
     norm = None
-    for h in units(level):
-        size = abs(t.complex_value(h))
+    for h, value in zip(hs, values):
+        size = abs(value)
         if size < 2 - err:
             continue
         if size > 2 + err:
             return False
         if norm is None:
-            norm = t * t.conjugate()
+            norm = sum_of_products((t, t_bar))
         if real_sign(norm.galois(h) - 4) >= 0:
             return False
     return True
@@ -455,38 +448,40 @@ def has_common_eigenvector(t: MonodromyTriple) -> bool:
 
 
 def _kernel_of_system(rows: list[list[CyclotomicNumber]], ncols: int, level: int):
-    """Kernel basis of a small linear system over the cyclotomic field."""
+    """Kernel basis of a small linear system over the cyclotomic field, by Gauss-Jordan reduction.
+
+    A column's pivot is its first root-of-unity candidate zeta_N^u, scaled by the shift zeta_N^-u,
+    else its first nonzero one, scaled by the norm inverse: the reduced row echelon form is unique,
+    so the choice changes neither it nor the basis read off its free columns.
+    """
     zero = CyclotomicNumber.zero(level)
     one = CyclotomicNumber.one(level)
     matrix = [row[:] for row in rows if any(not c.is_zero() for c in row)]
     pivots: list[int] = []
-    r = 0
     for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(matrix)):
-            if not matrix[i][col].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
+        r = len(pivots)
+        entries = [(matrix[i][col], i) for i in range(r, len(matrix))]
+        candidates = [(x.root_of_unity_exponent(), i) for x, i in entries if not x.is_zero()]
+        if not candidates:
             continue
+        u, pivot_row = next((c for c in candidates if c[0] is not None), candidates[0])
         matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
-        inv = matrix[r][col].inverse()
-        matrix[r] = [c * inv for c in matrix[r]]
+        if u is None:
+            inv = matrix[r][col].inverse()
+            matrix[r] = [c * inv for c in matrix[r]]
+        else:
+            matrix[r] = [c.mul_root_of_unity(-u) for c in matrix[r]]
         for i in range(len(matrix)):
             if i != r and not matrix[i][col].is_zero():
                 minus_factor = -matrix[i][col]
                 matrix[i] = [sum_of_products((one, a), (minus_factor, b)) for a, b in zip(matrix[i], matrix[r])]
         pivots.append(col)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -matrix[row_idx][fc]
-        basis.append(vec)
-    return basis
+    # one basis vector per free column fc: 1 there, minus column fc of the reduced rows at the pivots
+    return [
+        [one if c == fc else -matrix[pivots.index(c)][fc] if c in pivots else zero for c in range(ncols)]
+        for fc in range(ncols)
+        if fc not in pivots
+    ]
 
 
 def invariant_hermitian_form(t: MonodromyTriple) -> tuple[Mat, tuple[int, int]]:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -14,7 +15,14 @@ from fujitacert import cli, cyclotomic, monodromy, records
 from fujitacert.eigenspace import ResidueWeights, WeightTuple, eigenspace_table, iter_weight_tuples, sigma_table
 from fujitacert.monodromy import Finiteness, FinitenessVerdict
 from fujitacert.residues import InternalInconsistencyError
+from fujitacert.surfaces import standard_family
 from fujitacert.sweep import SweepSummary
+
+_SPEC = importlib.util.spec_from_file_location(
+    "oracle_digest", Path(__file__).resolve().parent.parent / "scripts" / "oracle_digest.py"
+)
+oracle_digest = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(oracle_digest)
 
 
 def run_cli(argv):
@@ -185,7 +193,6 @@ def _witness_check(cert):
 
 def test_certify_witness_check_rejects_each_altered_field():
     from fujitacert.certify import certify
-    from fujitacert.surfaces import standard_family
 
     cert = certify(standard_family(7))
     witness = cert.infinite_witness
@@ -496,19 +503,26 @@ ORACLE_DIGEST_N4_TO_8 = "7e6059dc420c00b6adf900cbf6847a4762b520f901b6c6f6df8be51
 
 
 def test_oracle_output_digest_pinned():
-    # exit code, stdout and stderr of every (tuple, j) call for 4 <= n <= 8;
-    # a schema_version change must re-pin this digest
+    # exit code, stdout and stderr of every (tuple, j) call for 4 <= n <= 8, by the
+    # digest of scripts/oracle_digest.py; a schema_version change must re-pin this digest
+    assert oracle_digest.oracle_digest(4, 8) == (427, ORACLE_DIGEST_N4_TO_8)
+
+
+CERTIFY_ORACLE_LEVELS = (25, 49, 77, 89, 97)
+CERTIFY_ORACLE_DIGEST = "f60388c9de2eea3f66ffb9ea0e1cb6eac3c83207ec2270e292771efd9be7de09"
+
+
+def test_certify_oracle_large_levels_digest_pinned():
+    # exit code and stdout of certify --oracle on the standard family at large levels,
+    # where the closure's finite-order tests run on n up to 97; a schema_version
+    # change must re-pin this digest
     digest = hashlib.sha256()
-    calls = 0
-    for n in range(4, 9):
-        for w in iter_weight_tuples(n):
-            m = ",".join(map(str, w.m))
-            for j in range(1, n):
-                code, out, err = run_cli(["oracle", "-n", str(n), "-m", m, "-j", str(j)])
-                digest.update(f"{code}\n{out}{err}".encode())
-                calls += 1
-    assert calls == 427
-    assert digest.hexdigest() == ORACLE_DIGEST_N4_TO_8
+    for n in CERTIFY_ORACLE_LEVELS:
+        f = standard_family(n)
+        m, nw = (",".join(map(str, v)) for v in (f.w.m, f.base_weights))
+        code, out, _ = run_cli(["certify", "-n", str(n), "-m", m, "--nw", nw, "--oracle"])
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == CERTIFY_ORACLE_DIGEST
 
 
 AFFECTED_ARGVS = [

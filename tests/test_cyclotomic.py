@@ -327,6 +327,18 @@ def test_mul_root_of_unity_is_a_power_of_a_generator():
             assert x.mul_root_of_unity(u) == x * gen ** (u % count), (level, u)
 
 
+def test_root_of_unity_exponent_finds_every_root_of_unity():
+    # mu(Q(zeta_n)) = mu_N, so every zeta_N^u is found, with its own u, and nothing else is
+    for level in [*range(3, 41), 97, 101]:
+        one, z = CyclotomicNumber.one(level), zeta(level)
+        count = cyclotomic.roots_of_unity_order(level)
+        assert [one.mul_root_of_unity(u).root_of_unity_exponent() for u in range(count)] == list(range(count))
+        non_roots = [CyclotomicNumber.zero(level), one * 2, z * 2, z + 1, z * Fraction(1, 2)]
+        if level == 3:  # 1 + zeta_3 = -zeta_3^2, the generator zeta_6 of mu_6
+            assert non_roots.pop(3).root_of_unity_exponent() == 1
+        assert [x.root_of_unity_exponent() for x in non_roots] == [None] * len(non_roots), level
+
+
 @given(level_and_elements(1))
 @settings(max_examples=60, deadline=None)
 def test_mu_orbit_exponent_names_the_least_multiple(data):

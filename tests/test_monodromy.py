@@ -7,7 +7,7 @@ from math import gcd, lcm
 import mpmath
 import pytest
 
-from fujitacert import cli, monodromy
+from fujitacert import cli, cyclotomic, monodromy
 from fujitacert.cyclotomic import CyclotomicNumber, real_sign, roots_of_unity_order, zeta
 from fujitacert.eigenspace import WeightTuple, iter_weight_tuples, signature, sigma_sum
 from fujitacert.monodromy import (
@@ -551,6 +551,47 @@ def test_kronecker_edge_cases(rows, finite):
     assert _has_finite_order_reference(m, 5) is finite
 
 
+def test_has_finite_order_past_the_float_range():
+    # trace 10**400 overflows float_error_bound, so the exact step decides each unit h
+    assert has_finite_order(_mat(5, [[0, -1], [1, 10**400]]), 5) is False
+    assert has_finite_order(_mat(5, [[0, -1], [1, 1]]), 5) is True  # order 6
+
+
+def _has_finite_order_full_unit_loop(m, level):
+    """has_finite_order without the lookup: roots of unity by x*conj(x) = 1, and every unit h."""
+
+    def is_root_of_unity(x):
+        return x.den == 1 and x * x.conjugate() == CyclotomicNumber.one(x.level)
+
+    if m[0][1].is_zero() and m[1][0].is_zero() and m[0][0] == m[1][1]:
+        return is_root_of_unity(m[0][0])
+    t, d = mat_trace(m), mat_det(m)
+    if t.den != 1 or not is_root_of_unity(d) or t != d * t.conjugate():
+        return False
+    err = cyclotomic.float_error_bound(t)
+    for h in units(level):
+        size = abs(t.complex_value(h))
+        if size < 2 - err:
+            continue
+        if size > 2 + err or real_sign((t * t.conjugate()).galois(h) - 4) >= 0:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", [25, 49, 89, 97])
+def test_has_finite_order_matches_full_unit_loop_at_large_levels(n):
+    # the words of length <= 2 of the certify --oracle witness triple of the standard family
+    w = standard_family(n).w
+    t = triple_from_weights(w, find_infinite_character(w))
+    verdicts = []
+    for mat, word, _ in _walk(t, _exact_key):
+        if len(word) > 2:
+            break
+        verdicts.append(has_finite_order(mat, n))
+        assert verdicts[-1] == _has_finite_order_full_unit_loop(mat, n), word
+    assert True in verdicts and False in verdicts
+
+
 # ---------------------------------------------------------------------------
 # interval signs against the former decimal ladder
 
@@ -716,6 +757,62 @@ def test_form_rejects_solution_not_closed_under_conjugate_transpose(monkeypatch)
     monkeypatch.setattr(monodromy, "_kernel_of_system", lambda *args: [[one, two, zero, one]])
     with pytest.raises(InternalInconsistencyError, match="left the solution line"):
         invariant_hermitian_form(triple_from_weights(W5, 2))
+
+
+def _kernel_first_nonzero_pivots(rows, ncols, level):
+    """Gauss-Jordan kernel basis with the first nonzero entry of each column as pivot."""
+    zero, one = CyclotomicNumber.zero(level), CyclotomicNumber.one(level)
+    matrix = [row[:] for row in rows if any(not c.is_zero() for c in row)]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(matrix)) if not matrix[i][col].is_zero()), None)
+        if pivot_row is None:
+            continue
+        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
+        inv = matrix[r][col].inverse()
+        matrix[r] = [c * inv for c in matrix[r]]
+        for i in range(len(matrix)):
+            if i != r:
+                factor = matrix[i][col]
+                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[r])]
+        pivots.append(col)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [zero] * ncols
+        vec[fc] = one
+        for row_idx, pc in enumerate(pivots):
+            vec[pc] = -matrix[row_idx][fc]
+        basis.append(vec)
+    return basis
+
+
+def test_root_of_unity_pivots_keep_the_kernel_basis(monkeypatch):
+    # the reduced row echelon form is unique: on every irreducible n <= 9 character the
+    # root-of-unity pivots give first-nonzero pivoting's basis, with fewer norm inverses
+    solve, inverse = monodromy._kernel_of_system, CyclotomicNumber.inverse
+    inverses = {"solve": 0, "reference": 0}
+    side = "solve"
+
+    def counted_inverse(x):
+        inverses[side] += 1
+        return inverse(x)
+
+    def spy(rows, ncols, level):
+        nonlocal side
+        side = "solve"
+        basis = solve(rows, ncols, level)
+        side = "reference"
+        assert basis == _kernel_first_nonzero_pivots(rows, ncols, level)
+        return basis
+
+    monkeypatch.setattr(CyclotomicNumber, "inverse", counted_inverse)
+    monkeypatch.setattr(monodromy, "_kernel_of_system", spy)
+    forms = 0
+    for w, j in _irreducible_instances(9):
+        invariant_hermitian_form(triple_from_weights(w, j))
+        forms += 1
+    assert inverses == {"solve": forms, "reference": 3 * forms}
 
 
 def test_form_rejects_reducible_triple():
