@@ -5,8 +5,8 @@ usage: python3 scripts/oracle_digest.py
 For each n, each weight tuple of `iter_weight_tuples(n)` and each character
 j = 1..n-1, runs `oracle -n N -m M -j J` in process through `cli.main` and
 feeds f"{code}\\n{out}{err}" to one sha256 (4489 calls).  Prints the call
-count and the hex digest, and exits 0 when both equal the pinned values,
-1 otherwise.  A change that must keep the oracle's output byte-identical
+count and the hex digest on stdout and the wall time of the calls on
+stderr, and exits 0 when both equal the pinned values, 1 otherwise.  A change that must keep the oracle's output byte-identical
 runs this at both commits.  Uses the standard library only, besides the
 package itself, which it imports from src/.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import io
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -42,7 +43,9 @@ def oracle_digest(n_min: int = 4, n_max: int = 12) -> tuple[int, str]:
 
 
 def main() -> int:
+    start = time.perf_counter()
     calls, digest = oracle_digest()
+    print(f"{time.perf_counter() - start:.2f} s", file=sys.stderr)
     print(calls, digest)
     return 0 if (calls, digest) == (PINNED_CALLS, PINNED_DIGEST) else 1
 

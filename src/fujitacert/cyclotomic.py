@@ -8,9 +8,9 @@ leans on.  One kernel, sum_of_products, forms a_1*b_1 + ... + a_k*b_k in
 O(k*phi(N)^2) integer operations: a sum of products is folded and normalized
 once, and a product is its one-pair case.
 
-All arithmetic stays in integers.  The one field inverse is a norm quotient:
-the product of the other Galois conjugates of the numerator over its rational
-norm.  `Fraction` appears only where outside rationals come in or go out.
+All arithmetic stays in integers.  A field inverse is a norm quotient (the
+other Galois conjugates of the numerator over its rational norm), or for 1 - y,
+y a root of unity, a sum of shifts.  `Fraction` appears only at the edges.
 
 Signs of real elements are decided exactly: an exact-zero shortcut via the
 normal form, then a float sum at the distinguished embedding
@@ -396,6 +396,22 @@ def sum_of_products(*pairs: tuple[CyclotomicNumber, CyclotomicNumber]) -> Cyclot
 def roots_of_unity_order(level: int) -> int:
     """N = |mu(Q(zeta_level))|: 2*level for odd level, level otherwise."""
     return 2 * level if level % 2 else level
+
+
+def inverse_one_minus_root(level: int, u: int) -> CyclotomicNumber:
+    """(1 - y)^-1 = -(1/m) * sum_{0<j<m} j*y^j for y = zeta_N^u != 1 of order m: a sum of shifts.
+
+    (1 - y) * sum_{0<j<m} j*y^j = sum_{0<j<m} y^j - (m - 1)*y^m = -m.  zeta_N is mul_root_of_unity's:
+    zeta_N^v = zeta_n^v at even n, (-1)^v * zeta_n^(v*(n+1)/2) at odd n."""
+    count = roots_of_unity_order(level)
+    m = count // gcd(count, u)
+    if m == 1:
+        raise ZeroDivisionError("1 - 1 has no inverse")
+    raw = [0] * level
+    for j in range(1, m):
+        v = u * j % count
+        raw[v * (level + 1) // 2 % level if level % 2 else v] += j if level % 2 and v % 2 else -j
+    return CyclotomicNumber(level, tuple(_reduce_exponents(level, raw)), m)
 
 
 def float_error_bound(x: CyclotomicNumber) -> float:

@@ -14,11 +14,9 @@ Two independent routes decide (ir)reducibility and (in)finiteness:
   as |G/Z| * |Z|; Kronecker's theorem tests each element for finite order),
   and an exactly solved invariant Hermitian form.
 
-The oracle divides only at the pivots of the form's kernel solve: by a
-root-of-unity shift where a candidate pivot is a root of unity, else by the
-integer norm quotient of CyclotomicNumber.inverse.  Companion inverses are
-closed forms, walk inverses are products via g0*g1*ginf = 1, and the form
-is X + X*.
+The oracle divides once, by 1 - y for a root of unity y (a sum of shifts), in
+the form's closed-form solve; companion inverses are closed forms, walk
+inverses are products via g0*g1*ginf = 1, and the form is X + X*.
 
 The sweep tests elsewhere hold agreement of the two routes as the highest
 severity invariant; neither side may be shortcut through the other.
@@ -31,7 +29,9 @@ from dataclasses import dataclass
 from itertools import repeat
 from math import gcd, inf
 
-from .cyclotomic import CyclotomicNumber, float_error_bound, real_sign, roots_of_unity_order, sum_of_products, zeta
+from .cyclotomic import (
+    CyclotomicNumber, float_error_bound, inverse_one_minus_root, real_sign, roots_of_unity_order, sum_of_products, zeta
+)
 from .eigenspace import WeightTuple, sigma_sum
 from .residues import InternalInconsistencyError, NonUnitError, inverse_mod, units
 
@@ -316,21 +316,25 @@ def _projective_key(m: Mat) -> tuple[int, Mat]:
     return u, tuple(tuple(x.mul_root_of_unity(u) for x in row) for row in m)
 
 
-def _walk(t: MonodromyTriple, key):
+def _letters(t: MonodromyTriple) -> dict[Mat, str]:
+    """g0, g1, ginf, then t.inverses() (products, no division), in that order; a repeated matrix keeps its first name."""
+    letters: dict[Mat, str] = {}
+    for name, g in t.generators() + t.inverses():
+        letters.setdefault(g, name)
+    return letters
+
+
+def _walk(t: MonodromyTriple, key, letters: dict[Mat, str]):
     """Breadth-first walk of the classes of the group G generated by g0, g1, ginf.
 
     key(m) = (u, r) names the class r of m, with r = zeta_N^u * m: the exact
     key (0, m) makes every element its own class, the projective key puts
-    the root-of-unity multiples of m in one.  Letters are g0, g1, ginf, then
-    t.inverses() (products, no division) in that order (a repeated matrix
-    keeps its first name).  Every class other than the identity's is
-    yielded once, as (matrix, word, None) with the first word reaching it,
-    in order of word length.  A product p that meets a known class q with
-    p = zeta_N^d * q, d != 0, is yielded as (p, word, d): zeta_N^d * I is in G.
+    the root-of-unity multiples of m in one; letters = _letters(t), in order.
+    Every class other than the identity's is yielded once, as (matrix, word,
+    None) with the first word reaching it, in order of word length.  A product
+    p meeting a known class q as p = zeta_N^d * q, d != 0, is yielded as
+    (p, word, d): zeta_N^d * I is in G.
     """
-    letters: dict[Mat, str] = {}
-    for name, g in t.generators() + t.inverses():
-        letters.setdefault(g, name)
     identity = mat_identity(t.level)
     u, r = key(identity)
     seen = {r: u}
@@ -385,14 +389,15 @@ def group_closure(
     def infinite(word):
         return FinitenessVerdict(Finiteness.INFINITE, witness=(("kind", "infinite_order_word"), ("word", "*".join(word))))
 
-    for mat, word, _ in _walk(t, _exact_key):
+    letters = _letters(t)
+    for mat, word, _ in _walk(t, _exact_key, letters):
         if len(word) > short:
             break
         if not has_finite_order(mat, t.level):
             return infinite(word)
     count = roots_of_unity_order(t.level)
     scalars, classes = count, 1  # scalars: gcd of N and every d met so far
-    for mat, word, shift in _walk(t, _projective_key):
+    for mat, word, shift in _walk(t, _projective_key, letters):
         if shift is not None:
             scalars = gcd(scalars, shift)
             continue
@@ -447,73 +452,51 @@ def has_common_eigenvector(t: MonodromyTriple) -> bool:
 # invariant Hermitian form
 
 
-def _kernel_of_system(rows: list[list[CyclotomicNumber]], ncols: int, level: int):
-    """Kernel basis of a small linear system over the cyclotomic field, by Gauss-Jordan reduction.
+def _invariant_line(t: MonodromyTriple) -> Mat | None:
+    """invariant_hermitian_form's m0 (last nonzero entry 1), or None if g0 and g1 fix no form but 0.
 
-    A column's pivot is its first root-of-unity candidate zeta_N^u, scaled by the shift zeta_N^-u,
-    else its first nonzero one, scaled by the norm inverse: the reduced row echelon form is unique,
-    so the choice changes neither it nor the basis read off its free columns.
+    A triple not in the Levelt companion shape is a ValueError.
     """
-    zero = CyclotomicNumber.zero(level)
-    one = CyclotomicNumber.one(level)
-    matrix = [row[:] for row in rows if any(not c.is_zero() for c in row)]
-    pivots: list[int] = []
-    for col in range(ncols):
-        r = len(pivots)
-        entries = [(matrix[i][col], i) for i in range(r, len(matrix))]
-        candidates = [(x.root_of_unity_exponent(), i) for x, i in entries if not x.is_zero()]
-        if not candidates:
-            continue
-        u, pivot_row = next((c for c in candidates if c[0] is not None), candidates[0])
-        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
-        if u is None:
-            inv = matrix[r][col].inverse()
-            matrix[r] = [c * inv for c in matrix[r]]
-        else:
-            matrix[r] = [c.mul_root_of_unity(-u) for c in matrix[r]]
-        for i in range(len(matrix)):
-            if i != r and not matrix[i][col].is_zero():
-                minus_factor = -matrix[i][col]
-                matrix[i] = [sum_of_products((one, a), (minus_factor, b)) for a, b in zip(matrix[i], matrix[r])]
-        pivots.append(col)
-    # one basis vector per free column fc: 1 there, minus column fc of the reduced rows at the pivots
-    return [
-        [one if c == fc else -matrix[pivots.index(c)][fc] if c in pivots else zero for c in range(ncols)]
-        for fc in range(ncols)
-        if fc not in pivots
-    ]
+    zero, one = CyclotomicNumber.zero(t.level), CyclotomicNumber.one(t.level)
+    (p, g0_01), (q, g0_11) = t.g0
+    (ginf_00, x), (ginf_10, trace) = t.ginf
+    uq, ux = q.root_of_unity_exponent(), x.root_of_unity_exponent()
+    if (g0_01, g0_11, ginf_00, ginf_10) != (one, zero, zero, one) or uq is None or ux is None:
+        raise ValueError("triple is not in Levelt companion shape")
+    px_t = p.mul_root_of_unity(ux) + trace
+    u = (uq + ux) % roots_of_unity_order(t.level)  # qx = zeta_N^u
+    if u:
+        b1 = px_t * inverse_one_minus_root(t.level, u)
+        m0 = ((one, b1), (p + b1.mul_root_of_unity(uq), one))
+    elif not px_t.is_zero():
+        m0 = ((zero, one.mul_root_of_unity(-uq)), (one, zero))
+    else:
+        raise ReducibleNoUniqueFormError("g1 = I: the invariant forms are those of g0 alone, not one line")
+    return m0 if all(mat_mul(mat_conj_transpose(g), mat_mul(m0, g)) == m0 for g in (t.g0, t.g1)) else None
 
 
 def invariant_hermitian_form(t: MonodromyTriple) -> tuple[Mat, tuple[int, int]]:
     """Solve gbar^T M g = M for all generators; return (form, signature).
 
-    The solution space must be 1-dimensional over the field (Schur);
-    otherwise ReducibleNoUniqueFormError.  The form is X + X* for
-    X = zeta^k*m0, m0 spanning it, at the first k where that is nonzero (no
-    division).  It is Hermitian and oriented by the Hodge convention: among
-    the two real rays of solutions, the one whose positivity index equals
-    (weight sum - 1) when the form is definite.  The definite/indefinite
-    alternative itself is solved, not assumed: an indefinite solution is
-    returned as (1,1) regardless of the weight data, and the cross-check
-    against the eigenspace signature is a real test.
+    The solution space must be 1-dimensional over the field (Schur); otherwise
+    ReducibleNoUniqueFormError.  It is solved in closed form from the Levelt shape
+    g0 = ((p, 1), (q, 0)), ginf = ((0, x), (1, t)), q and x roots of unity (Beukers-Heckman,
+    Invent. Math. 95, 1989, 3-4).  For M = ((a, b), (c, d)), entries (1, 0), (1, 1) of
+    g0* M g0 = M give c = ap + bq, d = a, and entry (0, 1) of ginf* M ginf = M gives b = cx + dt,
+    so (1 - qx)*b = (px + t)*a.  So every solution is a multiple of m0 = ((1, b1), (p + b1*q, 1)),
+    b1 = (px + t)/(1 - qx), if qx != 1, or of m0 = ((0, conj(q)), (1, 0)) if qx = 1 and
+    px + t != 0; else g0*ginf = I = g1, and the forms of g0 alone are a plane.  m0 spans the
+    solutions iff g0 and g1 (so ginf) fix it.  The form is X + X* for X = zeta^k*m0 at the first k
+    where that is nonzero (no division).  It is Hermitian and oriented by the Hodge convention:
+    among the two real rays of solutions, the one whose positivity index equals (weight sum - 1)
+    when the form is definite.  The definite/indefinite alternative itself is solved, not assumed:
+    an indefinite solution is returned as (1,1) regardless of the weight data, and the
+    cross-check against the eigenspace signature is a real test.
     """
     level = t.level
-    # unknowns (m00, m01, m10, m11); invariance under g0 and g1 implies ginf.  Equation (r, c) of
-    # g* M g - I M I = 0, g* = gbar^T, gives m_kl the coefficient g*[r][k]*g[l][c] - I[r][k]*I[l][c].
-    eye = mat_identity(level)
-    minus_eye = tuple(tuple(-x for x in row) for row in eye)
-    rows = [
-        [sum_of_products((gc[r][k], g[l][c]), (minus_eye[r][k], eye[l][c])) for k in (0, 1) for l in (0, 1)]
-        for g, gc in ((g, mat_conj_transpose(g)) for g in (t.g0, t.g1))
-        for r in (0, 1)
-        for c in (0, 1)
-    ]
-    basis = _kernel_of_system(rows, 4, level)
-    if len(basis) != 1:
-        raise ReducibleNoUniqueFormError(
-            f"invariant form space has dimension {len(basis)}, expected 1"
-        )
-    m0: Mat = ((basis[0][0], basis[0][1]), (basis[0][2], basis[0][3]))
+    m0 = _invariant_line(t)
+    if m0 is None:
+        raise ReducibleNoUniqueFormError("invariant form space has dimension 0, expected 1")
     m0_ct = mat_conj_transpose(m0)
     cells = [(r, c) for r in range(2) for c in range(2)]
     # m0_ct is again a solution, so m0_ct = alpha * m0 with |alpha| = 1: checked

@@ -238,7 +238,7 @@ ORACLE_ARGV = ["oracle", "-n", "5", "-m", "1,1,1,2", "-j", "1"]
             ORACLE_ARGV,
             cyclotomic.NonRealElementError,
         ),
-        (monodromy, "_kernel_of_system", lambda *a: [], ORACLE_ARGV, monodromy.ReducibleNoUniqueFormError),
+        (monodromy, "_invariant_line", lambda t: None, ORACLE_ARGV, monodromy.ReducibleNoUniqueFormError),
         (
             monodromy,
             "is_irreducible",

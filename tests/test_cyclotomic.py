@@ -13,6 +13,7 @@ from fujitacert.cyclotomic import (
     CyclotomicNumber,
     NonRealElementError,
     cyclotomic_polynomial,
+    inverse_one_minus_root,
     real_sign,
     sum_of_products,
     zeta,
@@ -231,15 +232,36 @@ def test_inverse_checks_the_norm(monkeypatch):
 
     def wrong_conjugate(self, h):
         image = galois(self, h)
-        return image if h % self.level in (1, self.level - 1) else image.mul_zeta_power(1)
+        return image if h % self.level == 1 else image.mul_zeta_power(1)
 
     monkeypatch.setattr(CyclotomicNumber, "galois", wrong_conjugate)
     with pytest.raises(InternalInconsistencyError, match="not a nonzero rational"):
         (1 + zeta(5) + zeta(5, 3)).inverse()
+    # the oracle's form takes no norm inverse; its one Galois image, complex conjugation, now
+    # breaks the invariance check of the form's solution line
     out, err = io.StringIO(), io.StringIO()
     assert cli.main(["oracle", "-n", "5", "-m", "1,1,1,2", "-j", "1"], out=out, err=err) == 2
     assert out.getvalue() == ""
-    assert err.getvalue().startswith("error: internal: norm of ")
+    assert err.getvalue().startswith("error: internal: invariant form space has dimension 0")
+
+
+def test_inverse_one_minus_root_matches_the_norm_inverse():
+    for level in range(2, 41):
+        one = CyclotomicNumber.one(level)
+        for u in range(1, cyclotomic.roots_of_unity_order(level)):
+            assert inverse_one_minus_root(level, u) == (1 - one.mul_root_of_unity(u)).inverse(), (level, u)
+    # level 97: the 193 roots y != 1 are the Galois images of zeta_97, -zeta_97 and -1, and
+    # sigma_h commutes with inversion, so one norm inverse per orbit is transported to the rest
+    one, covered = CyclotomicNumber.one(97), set()
+    for y in (zeta(97), -zeta(97), -one):
+        inverse = (1 - y).inverse()
+        for h in units(97):
+            u = y.galois(h).root_of_unity_exponent()
+            assert inverse_one_minus_root(97, u) == inverse.galois(h), u
+            covered.add(u)
+    assert covered == set(range(1, 194))
+    with pytest.raises(ZeroDivisionError):
+        inverse_one_minus_root(5, 10)
 
 
 @settings(max_examples=40)

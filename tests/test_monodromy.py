@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import mpmath
 import pytest
 
 from fujitacert import cli, cyclotomic, monodromy
-from fujitacert.cyclotomic import CyclotomicNumber, real_sign, roots_of_unity_order, zeta
+from fujitacert.cyclotomic import CyclotomicNumber, real_sign, roots_of_unity_order, sum_of_products, zeta
 from fujitacert.eigenspace import WeightTuple, iter_weight_tuples, signature, sigma_sum
 from fujitacert.monodromy import (
     Finiteness,
@@ -27,6 +28,7 @@ from fujitacert.monodromy import (
     is_irreducible,
     _exact_key,
     _projective_key,
+    _letters,
     _walk,
     levelt_exponents,
     levelt_triple,
@@ -249,6 +251,27 @@ def test_levelt_builds_reducible_parameters():
     assert has_common_eigenvector(levelt_triple(levelt_exponents(w6, 3), 6))
 
 
+def _mat_galois(m, h):
+    return tuple(tuple(x.galois(h) for x in row) for row in m)
+
+
+def test_galois_transports_levelt_triples():
+    # sigma_h(levelt_triple(e)) = levelt_triple(h*e) entry by entry, as every entry is an integer
+    # polynomial in the zeta^k, k in e; checked on each class of e up to units and ka <-> kb
+    for n in range(2, 13):
+        us = units(n)
+        classes = {
+            min(tuple(h * k % n for k in (a, b, kc)) for h in us for a, b in ((ka, kb), (kb, ka)))
+            for ka, kb, kc in itertools.product(range(n), repeat=3)
+        }
+        for e in classes:
+            t = levelt_triple(e, n)
+            for h in us:
+                image = levelt_triple(tuple(h * k for k in e), n)
+                for (_, g), (_, g_h) in zip(t.generators(), image.generators()):
+                    assert _mat_galois(g, h) == g_h, (n, e, h)
+
+
 # ---------------------------------------------------------------------------
 # closure oracle
 
@@ -257,6 +280,14 @@ def test_group_closure_finite_fixtures():
     # regression fixtures: orders computed once by this oracle and frozen
     assert group_closure(triple_from_weights(W4, 1)).order == 8
     assert group_closure(triple_from_weights(WeightTuple(6, (1, 1, 1, 3)), 1)).order == 24
+
+
+def test_group_closure_builds_its_letters_once(monkeypatch):
+    # the exact and the projective walk of a FINITE closure share one letter table
+    inverses, calls = MonodromyTriple.inverses, []
+    monkeypatch.setattr(MonodromyTriple, "inverses", lambda self: calls.append(self) or inverses(self))
+    assert group_closure(triple_from_weights(W4, 1)).order == 8
+    assert len(calls) == 1
 
 
 def test_group_closure_infinite_n5():
@@ -404,7 +435,7 @@ def _projective_split(t):
     """(|G/Z|, |Z|) from one projective walk: its classes, and N over the gcd of its shifts."""
     count = roots_of_unity_order(t.level)
     classes, scalars = 1, count
-    for _, _, shift in _walk(t, _projective_key):
+    for _, _, shift in _walk(t, _projective_key, _letters(t)):
         if shift is None:
             classes += 1
         else:
@@ -512,7 +543,7 @@ def test_finite_order_bound_values():
 def test_kronecker_agrees_with_reference_on_walk(w, max_len):
     t = triple_from_weights(w, 1)
     visited = 0
-    for mat, word, _ in _walk(t, _exact_key):
+    for mat, word, _ in _walk(t, _exact_key, _letters(t)):
         if max_len is not None and len(word) > max_len:
             break
         assert has_finite_order(mat, t.level) == _has_finite_order_reference(mat, t.level), word
@@ -584,7 +615,7 @@ def test_has_finite_order_matches_full_unit_loop_at_large_levels(n):
     w = standard_family(n).w
     t = triple_from_weights(w, find_infinite_character(w))
     verdicts = []
-    for mat, word, _ in _walk(t, _exact_key):
+    for mat, word, _ in _walk(t, _exact_key, _letters(t)):
         if len(word) > 2:
             break
         verdicts.append(has_finite_order(mat, n))
@@ -732,6 +763,15 @@ def test_form_is_invariant_and_hermitian():
     assert sig == (1, 1)
 
 
+def test_form_uses_no_field_inverse(monkeypatch):
+    def no_inverse(self):
+        raise AssertionError("field inverse on the invariant-form path")
+
+    monkeypatch.setattr(CyclotomicNumber, "inverse", no_inverse)
+    for w, j in _irreducible_instances(8):
+        invariant_hermitian_form(triple_from_weights(w, j))
+
+
 def test_form_signature_matches_eigenspace():
     cases = [(W5, 1), (W5, 2), (W5, 4), (W4, 1), (W7, 3), (W7, 6)]
     for w, j in cases:
@@ -754,69 +794,95 @@ def test_form_scaling_keeps_signature():
 def test_form_rejects_solution_not_closed_under_conjugate_transpose(monkeypatch):
     one, two, zero = (CyclotomicNumber.from_rational(5, q) for q in (1, 2, 0))
     # ((1, 2), (0, 1)) has conjugate transpose ((1, 0), (2, 1)), not a multiple of it
-    monkeypatch.setattr(monodromy, "_kernel_of_system", lambda *args: [[one, two, zero, one]])
+    monkeypatch.setattr(monodromy, "_invariant_line", lambda t: ((one, two), (zero, one)))
     with pytest.raises(InternalInconsistencyError, match="left the solution line"):
         invariant_hermitian_form(triple_from_weights(W5, 2))
 
 
-def _kernel_first_nonzero_pivots(rows, ncols, level):
-    """Gauss-Jordan kernel basis with the first nonzero entry of each column as pivot."""
-    zero, one = CyclotomicNumber.zero(level), CyclotomicNumber.one(level)
+def _kernel_of_system(rows: list[list[CyclotomicNumber]], ncols: int, level: int):
+    """Kernel basis of a small linear system over the cyclotomic field, by Gauss-Jordan reduction.
+
+    A column's pivot is its first root-of-unity candidate zeta_N^u, scaled by the shift zeta_N^-u,
+    else its first nonzero one, scaled by the norm inverse: the reduced row echelon form is unique,
+    so the choice changes neither it nor the basis read off its free columns.
+    """
+    zero = CyclotomicNumber.zero(level)
+    one = CyclotomicNumber.one(level)
     matrix = [row[:] for row in rows if any(not c.is_zero() for c in row)]
-    pivots = []
+    pivots: list[int] = []
     for col in range(ncols):
         r = len(pivots)
-        pivot_row = next((i for i in range(r, len(matrix)) if not matrix[i][col].is_zero()), None)
-        if pivot_row is None:
+        entries = [(matrix[i][col], i) for i in range(r, len(matrix))]
+        candidates = [(x.root_of_unity_exponent(), i) for x, i in entries if not x.is_zero()]
+        if not candidates:
             continue
+        u, pivot_row = next((c for c in candidates if c[0] is not None), candidates[0])
         matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
-        inv = matrix[r][col].inverse()
-        matrix[r] = [c * inv for c in matrix[r]]
+        if u is None:
+            inv = matrix[r][col].inverse()
+            matrix[r] = [c * inv for c in matrix[r]]
+        else:
+            matrix[r] = [c.mul_root_of_unity(-u) for c in matrix[r]]
         for i in range(len(matrix)):
-            if i != r:
-                factor = matrix[i][col]
-                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[r])]
+            if i != r and not matrix[i][col].is_zero():
+                minus_factor = -matrix[i][col]
+                matrix[i] = [sum_of_products((one, a), (minus_factor, b)) for a, b in zip(matrix[i], matrix[r])]
         pivots.append(col)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        vec = [zero] * ncols
-        vec[fc] = one
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -matrix[row_idx][fc]
-        basis.append(vec)
-    return basis
+    # one basis vector per free column fc: 1 there, minus column fc of the reduced rows at the pivots
+    return [
+        [one if c == fc else -matrix[pivots.index(c)][fc] if c in pivots else zero for c in range(ncols)]
+        for fc in range(ncols)
+        if fc not in pivots
+    ]
 
 
-def test_root_of_unity_pivots_keep_the_kernel_basis(monkeypatch):
-    # the reduced row echelon form is unique: on every irreducible n <= 9 character the
-    # root-of-unity pivots give first-nonzero pivoting's basis, with fewer norm inverses
-    solve, inverse = monodromy._kernel_of_system, CyclotomicNumber.inverse
-    inverses = {"solve": 0, "reference": 0}
-    side = "solve"
+def _invariant_line_reference(t):
+    """_invariant_line by Gauss-Jordan on the 8 equations of g* M g = M for g0 and g1, any triple."""
+    level = t.level
+    # unknowns (m00, m01, m10, m11).  Equation (r, c) of g* M g - I M I = 0, g* = gbar^T, gives
+    # m_kl the coefficient g*[r][k]*g[l][c] - I[r][k]*I[l][c].
+    eye = mat_identity(level)
+    minus_eye = tuple(tuple(-x for x in row) for row in eye)
+    rows = [
+        [sum_of_products((gc[r][k], g[l][c]), (minus_eye[r][k], eye[l][c])) for k in (0, 1) for l in (0, 1)]
+        for g, gc in ((g, mat_conj_transpose(g)) for g in (t.g0, t.g1))
+        for r in (0, 1)
+        for c in (0, 1)
+    ]
+    basis = _kernel_of_system(rows, 4, level)
+    if len(basis) > 1:
+        raise ReducibleNoUniqueFormError(f"invariant form space has dimension {len(basis)}, expected 1")
+    return ((basis[0][0], basis[0][1]), (basis[0][2], basis[0][3])) if basis else None
 
-    def counted_inverse(x):
-        inverses[side] += 1
-        return inverse(x)
 
-    def spy(rows, ncols, level):
-        nonlocal side
-        side = "solve"
-        basis = solve(rows, ncols, level)
-        side = "reference"
-        assert basis == _kernel_first_nonzero_pivots(rows, ncols, level)
-        return basis
+def _form_or_error(t):
+    try:
+        return invariant_hermitian_form(t)
+    except InternalInconsistencyError as exc:
+        return type(exc)
 
-    monkeypatch.setattr(CyclotomicNumber, "inverse", counted_inverse)
-    monkeypatch.setattr(monodromy, "_kernel_of_system", spy)
-    forms = 0
-    for w, j in _irreducible_instances(9):
-        invariant_hermitian_form(triple_from_weights(w, j))
-        forms += 1
-    assert inverses == {"solve": forms, "reference": 3 * forms}
+
+def test_closed_form_solve_matches_gauss_jordan_reference(monkeypatch):
+    # the form depends on the triple alone, so one triple per exponent triple covers
+    # every irreducible n <= 12 instance; every (ka, kb, kc) at 2 <= n <= 9 adds the reducible ones
+    keys = {(n, e) for n in range(2, 10) for e in itertools.product(range(n), repeat=3)}
+    keys |= {(w.n, levelt_exponents(w, j)) for w, j in _irreducible_instances(12)}
+    triples = [levelt_triple(e, n) for n, e in sorted(keys)]
+    closed = [_form_or_error(t) for t in triples]
+    monkeypatch.setattr(monodromy, "_invariant_line", _invariant_line_reference)
+    assert [_form_or_error(t) for t in triples] == closed
+    errors = [r for r in closed if isinstance(r, type)]
+    assert ReducibleNoUniqueFormError in errors and len(errors) < len(closed)
 
 
 def test_form_rejects_reducible_triple():
-    with pytest.raises(ReducibleNoUniqueFormError):
+    # (0, k, k): ka = 0 and kb = kc, so A and B share the eigenvalues 1 and zeta^k
+    for k in range(1, 5):
+        t = levelt_triple((0, k, k), 5)
+        assert has_common_eigenvector(t)
+        with pytest.raises(ReducibleNoUniqueFormError):
+            invariant_hermitian_form(t)
+    with pytest.raises(ValueError, match="Levelt companion shape"):
         invariant_hermitian_form(_diagonal_triple())
 
 
