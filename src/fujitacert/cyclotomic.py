@@ -21,8 +21,8 @@ rising precision until the interval excludes zero.
 The roots of unity in Q(zeta_n) form mu_N = {+-zeta_n^k}, N = 2n for odd n and
 n otherwise (Washington, Ex. 2.3); root_of_unity_exponent finds u with x = zeta_N^u
 by lookup, of a single +-1 coefficient or +- a folded row of _level_context.
-mu_orbit_exponent names one canonical element of each mu_N-orbit, the key the
-monodromy closure uses to walk its group modulo root-of-unity scalars.
+The monodromy closure reads its matrices' determinants this way, and so their
+classes modulo root-of-unity scalars.
 """
 
 from __future__ import annotations
@@ -308,31 +308,6 @@ class CyclotomicNumber:
             if k is not None:
                 return (k * (count // n) + sign) % count
         return None
-
-    def mu_orbit_exponent(self) -> int:
-        """The u in [0, N) with zeta_N^u * self the least of the N multiples of self by mu_N.
-
-        The multiples are +-zeta_n^k * self, stepped through k by one shift and
-        one folded row each.  They share the denominator, so "least" compares
-        coefficient vectors.  For self != 0 they are distinct, so u is unique,
-        and the least multiple is the same for every root-of-unity multiple
-        of self.
-        """
-        n, deg = self.level, len(self.num)
-        count = roots_of_unity_order(n)
-        step, half = count // n, count // 2
-        fold = zeta(n, deg).num  # x^deg in the power basis
-        y = list(self.num)
-        best, best_u = y, 0
-        for k in range(n):
-            for candidate, u in ((y, k * step), ([-c for c in y], k * step + half)):
-                if candidate < best:
-                    best, best_u = candidate, u % count
-            top = y[-1]
-            y = [0] + y[:-1]
-            if top:
-                y = [a + top * b for a, b in zip(y, fold)]
-        return best_u
 
     # -- numeric evaluation ----------------------------------------------
 

@@ -9,10 +9,12 @@ Two independent routes decide (ir)reducibility and (in)finiteness:
   companion matrices with integer exponents for every character, reducible
   ones included; reducibility as the vanishing of the commutator
   determinant det(g0*g1 - g1*g0), a breadth-first walk of the group it
-  generates (an exact walk of the words of length <= 2, then one walk of
-  the group modulo its root-of-unity scalars, which gives the exact order
-  as |G/Z| * |Z|; Kronecker's theorem tests each element for finite order),
-  and an exactly solved invariant Hermitian form.
+  generates (an exact walk of the words of length <= 2 from the letters,
+  testing one word of each inverse or reversed pair, then one walk of the
+  group modulo its root-of-unity scalars, keyed by the determinant exponent
+  the walk carries, which gives the exact order as |G/Z| * |Z|; Kronecker's
+  theorem tests each element for finite order), and an exactly solved
+  invariant Hermitian form.
 
 The oracle divides once, by 1 - y for a root of unity y (a sum of shifts), in
 the form's closed-form solve; companion inverses are closed forms, walk
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from math import gcd, inf
 
@@ -33,7 +36,7 @@ from .cyclotomic import (
     CyclotomicNumber, float_error_bound, inverse_one_minus_root, real_sign, roots_of_unity_order, sum_of_products, zeta
 )
 from .eigenspace import WeightTuple, sigma_sum
-from .residues import InternalInconsistencyError, NonUnitError, inverse_mod, units
+from .residues import InternalInconsistencyError, NonUnitError, check_modulus, inverse_mod, units
 
 DEFAULT_CLOSURE_CAP = 20000
 DEFAULT_MAX_WORD_LEN = 8
@@ -252,6 +255,13 @@ def triple_from_weights(w: WeightTuple, j: int) -> MonodromyTriple:
 # exact finite-order testing
 
 
+@lru_cache(maxsize=None)
+def _half_units(level: int) -> tuple[int, ...]:
+    """The units h <= level - h, one of each pair {h, level - h}: has_finite_order's embeddings."""
+    check_modulus(level)
+    return tuple(h for h in range(1, level // 2 + 1) if gcd(h, level) == 1)
+
+
 def has_finite_order(m: Mat, level: int) -> bool:
     """Exact finite-order test for a 2x2 matrix over Q(zeta_level), by Kronecker.
 
@@ -277,7 +287,7 @@ def has_finite_order(m: Mat, level: int) -> bool:
     t_bar = t.conjugate()
     if t != t_bar.mul_root_of_unity(u):
         return False
-    hs = [h for h in units(level) if h <= level - h]
+    hs = _half_units(level)
     try:  # a finite bound keeps every coefficient, and so every float sum, in range
         err, values = float_error_bound(t), t.complex_values(hs)
     except OverflowError:  # an infinite band sends every h to the exact step
@@ -302,57 +312,64 @@ def has_finite_order(m: Mat, level: int) -> bool:
 SHORT_WORD_LEN = 2  # every INFINITE witness met so far (n <= 12, certify --oracle) is this short
 
 
-def _exact_key(m: Mat) -> tuple[int, Mat]:
+def _exact_key(m: Mat, e: int) -> tuple[int, Mat]:
     return 0, m
 
 
-def _projective_key(m: Mat) -> tuple[int, Mat]:
-    """(u, zeta_N^u * m), the same for every root-of-unity multiple of m.
+def _projective_key(m: Mat, e: int) -> tuple[int, Mat]:
+    """(u, zeta_N^u * m), the same for every root-of-unity multiple of m, for det m = zeta_N^e.
 
-    u comes from mu_orbit_exponent of m's first nonzero entry, which sits at the
-    same place in every multiple of m.
-    """
-    u = next(x for x in m[0] + m[1] if not x.is_zero()).mu_orbit_exponent()
-    return u, tuple(tuple(x.mul_root_of_unity(u) for x in row) for row in m)
-
-
-def _letters(t: MonodromyTriple) -> dict[Mat, str]:
-    """g0, g1, ginf, then t.inverses() (products, no division), in that order; a repeated matrix keeps its first name."""
-    letters: dict[Mat, str] = {}
-    for name, g in t.generators() + t.inverses():
-        letters.setdefault(g, name)
-    return letters
+    det(zeta_N^w * m) = zeta_N^(2w) * det m and N is even, so exactly two multiples of m, +-r with
+    r = zeta_N^-floor(e/2) * m (e in [0, N)), have a determinant exponent below 2: the key is the
+    one whose first nonzero coefficient is positive."""
+    count = roots_of_unity_order(m[0][0].level)
+    u = -(e % count // 2) % count
+    r = tuple(tuple(x.mul_root_of_unity(u) for x in row) for row in m)
+    if next(c for x in r[0] + r[1] for c in x.num if c) < 0:
+        u, r = (u + count // 2) % count, tuple(tuple(-x for x in row) for row in r)
+    return u, r
 
 
-def _walk(t: MonodromyTriple, key, letters: dict[Mat, str]):
-    """Breadth-first walk of the classes of the group G generated by g0, g1, ginf.
+def _letters(t: MonodromyTriple) -> list[tuple[Mat, str, int]]:
+    """(letter, name, place of its inverse letter) for g0, g1, ginf, then t.inverses() (products,
+    no division), in that order; a repeated matrix keeps its first name and place."""
+    generators, inverses = t.generators(), t.inverses()
+    names: dict[Mat, str] = {}
+    for name, g in generators + inverses:
+        names.setdefault(g, name)
+    inverse = {g: h for (_, g), (_, h) in zip(generators, inverses)}
+    inverse |= {h: g for g, h in list(inverse.items())}
+    place = {g: i for i, g in enumerate(names)}
+    return [(g, name, place[inverse[g]]) for g, name in names.items()]
 
-    key(m) = (u, r) names the class r of m, with r = zeta_N^u * m: the exact
-    key (0, m) makes every element its own class, the projective key puts
-    the root-of-unity multiples of m in one; letters = _letters(t), in order.
-    Every class other than the identity's is yielded once, as (matrix, word,
-    None) with the first word reaching it, in order of word length.  A product
-    p meeting a known class q as p = zeta_N^d * q, d != 0, is yielded as
-    (p, word, d): zeta_N^d * I is in G.
+
+def _walk(t: MonodromyTriple, key, letters: list[tuple[Mat, str, int]], dets):
+    """Breadth-first walk of the classes of the group G generated by g0, g1, ginf, from the letters.
+
+    letters = _letters(t), in order, with det = zeta_N^dets[i] for the i-th; an element carries
+    e, the sum of its letters' exponents, into key(m, e) = (u, r), which names the class r =
+    zeta_N^u * m of m: the exact key (0, m) makes every element its own class, the projective key
+    puts the root-of-unity multiples of m in one.  Every class other than the identity's is yielded
+    once, as (matrix, word, None) with the first word reaching it, in order of word length.  A
+    product p meeting a known class q as p = zeta_N^d * q, d != 0, is yielded as (p, word, d).
     """
     identity = mat_identity(t.level)
-    u, r = key(identity)
+    u, r = key(identity, 0)
     seen = {r: u}
-    frontier: list[tuple[Mat, tuple[str, ...]]] = [(identity, ())]
+    frontier: list[tuple[Mat, tuple[str, ...], int]] = [(identity, (), 0)]
     while frontier:
         next_frontier = []
-        for mat, word in frontier:
-            for g, name in letters.items():
-                prod = mat_mul(mat, g)
-                u, r = key(prod)
+        for mat, word, e in frontier:
+            for (g, name, _), d in zip(letters, dets):
+                prod = mat_mul(mat, g) if word else g
+                u, r = key(prod, e + d)
                 if r in seen:
                     if seen[r] != u:
                         yield prod, word + (name,), seen[r] - u
                     continue
                 seen[r] = u
-                step = (prod, word + (name,))
-                next_frontier.append(step)
-                yield *step, None
+                next_frontier.append((prod, word + (name,), e + d))
+                yield prod, word + (name,), None
         frontier = next_frontier
 
 
@@ -363,22 +380,22 @@ def group_closure(
 ) -> FinitenessVerdict:
     """Decide finiteness exactly: an exact walk of the short words, then one of G modulo mu_N.
 
-    INFINITE with the first word (in walk order) of length <= max_word_len
-    that has infinite order; otherwise FINITE with the exact group order if
-    it is at most cap; otherwise INCONCLUSIVE.
+    INFINITE with the first word (in walk order) of length <= max_word_len that has infinite order;
+    otherwise FINITE with the exact group order if it is at most cap; otherwise INCONCLUSIVE.
 
-    The exact walk tests the words of length <= SHORT_WORD_LEN.  Without a
-    witness there, the projective walk visits the classes of G modulo the
-    scalars mu_N * I (mu_N: the roots of unity of Q(zeta_n)) and tests the
-    longer words.  Finite order is unchanged by a root-of-unity scalar, so
-    every element of a class with a shorter first word has finite order:
-    the exact walk's first infinite-order element is first in its class,
-    and the projective walk reaches it by the same word.  A product meeting
-    a known class as zeta_N^d times it puts zeta_N^d * I in G; once the
-    walk closes these are the Schreier generators of the scalars Z of G, so
-    |Z| = N / gcd(N, every d) and |G| = |G/Z| * |Z|, |G/Z| the number of
-    classes.  The walk stops at a witness, or once it is past max_word_len
-    and the classes times the |Z| found so far exceed cap.
+    The exact walk tests the words of length <= SHORT_WORD_LEN, skipping a letter whose inverse
+    letter comes first and a word (a, b) with b first: g^-1 has the order of g, and
+    b*a = a^-1*(a*b)*a that of a*b, and the earlier word was tested, skipped alike, or met as 1 or
+    a letter, so the first infinite-order word is the one a walk testing every word finds.  Without a
+    witness there, the projective walk visits the classes of G modulo the scalars mu_N * I (mu_N:
+    the roots of unity of Q(zeta_n)), keyed through the determinants (a letter's is a root of unity,
+    as it passed the exact walk), and tests the longer words.  Finite order is unchanged by a
+    root-of-unity scalar, so the exact walk's first infinite-order element is first in its class,
+    and the projective walk reaches it by the same word.  A product meeting a known class as
+    zeta_N^d times it puts zeta_N^d * I in G; once the walk closes these are the Schreier generators
+    of the scalars Z of G, so |Z| = N / gcd(N, every d) and |G| = |G/Z| * |Z|, |G/Z| the number of
+    classes.  The walk stops at a witness, or once it is past max_word_len and the classes times the
+    |Z| found so far exceed cap.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -390,14 +407,20 @@ def group_closure(
         return FinitenessVerdict(Finiteness.INFINITE, witness=(("kind", "infinite_order_word"), ("word", "*".join(word))))
 
     letters = _letters(t)
-    for mat, word, _ in _walk(t, _exact_key, letters):
+    place = {name: i for i, (_, name, _) in enumerate(letters)}
+    for mat, word, _ in _walk(t, _exact_key, letters, (0,) * len(letters)):
         if len(word) > short:
             break
-        if not has_finite_order(mat, t.level):
+        first = place[word[0]]
+        earlier = letters[first][2] if len(word) == 1 else place[word[-1]]  # first letter of g^-1, or of (b, a)
+        if earlier >= first and not has_finite_order(mat, t.level):
             return infinite(word)
+    dets = [mat_det(g).root_of_unity_exponent() for g, _, _ in letters]
+    if None in dets:
+        raise InternalInconsistencyError("a letter's determinant is not a root of unity")
     count = roots_of_unity_order(t.level)
     scalars, classes = count, 1  # scalars: gcd of N and every d met so far
-    for mat, word, shift in _walk(t, _projective_key, letters):
+    for mat, word, shift in _walk(t, _projective_key, letters, dets):
         if shift is not None:
             scalars = gcd(scalars, shift)
             continue

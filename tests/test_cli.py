@@ -225,6 +225,14 @@ def test_certify_internal_inconsistency_exit2(monkeypatch):
 
 
 ORACLE_ARGV = ["oracle", "-n", "5", "-m", "1,1,1,2", "-j", "1"]
+_W4_TRIPLE = monodromy.triple_from_weights(WeightTuple(4, (1, 1, 1, 1)), 1)
+_GINF_INVERSE = monodromy.mat_mul(_W4_TRIPLE.g0, _W4_TRIPLE.g1)
+
+
+def _det_not_a_root_on_ginf_inverse(m, mat_det=monodromy.mat_det):
+    """mat_det, but twice it on ginf^-1 of the W4 triple: a letter the exact walk does not test,
+    as its inverse letter ginf comes first, so only the projective walk's lookup meets it."""
+    return mat_det(m) * 2 if m == _GINF_INVERSE else mat_det(m)
 
 
 @pytest.mark.parametrize(
@@ -253,6 +261,14 @@ ORACLE_ARGV = ["oracle", "-n", "5", "-m", "1,1,1,2", "-j", "1"]
             "has_common_eigenvector",
             lambda t: False,
             ["oracle", "-n", "6", "-m", "1,2,2,1", "-j", "3"],
+            InternalInconsistencyError,
+        ),
+        # a FINITE closure reaches the projective walk, which looks up every letter's determinant
+        (
+            monodromy,
+            "mat_det",
+            _det_not_a_root_on_ginf_inverse,
+            ["oracle", "-n", "4", "-m", "1,1,1,1", "-j", "1"],
             InternalInconsistencyError,
         ),
     ],
@@ -308,6 +324,7 @@ def test_closure_bounds_below_one_exit1(argv, flag):
     [
         ["certify", "-n", "7", "-m", "1,1,1,4", "--nw", "1,1,5", "--oracle"],
         ["oracle", "-n", "5", "-m", "1,1,1,2", "-j", "1"],
+        ["oracle", "-n", "10", "-m", "1,3,3,3", "-j", "1"],  # FINITE, order 600: the projective walk runs
     ],
 )
 def test_output_unchanged_under_python_O(argv):

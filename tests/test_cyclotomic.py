@@ -361,19 +361,19 @@ def test_root_of_unity_exponent_finds_every_root_of_unity():
         assert [x.root_of_unity_exponent() for x in non_roots] == [None] * len(non_roots), level
 
 
-@given(level_and_elements(1))
+@given(level_and_elements(1), st.integers(min_value=-30, max_value=30), st.integers(min_value=0, max_value=30))
 @settings(max_examples=60, deadline=None)
-def test_mu_orbit_exponent_names_the_least_multiple(data):
+def test_root_of_unity_exponents_add_under_shifts(data, u, v):
+    # the monodromy closure keys its classes by these rules: exponents of products add, shifts
+    # compose, and zeta_N^(N/2) = -1
     level, (x,) = data
     count = cyclotomic.roots_of_unity_order(level)
-    u = x.mu_orbit_exponent()
-    multiples = [x.mul_root_of_unity(v) for v in range(count)]
-    assert 0 <= u < count
-    y = multiples[u]
-    assert y.num == min(m.num for m in multiples)
-    if not x.is_zero():
-        assert len(set(multiples)) == count
-        assert all(m.mul_root_of_unity(m.mu_orbit_exponent()) == y for m in multiples)
+    one = CyclotomicNumber.one(level)
+    y = one.mul_root_of_unity(v)
+    assert (y * one.mul_root_of_unity(u)).root_of_unity_exponent() == (u + v) % count
+    assert y.mul_root_of_unity(u).root_of_unity_exponent() == (u + v) % count
+    assert x.mul_root_of_unity(u).mul_root_of_unity(v) == x.mul_root_of_unity(u + v)
+    assert x.mul_root_of_unity(count // 2) == -x
 
 
 def test_real_sign_rejects_non_real():

@@ -410,32 +410,217 @@ def test_group_closure_matches_exact_walk_past_the_short_words():
     assert infinite_order_witness(t, 3) == "g0*g0*g1^-1"
 
 
-def _random_matrix(level, rng):
-    def entry():
-        return CyclotomicNumber(level, tuple(rng.randint(-3, 3) for _ in range(euler_phi(level))))
+def _det_exponents(letters):
+    return [mat_det(g).root_of_unity_exponent() for g, _, _ in letters]
 
-    return ((CyclotomicNumber.zero(level) if rng.random() < 0.3 else entry(), entry()), (entry(), entry()))
+
+def _exact_walk(t):
+    letters = _letters(t)
+    return _walk(t, _exact_key, letters, [0] * len(letters))
+
+
+def _random_word_matrix(level, rng):
+    """A random word of length 1 to 5 in the letters of a random Levelt triple at level."""
+    t = levelt_triple(tuple(rng.randrange(level) for _ in range(3)), level)
+    letters = [g for _, g in t.generators() + t.inverses()]
+    m = rng.choice(letters)
+    for _ in range(rng.randrange(5)):
+        m = mat_mul(m, rng.choice(letters))
+    return m
+
+
+def _scaled(m, u):
+    return tuple(tuple(x.mul_root_of_unity(u) for x in row) for row in m)
 
 
 @pytest.mark.parametrize("level", [4, 5, 6, 7, 10, 12, 15])
 def test_projective_key_is_constant_on_root_of_unity_multiples(level):
+    # the key reads the class off the determinant, so the matrices are group elements: words in
+    # Levelt letters, whose determinants are roots of unity
     rng = random.Random(level)
-    for _ in range(4):
-        m = _random_matrix(level, rng)
-        u, key = _projective_key(m)
-        assert 0 <= u < roots_of_unity_order(level)
-        assert key == tuple(tuple(x.mul_root_of_unity(u) for x in row) for row in m)
-        for k in range(level):
-            for sign in (1, -1):
-                scaled = tuple(tuple(x.mul_zeta_power(k) * sign for x in row) for row in m)
-                assert _projective_key(scaled)[1] == key, (k, sign)
+    count = roots_of_unity_order(level)
+    keys = {}
+    for _ in range(6):
+        m = _random_word_matrix(level, rng)
+        e = mat_det(m).root_of_unity_exponent()
+        assert e is not None
+        u, key = _projective_key(m, e)
+        assert 0 <= u < count and key == _scaled(m, u)
+        multiples = {_scaled(m, v) for v in range(count)}
+        assert len(multiples) == count
+        for scaled in multiples:
+            assert _projective_key(scaled, mat_det(scaled).root_of_unity_exponent())[1] == key
+        for other, other_multiples in keys.items():  # one key per class, and distinct classes differ
+            assert (other == key) == (m in other_multiples), (m, other)
+        keys.setdefault(key, multiples)
+    assert len(keys) > 1
+
+
+# ---------------------------------------------------------------------------
+# the closure against its former self: two walks from the identity, every word
+# tested, and classes keyed by the least root-of-unity multiple of an entry
+
+
+def _mu_orbit_exponent(x):
+    """The u in [0, N) with zeta_N^u * x the least of the N multiples of x by mu_N (coefficient order)."""
+    n, deg = x.level, len(x.num)
+    count = roots_of_unity_order(n)
+    step, half = count // n, count // 2
+    fold = zeta(n, deg).num  # x^deg in the power basis
+    y = list(x.num)
+    best, best_u = y, 0
+    for k in range(n):
+        for candidate, u in ((y, k * step), ([-c for c in y], k * step + half)):
+            if candidate < best:
+                best, best_u = candidate, u % count
+        top = y[-1]
+        y = [0] + y[:-1]
+        if top:
+            y = [a + top * b for a, b in zip(y, fold)]
+    return best_u
+
+
+def _former_projective_key(m):
+    u = _mu_orbit_exponent(next(x for x in m[0] + m[1] if not x.is_zero()))
+    return u, _scaled(m, u)
+
+
+def _former_letters(t):
+    letters = {}
+    for name, g in t.generators() + t.inverses():
+        letters.setdefault(g, name)
+    return letters
+
+
+def _former_walk(t, key):
+    identity = mat_identity(t.level)
+    u, r = key(identity)
+    seen = {r: u}
+    frontier = [(identity, ())]
+    while frontier:
+        next_frontier = []
+        for mat, word in frontier:
+            for g, name in _former_letters(t).items():
+                prod = mat_mul(mat, g)
+                u, r = key(prod)
+                if r in seen:
+                    if seen[r] != u:
+                        yield prod, word + (name,), seen[r] - u
+                    continue
+                seen[r] = u
+                next_frontier.append((prod, word + (name,)))
+                yield prod, word + (name,), None
+        frontier = next_frontier
+
+
+def _former_group_closure(t, cap=20000, max_word_len=8, tested=None):
+    """group_closure before the walks started at the letters; tested collects each tested matrix."""
+    short = min(2, max_word_len)
+
+    def finite(mat):
+        if tested is not None:
+            tested.append(mat)
+        return has_finite_order(mat, t.level)
+
+    def infinite(word):
+        return FinitenessVerdict(Finiteness.INFINITE, witness=(("kind", "infinite_order_word"), ("word", "*".join(word))))
+
+    for mat, word, _ in _former_walk(t, lambda m: (0, m)):
+        if len(word) > short:
+            break
+        if not finite(mat):
+            return infinite(word)
+    count = roots_of_unity_order(t.level)
+    scalars, classes = count, 1
+    for mat, word, shift in _former_walk(t, _former_projective_key):
+        if shift is not None:
+            scalars = gcd(scalars, shift)
+            continue
+        classes += 1
+        if len(word) <= max_word_len:
+            if len(word) > short and not finite(mat):
+                return infinite(word)
+        elif classes * (count // scalars) > cap:
+            return FinitenessVerdict(Finiteness.INCONCLUSIVE, cap=cap)
+    order = classes * (count // scalars)
+    return FinitenessVerdict(Finiteness.INCONCLUSIVE, cap=cap) if order > cap else FinitenessVerdict(Finiteness.FINITE, order=order)
+
+
+def _galois_class(n, e):
+    """The least of the exponent triples h*(ka, kb, kc) and h*(kb, ka, kc), h a unit mod n.
+
+    The matrices of levelt_triple(e, n) depend on {ka, kb} and kc, and sigma_h maps them entry by
+    entry to those of levelt_triple(h*e, n) (test_galois_transports_levelt_triples), so every
+    closure verdict is the same on a class: orders, the shifts' gcd with N and the first words
+    are kept by a field automorphism.
+    """
+    ka, kb, kc = e
+    return n, min(tuple(h * k % n for k in (a, b, kc)) for h in units(n) for a, b in ((ka, kb), (kb, ka)))
+
+
+def test_mu_orbit_key_reference_names_the_least_multiple():
+    for level, x in [(5, zeta(5) + 2), (6, zeta(6, 2) - 3), (9, zeta(9, 4) * 2 + 1), (12, -zeta(12, 7))]:
+        count = roots_of_unity_order(level)
+        multiples = [x.mul_root_of_unity(v) for v in range(count)]
+        assert multiples[_mu_orbit_exponent(x)].num == min(m.num for m in multiples)
+        assert len({m.mul_root_of_unity(_mu_orbit_exponent(m)) for m in multiples}) == 1
+
+
+def test_group_closure_matches_its_former_walk():
+    # one triple per class of every exponent triple at 2 <= n <= 8, reducible ones included, and of
+    # the irreducible ones at n <= 12: same kind, order, witness and cap at five pairs of limits
+    irreducible = {_galois_class(w.n, levelt_exponents(w, j)) for w, j in _irreducible_instances(12)}
+    assert len(irreducible) == 265
+    every = {_galois_class(n, e) for n in range(2, 9) for e in itertools.product(range(n), repeat=3)}
+    assert len(every) == 252
+    triples = [levelt_triple(e, n) for n, e in sorted(irreducible | every)]
+    kinds = set()
+    for limits in [(20000, 8), (1, 1), (1, 2), (1, 3), (50, 8)]:
+        for t in triples:
+            verdict = group_closure(t, *limits)
+            assert verdict == _former_group_closure(t, *limits), (t.level, t.exponents, limits)
+            kinds.add(verdict.kind)
+    assert kinds == set(Finiteness)
+
+
+def test_group_closure_multiplies_by_no_identity(monkeypatch):
+    # both walks start at the letters: no product has the identity as an operand
+    operands = []
+    monkeypatch.setattr(monodromy, "mat_mul", lambda a, b: operands.extend((a, b)) or mat_mul(a, b))
+    for w, j in [(W4, 1), (W5, 1), (W7, 2), (WeightTuple(10, (1, 3, 3, 3)), 1)]:
+        group_closure(triple_from_weights(w, j))
+    assert operands and not any(mat_is_identity(m) for m in operands)
+
+
+def test_group_closure_tests_each_inverse_and_reversed_pair_once(monkeypatch):
+    # the former closure tests every word; the exact walk now skips a letter whose inverse letter
+    # comes first and a word (a, b) whose reverse (b, a) comes first
+    t = triple_from_weights(W4, 1)
+    former = []
+    assert _former_group_closure(t, tested=former).order == 8
+    names = list(_former_letters(t).values())
+    matrices = list(_former_letters(t))
+    inverse = {a: next(b for b, h in zip(names, matrices) if mat_is_identity(mat_mul(g, h))) for a, g in zip(names, matrices)}
+    short_words = [(mat, word) for mat, word, _ in _former_walk(t, lambda m: (0, m)) if len(word) <= 2]
+    assert [mat for mat, _ in short_words] == former[: len(short_words)]
+    kept = [
+        mat
+        for mat, word in short_words
+        if names.index(inverse[word[0]] if len(word) == 1 else word[1]) >= names.index(word[0])
+    ]
+    assert len(kept) < len(short_words)
+    tested = []
+    monkeypatch.setattr(monodromy, "has_finite_order", lambda m, level: tested.append(m) or has_finite_order(m, level))
+    assert group_closure(t).order == 8
+    assert tested == kept + former[len(short_words):]
 
 
 def _projective_split(t):
     """(|G/Z|, |Z|) from one projective walk: its classes, and N over the gcd of its shifts."""
     count = roots_of_unity_order(t.level)
     classes, scalars = 1, count
-    for _, _, shift in _walk(t, _projective_key, _letters(t)):
+    letters = _letters(t)
+    for _, _, shift in _walk(t, _projective_key, letters, _det_exponents(letters)):
         if shift is None:
             classes += 1
         else:
@@ -543,7 +728,7 @@ def test_finite_order_bound_values():
 def test_kronecker_agrees_with_reference_on_walk(w, max_len):
     t = triple_from_weights(w, 1)
     visited = 0
-    for mat, word, _ in _walk(t, _exact_key, _letters(t)):
+    for mat, word, _ in _exact_walk(t):
         if max_len is not None and len(word) > max_len:
             break
         assert has_finite_order(mat, t.level) == _has_finite_order_reference(mat, t.level), word
@@ -615,7 +800,7 @@ def test_has_finite_order_matches_full_unit_loop_at_large_levels(n):
     w = standard_family(n).w
     t = triple_from_weights(w, find_infinite_character(w))
     verdicts = []
-    for mat, word, _ in _walk(t, _exact_key, _letters(t)):
+    for mat, word, _ in _exact_walk(t):
         if len(word) > 2:
             break
         verdicts.append(has_finite_order(mat, n))
