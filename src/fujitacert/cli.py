@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import suppress
 from functools import cache
 from math import gcd
 
@@ -27,7 +26,7 @@ from .certify import (
 from .eigenspace import (
     ResidueWeights,
     WeightTuple,
-    eigenspace_entry,
+    eigenspace_report,
     mu,
     sigma_table,
     signature as eigen_signature,
@@ -132,10 +131,8 @@ def _weight_tuple(n: int, m_text: str) -> WeightTuple:
 
 
 def _analysis_weights(n: int, m_text: str) -> ResidueWeights:
-    """The strict tuple when m validates as one, else the relaxed residue system."""
+    """The residue system of m mod n; a strict weight tuple is one that reduction leaves unchanged."""
     m = _parse_int_list(m_text, 4, "-m")
-    with suppress(ValueError):
-        return WeightTuple(n=n, m=m)
     try:
         return ResidueWeights(n=n, m=m)
     except ValueError as exc:
@@ -151,7 +148,7 @@ def cmd_analyze(args, out) -> int:
         if j == 0:
             raise CliInputError("character index j must be nonzero mod n")
         mu_values = [mu(w, i, j) if m * j % n else None for i, m in enumerate(w.m)]  # None where degenerate
-        report = eigenspace_entry(w, j)
+        report = eigenspace_report(w, j)
         sigmas = [report.sigma]
         rows = [records.eigenspace_report_dict(report, mu_values)]
     else:

@@ -177,8 +177,7 @@ def signature(w: ResidueWeights, j: int) -> tuple[int, int]:
     (2,0) and (0,2) are definite, (1,1) indefinite.  The index coincides with
     the Hodge numbers (dim H^{1,0}, dim H^{0,1}), which always sum to 2.
     """
-    report = eigenspace_report(w, j)
-    return report.dim_h10, report.dim_h01
+    return hodge_rows(w.n)[sigma_sum(w, j)][1:3]
 
 
 def sigma_table(w: ResidueWeights) -> list[int]:
@@ -217,16 +216,15 @@ def character_reports(table: list[int], n: int) -> Iterator[EigenspaceReport]:
 
 
 def eigenspace_report(w: ResidueWeights, j: int) -> EigenspaceReport:
-    """The report of one non-degenerate character, from sigma_sum."""
-    return EigenspaceReport(j % w.n, *hodge_rows(w.n)[sigma_sum(w, j)])
+    """The report of character j, eigenspace_table(w)[j - 1], from one sigma_sum.
 
-
-def eigenspace_entry(w: ResidueWeights, j: int) -> EigenspaceReport:
-    """eigenspace_table(w)[j - 1] from one sigma_sum: the flagged entry when j is degenerate."""
+    A degenerate j gives the flagged entry (sigma 0, degenerate=True), as in the table.
+    """
     try:
-        return eigenspace_report(w, j)
+        sigma = sigma_sum(w, j)
     except DegenerateCharacterError:
-        return EigenspaceReport(j % w.n, *hodge_rows(w.n)[0])
+        sigma = 0
+    return EigenspaceReport(j % w.n, *hodge_rows(w.n)[sigma])
 
 
 def eigenspace_table(w: ResidueWeights) -> list[EigenspaceReport]:

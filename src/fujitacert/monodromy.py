@@ -8,13 +8,12 @@ Two independent routes decide (ir)reducibility and (in)finiteness:
 * oracle - an explicit rank-2 matrix triple over Q(zeta_n) built from
   companion matrices with integer exponents for every character, reducible
   ones included; reducibility as the vanishing of the commutator
-  determinant det(g0*g1 - g1*g0), a breadth-first walk of the group it
-  generates (an exact walk of the words of length <= 2 from the letters,
-  testing one word of each inverse or reversed pair, then one walk of the
-  group modulo its root-of-unity scalars, keyed by the determinant exponent
-  the walk carries, which gives the exact order as |G/Z| * |Z|; Kronecker's
-  theorem tests each element for finite order), and an exactly solved
-  invariant Hermitian form.
+  determinant det(g0*g1 - g1*g0), a search of the group it generates (the
+  letters and their pairs a*b in one loop, testing one word of each inverse
+  or reversed pair, then one breadth-first walk of the group modulo its
+  root-of-unity scalars, keyed by the determinant exponent the walk carries,
+  which gives the exact order as |G/Z| * |Z|; Kronecker's theorem tests each
+  element for finite order), and an exactly solved invariant Hermitian form.
 
 The oracle divides once, by 1 - y for a root of unity y (a sum of shifts), in
 the form's closed-form solve; companion inverses are closed forms, walk
@@ -309,13 +308,6 @@ def has_finite_order(m: Mat, level: int) -> bool:
 # ---------------------------------------------------------------------------
 # the oracle walk
 
-SHORT_WORD_LEN = 2  # every INFINITE witness met so far (n <= 12, certify --oracle) is this short
-
-
-def _exact_key(m: Mat, e: int) -> tuple[int, Mat]:
-    return 0, m
-
-
 def _projective_key(m: Mat, e: int) -> tuple[int, Mat]:
     """(u, zeta_N^u * m), the same for every root-of-unity multiple of m, for det m = zeta_N^e.
 
@@ -343,26 +335,25 @@ def _letters(t: MonodromyTriple) -> list[tuple[Mat, str, int]]:
     return [(g, name, place[inverse[g]]) for g, name in names.items()]
 
 
-def _walk(t: MonodromyTriple, key, letters: list[tuple[Mat, str, int]], dets):
-    """Breadth-first walk of the classes of the group G generated by g0, g1, ginf, from the letters.
+def _walk(t: MonodromyTriple, letters: list[tuple[Mat, str, int]], dets):
+    """Breadth-first walk of the classes of G = <g0, g1, ginf> modulo mu_N, from the letters.
 
     letters = _letters(t), in order, with det = zeta_N^dets[i] for the i-th; an element carries
-    e, the sum of its letters' exponents, into key(m, e) = (u, r), which names the class r =
-    zeta_N^u * m of m: the exact key (0, m) makes every element its own class, the projective key
-    puts the root-of-unity multiples of m in one.  Every class other than the identity's is yielded
-    once, as (matrix, word, None) with the first word reaching it, in order of word length.  A
-    product p meeting a known class q as p = zeta_N^d * q, d != 0, is yielded as (p, word, d).
+    e, the sum of its letters' exponents, into _projective_key(m, e) = (u, r), which names the
+    class r = zeta_N^u * m of the root-of-unity multiples of m.  Every class other than the
+    identity's is yielded once, as (matrix, word, None) with the first word reaching it, in order of
+    word length.  A product p meeting a known class q as p = zeta_N^d * q, d != 0, is yielded as
+    (p, word, d).
     """
     identity = mat_identity(t.level)
-    u, r = key(identity, 0)
-    seen = {r: u}
+    seen = {identity: 0}  # the identity's key is (0, I)
     frontier: list[tuple[Mat, tuple[str, ...], int]] = [(identity, (), 0)]
     while frontier:
         next_frontier = []
         for mat, word, e in frontier:
             for (g, name, _), d in zip(letters, dets):
                 prod = mat_mul(mat, g) if word else g
-                u, r = key(prod, e + d)
+                u, r = _projective_key(prod, e + d)
                 if r in seen:
                     if seen[r] != u:
                         yield prod, word + (name,), seen[r] - u
@@ -378,20 +369,20 @@ def group_closure(
     cap: int = DEFAULT_CLOSURE_CAP,
     max_word_len: int = DEFAULT_MAX_WORD_LEN,
 ) -> FinitenessVerdict:
-    """Decide finiteness exactly: an exact walk of the short words, then one of G modulo mu_N.
+    """Decide finiteness exactly: test the letters and their pairs, then walk G modulo mu_N.
 
     INFINITE with the first word (in walk order) of length <= max_word_len that has infinite order;
     otherwise FINITE with the exact group order if it is at most cap; otherwise INCONCLUSIVE.
 
-    The exact walk tests the words of length <= SHORT_WORD_LEN, skipping a letter whose inverse
-    letter comes first and a word (a, b) with b first: g^-1 has the order of g, and
-    b*a = a^-1*(a*b)*a that of a*b, and the earlier word was tested, skipped alike, or met as 1 or
-    a letter, so the first infinite-order word is the one a walk testing every word finds.  Without a
-    witness there, the projective walk visits the classes of G modulo the scalars mu_N * I (mu_N:
-    the roots of unity of Q(zeta_n)), keyed through the determinants (a letter's is a root of unity,
-    as it passed the exact walk), and tests the longer words.  Finite order is unchanged by a
-    root-of-unity scalar, so the exact walk's first infinite-order element is first in its class,
-    and the projective walk reaches it by the same word.  A product meeting a known class as
+    Every INFINITE witness met so far (n <= 12, certify --oracle) has length <= 2, so these words
+    are tested first: each letter whose inverse letter is not earlier, then each product a*b with b
+    not before a that is not 1, a letter or an earlier product.  g^-1 has the order of g, and
+    b*a = a^-1*(a*b)*a that of a*b, so the first infinite-order word is the one a walk testing every
+    word finds.  Without a witness there, the class walk visits the classes of G modulo the scalars
+    mu_N * I (mu_N: the roots of unity of Q(zeta_n)), keyed through the determinants (a letter's is a
+    root of unity, as it or its inverse passed the test), and tests the longer words.  Finite order
+    is unchanged by a root-of-unity scalar, so the first infinite-order element is first in its
+    class, and the class walk reaches it by the same word.  A product meeting a known class as
     zeta_N^d times it puts zeta_N^d * I in G; once the walk closes these are the Schreier generators
     of the scalars Z of G, so |Z| = N / gcd(N, every d) and |G| = |G/Z| * |Z|, |G/Z| the number of
     classes.  The walk stops at a witness, or once it is past max_word_len and the classes times the
@@ -401,33 +392,37 @@ def group_closure(
         raise ValueError("cap must be >= 1")
     if max_word_len < 1:
         raise ValueError("max_word_len must be >= 1")
-    short = min(SHORT_WORD_LEN, max_word_len)
+    short = min(2, max_word_len)
 
-    def infinite(word):
+    def infinite(*word):
         return FinitenessVerdict(Finiteness.INFINITE, witness=(("kind", "infinite_order_word"), ("word", "*".join(word))))
 
     letters = _letters(t)
-    place = {name: i for i, (_, name, _) in enumerate(letters)}
-    for mat, word, _ in _walk(t, _exact_key, letters, (0,) * len(letters)):
-        if len(word) > short:
-            break
-        first = place[word[0]]
-        earlier = letters[first][2] if len(word) == 1 else place[word[-1]]  # first letter of g^-1, or of (b, a)
-        if earlier >= first and not has_finite_order(mat, t.level):
-            return infinite(word)
+    for i, (g, name, inverse) in enumerate(letters):
+        if inverse >= i and not has_finite_order(g, t.level):
+            return infinite(name)
+    if short == 2:
+        seen = {mat_identity(t.level), *(g for g, _, _ in letters)}
+        for i, (a, a_name, _) in enumerate(letters):
+            for b, b_name, _ in letters[i:]:
+                prod = mat_mul(a, b)
+                if prod not in seen:
+                    seen.add(prod)
+                    if not has_finite_order(prod, t.level):
+                        return infinite(a_name, b_name)
     dets = [mat_det(g).root_of_unity_exponent() for g, _, _ in letters]
     if None in dets:
         raise InternalInconsistencyError("a letter's determinant is not a root of unity")
     count = roots_of_unity_order(t.level)
     scalars, classes = count, 1  # scalars: gcd of N and every d met so far
-    for mat, word, shift in _walk(t, _projective_key, letters, dets):
+    for mat, word, shift in _walk(t, letters, dets):
         if shift is not None:
             scalars = gcd(scalars, shift)
             continue
         classes += 1
         if len(word) <= max_word_len:
             if len(word) > short and not has_finite_order(mat, t.level):
-                return infinite(word)
+                return infinite(*word)
         elif classes * (count // scalars) > cap:
             return FinitenessVerdict(Finiteness.INCONCLUSIVE, cap=cap)
     order = classes * (count // scalars)

@@ -96,13 +96,11 @@ def _splitting_reference(w):
     # the per-character loop splitting ran before sigma_table, one eigenspace_report per j
     entries, rank_v, flat, ample, degenerate = [], 0, 0, 0, False
     for j in range(1, w.n):
-        try:
-            report = eigenspace_report(w, j)
-        except DegenerateCharacterError:
-            degenerate = True
-            entries.append(EigenspaceReport(j, 0, None, None, None, True))
-            continue
+        report = eigenspace_report(w, j)
         entries.append(report)
+        if report.degenerate:
+            degenerate = True
+            continue
         rank_v += report.dim_h10
         flat += report.split_class is SplitClass.FLAT
         ample += report.split_class is SplitClass.AMPLE_CANDIDATE

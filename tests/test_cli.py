@@ -230,8 +230,8 @@ _GINF_INVERSE = monodromy.mat_mul(_W4_TRIPLE.g0, _W4_TRIPLE.g1)
 
 
 def _det_not_a_root_on_ginf_inverse(m, mat_det=monodromy.mat_det):
-    """mat_det, but twice it on ginf^-1 of the W4 triple: a letter the exact walk does not test,
-    as its inverse letter ginf comes first, so only the projective walk's lookup meets it."""
+    """mat_det, but twice it on ginf^-1 of the W4 triple: a letter the short phase does not test,
+    as its inverse letter ginf comes first, so only the class walk's lookup meets it."""
     return mat_det(m) * 2 if m == _GINF_INVERSE else mat_det(m)
 
 
@@ -263,7 +263,7 @@ def _det_not_a_root_on_ginf_inverse(m, mat_det=monodromy.mat_det):
             ["oracle", "-n", "6", "-m", "1,2,2,1", "-j", "3"],
             InternalInconsistencyError,
         ),
-        # a FINITE closure reaches the projective walk, which looks up every letter's determinant
+        # a FINITE closure reaches the class walk, which looks up every letter's determinant
         (
             monodromy,
             "mat_det",
@@ -324,7 +324,7 @@ def test_closure_bounds_below_one_exit1(argv, flag):
     [
         ["certify", "-n", "7", "-m", "1,1,1,4", "--nw", "1,1,5", "--oracle"],
         ["oracle", "-n", "5", "-m", "1,1,1,2", "-j", "1"],
-        ["oracle", "-n", "10", "-m", "1,3,3,3", "-j", "1"],  # FINITE, order 600: the projective walk runs
+        ["oracle", "-n", "10", "-m", "1,3,3,3", "-j", "1"],  # FINITE, order 600: the class walk runs
     ],
 )
 def test_output_unchanged_under_python_O(argv):

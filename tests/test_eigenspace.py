@@ -14,7 +14,6 @@ from fujitacert.eigenspace import (
     WeightTuple,
     EigenspaceReport,
     compositions,
-    eigenspace_entry,
     eigenspace_report,
     eigenspace_table,
     iter_weight_tuples,
@@ -89,6 +88,11 @@ def test_signature_examples():
     assert signature(w, 2) == (1, 1)
     assert signature(w, 4) == (2, 0)
     assert signature(WeightTuple(4, (1, 1, 1, 1)), 1) == (0, 2)
+    # a degenerate character has a flagged report but no signature
+    w6 = WeightTuple(6, (1, 2, 2, 1))
+    assert eigenspace_report(w6, 3) == EigenspaceReport(3, 0, None, None, None, degenerate=True)
+    with pytest.raises(DegenerateCharacterError):
+        signature(w6, 3)
 
 
 def test_eigenspace_table_n5():
@@ -212,9 +216,12 @@ def _sigma_or_zero(w, j):
 
 def _report_reference(w, j):
     try:
-        return eigenspace_report(w, j)
+        sigma = sigma_sum(w, j)
     except DegenerateCharacterError:
         return EigenspaceReport(j, 0, None, None, None, degenerate=True)
+    h10 = sigma // w.n - 1
+    split_class = (SplitClass.ZERO, SplitClass.AMPLE_CANDIDATE, SplitClass.FLAT)[h10]
+    return EigenspaceReport(j, sigma, h10, 2 - h10, split_class, degenerate=False)
 
 
 def test_sigma_table_matches_sigma_sum():
@@ -237,16 +244,16 @@ def test_eigenspace_table_matches_per_character_reports():
                 assert (r.dim_h10, r.dim_h01) == signature(w, r.j)
 
 
-def test_eigenspace_entry_matches_the_table():
+def test_eigenspace_report_matches_the_table():
     # analyze -j reads one sigma_sum where it read the whole eigenspace_table; every
     # tuple is checked at one character, j cycling so that each n meets every j
     degenerate = 0
     for n in range(4, 41):
         for i, w in enumerate(iter_weight_tuples(n)):
             j = i % (n - 1) + 1
-            report = eigenspace_entry(w, j)
+            report = eigenspace_report(w, j)
             assert report == eigenspace_table(w)[j - 1], (w, j)
-            assert eigenspace_entry(w, j + n) == report
+            assert eigenspace_report(w, j + n) == report
             degenerate += report.degenerate
     assert degenerate > 1000
 

@@ -26,7 +26,6 @@ from fujitacert.monodromy import (
     infinite_order_witness,
     invariant_hermitian_form,
     is_irreducible,
-    _exact_key,
     _projective_key,
     _letters,
     _walk,
@@ -283,7 +282,7 @@ def test_group_closure_finite_fixtures():
 
 
 def test_group_closure_builds_its_letters_once(monkeypatch):
-    # the exact and the projective walk of a FINITE closure share one letter table
+    # the short phase and the class walk of a FINITE closure share one letter table
     inverses, calls = MonodromyTriple.inverses, []
     monkeypatch.setattr(MonodromyTriple, "inverses", lambda self: calls.append(self) or inverses(self))
     assert group_closure(triple_from_weights(W4, 1)).order == 8
@@ -349,7 +348,7 @@ def test_witness_rejects_bad_bound():
 
 
 # ---------------------------------------------------------------------------
-# the projective walk against the exact walk
+# the closure against one exact walk
 
 
 def _exact_group_closure(t, cap, max_word_len):
@@ -412,11 +411,6 @@ def test_group_closure_matches_exact_walk_past_the_short_words():
 
 def _det_exponents(letters):
     return [mat_det(g).root_of_unity_exponent() for g, _, _ in letters]
-
-
-def _exact_walk(t):
-    letters = _letters(t)
-    return _walk(t, _exact_key, letters, [0] * len(letters))
 
 
 def _random_word_matrix(level, rng):
@@ -584,7 +578,8 @@ def test_group_closure_matches_its_former_walk():
 
 
 def test_group_closure_multiplies_by_no_identity(monkeypatch):
-    # both walks start at the letters: no product has the identity as an operand
+    # the pair loop multiplies letters and the class walk starts at them: no product has the
+    # identity as an operand
     operands = []
     monkeypatch.setattr(monodromy, "mat_mul", lambda a, b: operands.extend((a, b)) or mat_mul(a, b))
     for w, j in [(W4, 1), (W5, 1), (W7, 2), (WeightTuple(10, (1, 3, 3, 3)), 1)]:
@@ -593,7 +588,7 @@ def test_group_closure_multiplies_by_no_identity(monkeypatch):
 
 
 def test_group_closure_tests_each_inverse_and_reversed_pair_once(monkeypatch):
-    # the former closure tests every word; the exact walk now skips a letter whose inverse letter
+    # the former closure tests every word; the short phase skips a letter whose inverse letter
     # comes first and a word (a, b) whose reverse (b, a) comes first
     t = triple_from_weights(W4, 1)
     former = []
@@ -615,12 +610,29 @@ def test_group_closure_tests_each_inverse_and_reversed_pair_once(monkeypatch):
     assert tested == kept + former[len(short_words):]
 
 
+def test_group_closure_makes_one_product_per_pair_before_the_class_walk(monkeypatch):
+    # before the class walk keys its first element, the closure makes the 3 letter inverses and at
+    # most one product a*b of letters per pair with b not before a
+    for w, made in [(W4, 13), (WeightTuple(6, (1, 1, 1, 3)), 24)]:
+        t = triple_from_weights(w, 1)
+        letters = [g for g, _, _ in _letters(t)]
+        pairs = {(a, b) for i, a in enumerate(letters) for b in letters[i:]}
+        products, before_key = [], []
+        monkeypatch.setattr(monodromy, "mat_mul", lambda a, b: products.append((a, b)) or mat_mul(a, b))
+        monkeypatch.setattr(
+            monodromy, "_projective_key", lambda m, e: before_key.append(len(products)) or _projective_key(m, e)
+        )
+        assert group_closure(t).kind is Finiteness.FINITE
+        short = products[3 : before_key[0]]
+        assert before_key[0] == made and len(set(short)) == len(short) and pairs.issuperset(short), w
+
+
 def _projective_split(t):
-    """(|G/Z|, |Z|) from one projective walk: its classes, and N over the gcd of its shifts."""
+    """(|G/Z|, |Z|) from one class walk: its classes, and N over the gcd of its shifts."""
     count = roots_of_unity_order(t.level)
     classes, scalars = 1, count
     letters = _letters(t)
-    for _, _, shift in _walk(t, _projective_key, letters, _det_exponents(letters)):
+    for _, _, shift in _walk(t, letters, _det_exponents(letters)):
         if shift is None:
             classes += 1
         else:
@@ -728,7 +740,7 @@ def test_finite_order_bound_values():
 def test_kronecker_agrees_with_reference_on_walk(w, max_len):
     t = triple_from_weights(w, 1)
     visited = 0
-    for mat, word, _ in _exact_walk(t):
+    for mat, word, _ in _former_walk(t, lambda m: (0, m)):
         if max_len is not None and len(word) > max_len:
             break
         assert has_finite_order(mat, t.level) == _has_finite_order_reference(mat, t.level), word
@@ -800,7 +812,7 @@ def test_has_finite_order_matches_full_unit_loop_at_large_levels(n):
     w = standard_family(n).w
     t = triple_from_weights(w, find_infinite_character(w))
     verdicts = []
-    for mat, word, _ in _exact_walk(t):
+    for mat, word, _ in _former_walk(t, lambda m: (0, m)):
         if len(word) > 2:
             break
         verdicts.append(has_finite_order(mat, n))
