@@ -38,7 +38,7 @@ from .monodromy import (
     group_closure,
     triple_from_weights,
 )
-from .residues import NonUnitError, is_unit
+from .residues import NonUnitError
 from .surfaces import (
     FamilyData,
     SurfaceInvariants,
@@ -182,7 +182,7 @@ def certify(
     if split.has_degenerate:
         return stop("degenerate character present")
     # is_irreducible at every j, that is n divides no j*m_i: each m_i is a unit mod n
-    facts["irreducible_all"] = all(is_unit(m, w.n) for m in w.m)
+    facts["irreducible_all"] = w.all_units()
     if not facts["irreducible_all"]:
         return stop("some character is reducible")
     if split.rank_flat < 2:

@@ -122,25 +122,17 @@ def build_parser() -> _Parser:
 # commands
 
 
-def _weight_tuple(n: int, m_text: str) -> WeightTuple:
+def _weights(cls: type[ResidueWeights], n: int, m_text: str) -> ResidueWeights:
+    """-m as cls: the residue system of m mod n, or the strict WeightTuple that reduction leaves unchanged."""
     m = _parse_int_list(m_text, 4, "-m")
     try:
-        return WeightTuple(n=n, m=m)
-    except ValueError as exc:
-        raise CliInputError(str(exc))
-
-
-def _analysis_weights(n: int, m_text: str) -> ResidueWeights:
-    """The residue system of m mod n; a strict weight tuple is one that reduction leaves unchanged."""
-    m = _parse_int_list(m_text, 4, "-m")
-    try:
-        return ResidueWeights(n=n, m=m)
+        return cls(n=n, m=m)
     except ValueError as exc:
         raise CliInputError(str(exc))
 
 
 def cmd_analyze(args, out) -> int:
-    w = _analysis_weights(args.n, args.m)
+    w = _weights(ResidueWeights, args.n, args.m)
     n = w.n
     inputs = {"n": n, "m": list(w.m), "j": args.j}
     if args.j is not None:
@@ -204,7 +196,7 @@ def _certificate_checks(cert: Certificate) -> list[dict]:
 
 
 def cmd_certify(args, out) -> int:
-    w = _weight_tuple(args.n, args.m)
+    w = _weights(WeightTuple, args.n, args.m)
     nw = _parse_int_list(args.nw, 3, "--nw")
     try:
         fam = FamilyData(w=w, base_weights=nw)
@@ -271,7 +263,7 @@ def cmd_shimura(args, out) -> int:
 
 
 def cmd_oracle(args, out) -> int:
-    w = _weight_tuple(args.n, args.m)
+    w = _weights(WeightTuple, args.n, args.m)
     j = args.j % w.n
     if j == 0:
         raise CliInputError("character index j must be nonzero mod n")

@@ -9,15 +9,16 @@ Two independent routes decide (ir)reducibility and (in)finiteness:
   companion matrices with integer exponents for every character, reducible
   ones included; reducibility as the vanishing of the commutator
   determinant det(g0*g1 - g1*g0), a search of the group it generates (the
-  letters and their pairs a*b in one loop, testing one word of each inverse
-  or reversed pair, then one breadth-first walk of the group modulo its
+  generators, then the letters' pairs a*b with one word of each reversed
+  pair tested, then one breadth-first walk of the group modulo its
   root-of-unity scalars, keyed by the determinant exponent the walk carries,
   which gives the exact order as |G/Z| * |Z|; Kronecker's theorem tests each
   element for finite order), and an exactly solved invariant Hermitian form.
 
 The oracle divides once, by 1 - y for a root of unity y (a sum of shifts), in
 the form's closed-form solve; companion inverses are closed forms, walk
-inverses are products via g0*g1*ginf = 1, and the form is X + X*.
+inverses are products via g0*g1*ginf = 1, and the form is s*m0 for the
+solution line m0 and one scalar s, checked Hermitian.
 
 The sweep tests elsewhere hold agreement of the two routes as the highest
 severity invariant; neither side may be shortcut through the other.
@@ -322,20 +323,16 @@ def _projective_key(m: Mat, e: int) -> tuple[int, Mat]:
     return u, r
 
 
-def _letters(t: MonodromyTriple) -> list[tuple[Mat, str, int]]:
-    """(letter, name, place of its inverse letter) for g0, g1, ginf, then t.inverses() (products,
-    no division), in that order; a repeated matrix keeps its first name and place."""
-    generators, inverses = t.generators(), t.inverses()
+def _letters(t: MonodromyTriple) -> list[tuple[Mat, str]]:
+    """(letter, name) for g0, g1, ginf, then t.inverses() (products, no division), in that order;
+    a repeated matrix keeps its first name."""
     names: dict[Mat, str] = {}
-    for name, g in generators + inverses:
+    for name, g in t.generators() + t.inverses():
         names.setdefault(g, name)
-    inverse = {g: h for (_, g), (_, h) in zip(generators, inverses)}
-    inverse |= {h: g for g, h in list(inverse.items())}
-    place = {g: i for i, g in enumerate(names)}
-    return [(g, name, place[inverse[g]]) for g, name in names.items()]
+    return list(names.items())
 
 
-def _walk(t: MonodromyTriple, letters: list[tuple[Mat, str, int]], dets):
+def _walk(t: MonodromyTriple, letters: list[tuple[Mat, str]], dets):
     """Breadth-first walk of the classes of G = <g0, g1, ginf> modulo mu_N, from the letters.
 
     letters = _letters(t), in order, with det = zeta_N^dets[i] for the i-th; an element carries
@@ -351,7 +348,7 @@ def _walk(t: MonodromyTriple, letters: list[tuple[Mat, str, int]], dets):
     while frontier:
         next_frontier = []
         for mat, word, e in frontier:
-            for (g, name, _), d in zip(letters, dets):
+            for (g, name), d in zip(letters, dets):
                 prod = mat_mul(mat, g) if word else g
                 u, r = _projective_key(prod, e + d)
                 if r in seen:
@@ -369,24 +366,24 @@ def group_closure(
     cap: int = DEFAULT_CLOSURE_CAP,
     max_word_len: int = DEFAULT_MAX_WORD_LEN,
 ) -> FinitenessVerdict:
-    """Decide finiteness exactly: test the letters and their pairs, then walk G modulo mu_N.
+    """Decide finiteness exactly: test the generators and the letters' pairs, then walk G modulo mu_N.
 
     INFINITE with the first word (in walk order) of length <= max_word_len that has infinite order;
     otherwise FINITE with the exact group order if it is at most cap; otherwise INCONCLUSIVE.
 
     Every INFINITE witness met so far (n <= 12, certify --oracle) has length <= 2, so these words
-    are tested first: each letter whose inverse letter is not earlier, then each product a*b with b
-    not before a that is not 1, a letter or an earlier product.  g^-1 has the order of g, and
-    b*a = a^-1*(a*b)*a that of a*b, so the first infinite-order word is the one a walk testing every
-    word finds.  Without a witness there, the class walk visits the classes of G modulo the scalars
-    mu_N * I (mu_N: the roots of unity of Q(zeta_n)), keyed through the determinants (a letter's is a
-    root of unity, as it or its inverse passed the test), and tests the longer words.  Finite order
-    is unchanged by a root-of-unity scalar, so the first infinite-order element is first in its
-    class, and the class walk reaches it by the same word.  A product meeting a known class as
-    zeta_N^d times it puts zeta_N^d * I in G; once the walk closes these are the Schreier generators
-    of the scalars Z of G, so |Z| = N / gcd(N, every d) and |G| = |G/Z| * |Z|, |G/Z| the number of
-    classes.  The walk stops at a witness, or once it is past max_word_len and the classes times the
-    |Z| found so far exceed cap.
+    are tested first: g0, g1 and ginf, then each product a*b of letters with b not before a that is
+    not 1, a letter or an earlier product.  The other letters are their inverses; g^-1 has the order
+    of g and b*a = a^-1*(a*b)*a that of a*b, so the first infinite-order word is the one a walk
+    testing every word finds.  Without a witness there, the class walk visits the classes of G
+    modulo the scalars mu_N * I (mu_N: the roots of unity of Q(zeta_n)), keyed through the
+    determinants (a letter's is a root of unity, as it or its inverse passed the test), and tests
+    the longer words.  Finite order is unchanged by a root-of-unity scalar, so the first
+    infinite-order element is first in its class, and the class walk reaches it by the same word.  A
+    product meeting a known class as zeta_N^d times it puts zeta_N^d * I in G; once the walk closes
+    these are the Schreier generators of the scalars Z of G, so |Z| = N / gcd(N, every d) and
+    |G| = |G/Z| * |Z|, |G/Z| the number of classes.  The walk stops at a witness, or once it is
+    past max_word_len and the classes times the |Z| found so far exceed cap.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -397,20 +394,20 @@ def group_closure(
     def infinite(*word):
         return FinitenessVerdict(Finiteness.INFINITE, witness=(("kind", "infinite_order_word"), ("word", "*".join(word))))
 
-    letters = _letters(t)
-    for i, (g, name, inverse) in enumerate(letters):
-        if inverse >= i and not has_finite_order(g, t.level):
+    for name, g in t.generators():
+        if not has_finite_order(g, t.level):
             return infinite(name)
+    letters = _letters(t)
     if short == 2:
-        seen = {mat_identity(t.level), *(g for g, _, _ in letters)}
-        for i, (a, a_name, _) in enumerate(letters):
-            for b, b_name, _ in letters[i:]:
+        seen = {mat_identity(t.level), *(g for g, _ in letters)}
+        for i, (a, a_name) in enumerate(letters):
+            for b, b_name in letters[i:]:
                 prod = mat_mul(a, b)
                 if prod not in seen:
                     seen.add(prod)
                     if not has_finite_order(prod, t.level):
                         return infinite(a_name, b_name)
-    dets = [mat_det(g).root_of_unity_exponent() for g, _, _ in letters]
+    dets = [mat_det(g).root_of_unity_exponent() for g, _ in letters]
     if None in dets:
         raise InternalInconsistencyError("a letter's determinant is not a root of unity")
     count = roots_of_unity_order(t.level)
@@ -504,8 +501,11 @@ def invariant_hermitian_form(t: MonodromyTriple) -> tuple[Mat, tuple[int, int]]:
     so (1 - qx)*b = (px + t)*a.  So every solution is a multiple of m0 = ((1, b1), (p + b1*q, 1)),
     b1 = (px + t)/(1 - qx), if qx != 1, or of m0 = ((0, conj(q)), (1, 0)) if qx = 1 and
     px + t != 0; else g0*ginf = I = g1, and the forms of g0 alone are a plane.  m0 spans the
-    solutions iff g0 and g1 (so ginf) fix it.  The form is X + X* for X = zeta^k*m0 at the first k
-    where that is nonzero (no division).  It is Hermitian and oriented by the Hodge convention:
+    solutions iff g0 and g1 (so ginf) fix it.  m0* solves too, so m0* = alpha*m0 with
+    alpha = conj(m0[c][r]), read at m0's last nonzero entry m0[r][c] = 1.  The form is
+    s*m0 = X + X* for X = zeta^k*m0, s = zeta^k + zeta^-k*alpha at k = 0, or at k = 1 when that
+    is 0 (s is 0 at both only if alpha = -1 and level <= 2; no division).  s*m0 is checked
+    Hermitian, which holds iff m0* = alpha*m0.  The form is oriented by the Hodge convention:
     among the two real rays of solutions, the one whose positivity index equals (weight sum - 1)
     when the form is definite.  The definite/indefinite alternative itself is solved, not assumed:
     an indefinite solution is returned as (1,1) regardless of the weight data, and the
@@ -515,20 +515,14 @@ def invariant_hermitian_form(t: MonodromyTriple) -> tuple[Mat, tuple[int, int]]:
     m0 = _invariant_line(t)
     if m0 is None:
         raise ReducibleNoUniqueFormError("invariant form space has dimension 0, expected 1")
-    m0_ct = mat_conj_transpose(m0)
-    cells = [(r, c) for r in range(2) for c in range(2)]
-    # m0_ct is again a solution, so m0_ct = alpha * m0 with |alpha| = 1: checked
-    # cross-multiplied with a nonzero cell p of m0 (p_ct of m0_ct)
-    p, p_ct = next(((m0[r][c], m0_ct[r][c]) for r, c in cells if not m0[r][c].is_zero()), (None, None))
-    if p is None or any(m0_ct[r][c] * p != p_ct * m0[r][c] for r, c in cells):
-        raise InternalInconsistencyError("conjugate-transpose left the solution line")
-    # X + X* for X = zeta^k * m0 is (zeta^k + zeta^-k * alpha) * m0
-    pairs = list(zip(m0[0] + m0[1], m0_ct[0] + m0_ct[1]))
-    sums = ([x.mul_zeta_power(k) + y.mul_zeta_power(-k) for x, y in pairs] for k in range(level))
-    s = next((s for s in sums if any(not x.is_zero() for x in s)), None)
-    herm = None if s is None else ((s[0], s[1]), (s[2], s[3]))
-    if herm is None or mat_conj_transpose(herm) != herm:
+    r, c = next((r, c) for r in (1, 0) for c in (1, 0) if not m0[r][c].is_zero())
+    alpha = m0[c][r].conjugate()
+    s = next((s for s in (zeta(level, k) + alpha.mul_zeta_power(-k) for k in (0, 1)) if not s.is_zero()), None)
+    if s is None:
         raise InternalInconsistencyError("no Hermitian representative found")
+    herm = tuple(tuple(s * x for x in row) for row in m0)
+    if mat_conj_transpose(herm) != herm:
+        raise InternalInconsistencyError("conjugate-transpose left the solution line")
     signature = _hermitian_signature(herm)
     if signature in ((2, 0), (0, 2)):
         # Hodge weight sum: the normalized residues are [-kb], [kc-ka], [kb-kc], [ka] over n

@@ -337,7 +337,7 @@ GATE_CASES = {
         "0e9692c239328005afeb1dbea248f702e0a1446ddc9e40494ad694b74311b10b",
     ),
     "reducible": (
-        standard_family(7), {"is_unit": lambda x, n: x != 4}, {},
+        standard_family(7), {"WeightTuple.all_units": lambda w: 4 not in w.m}, {},
         "some character is reducible",
         ["admissibility_reason", "infinite_witness", "oracle"],
         "5f618fd9cb6327788ed462ccd7ff1de9acad4e96d3dd4c05074f8f31fcffc70a",
@@ -379,7 +379,8 @@ GATE_CASES = {
 def test_certify_gate_records_pinned(monkeypatch, case):
     fam, patches, kwargs, reason, none_keys, digest = GATE_CASES[case]
     for name, replacement in patches.items():
-        monkeypatch.setattr(CERTIFY_MODULE, name, replacement)
+        owner, _, attr = name.rpartition(".")  # a name of the module, or Class.attribute
+        monkeypatch.setattr(getattr(CERTIFY_MODULE, owner) if owner else CERTIFY_MODULE, attr, replacement)
     cert = certify(fam, **kwargs)
     record = records.certificate_dict(cert)
     assert cert.is_counterexample is (reason is None)

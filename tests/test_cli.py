@@ -325,6 +325,7 @@ def test_closure_bounds_below_one_exit1(argv, flag):
         ["certify", "-n", "7", "-m", "1,1,1,4", "--nw", "1,1,5", "--oracle"],
         ["oracle", "-n", "5", "-m", "1,1,1,2", "-j", "1"],
         ["oracle", "-n", "10", "-m", "1,3,3,3", "-j", "1"],  # FINITE, order 600: the class walk runs
+        ["oracle", "-n", "6", "-m", "1,1,1,3", "-j", "3"],  # qx = 1: the form is ((0, conj(s)), (s, 0))
     ],
 )
 def test_output_unchanged_under_python_O(argv):

@@ -410,7 +410,7 @@ def test_group_closure_matches_exact_walk_past_the_short_words():
 
 
 def _det_exponents(letters):
-    return [mat_det(g).root_of_unity_exponent() for g, _, _ in letters]
+    return [mat_det(g).root_of_unity_exponent() for g, _ in letters]
 
 
 def _random_word_matrix(level, rng):
@@ -615,7 +615,7 @@ def test_group_closure_makes_one_product_per_pair_before_the_class_walk(monkeypa
     # most one product a*b of letters per pair with b not before a
     for w, made in [(W4, 13), (WeightTuple(6, (1, 1, 1, 3)), 24)]:
         t = triple_from_weights(w, 1)
-        letters = [g for g, _, _ in _letters(t)]
+        letters = [g for g, _ in _letters(t)]
         pairs = {(a, b) for i, a in enumerate(letters) for b in letters[i:]}
         products, before_key = [], []
         monkeypatch.setattr(monodromy, "mat_mul", lambda a, b: products.append((a, b)) or mat_mul(a, b))
@@ -1052,24 +1052,64 @@ def _invariant_line_reference(t):
     return ((basis[0][0], basis[0][1]), (basis[0][2], basis[0][3])) if basis else None
 
 
-def _form_or_error(t):
+def _former_hermitian_form(t):
+    """invariant_hermitian_form with its former Hermitian point: m0* = alpha*m0 checked by eight
+    cross-multiplied products, then X + X* for X = zeta^k*m0 at the first k where that is nonzero."""
+    from fujitacert.monodromy import _hermitian_signature
+
+    level = t.level
+    m0 = monodromy._invariant_line(t)
+    if m0 is None:
+        raise ReducibleNoUniqueFormError("invariant form space has dimension 0, expected 1")
+    m0_ct = mat_conj_transpose(m0)
+    cells = [(r, c) for r in range(2) for c in range(2)]
+    p, p_ct = next(((m0[r][c], m0_ct[r][c]) for r, c in cells if not m0[r][c].is_zero()), (None, None))
+    if p is None or any(m0_ct[r][c] * p != p_ct * m0[r][c] for r, c in cells):
+        raise InternalInconsistencyError("conjugate-transpose left the solution line")
+    pairs = list(zip(m0[0] + m0[1], m0_ct[0] + m0_ct[1]))
+    sums = ([x.mul_zeta_power(k) + y.mul_zeta_power(-k) for x, y in pairs] for k in range(level))
+    s = next((s for s in sums if any(not x.is_zero() for x in s)), None)
+    herm = None if s is None else ((s[0], s[1]), (s[2], s[3]))
+    if herm is None or mat_conj_transpose(herm) != herm:
+        raise InternalInconsistencyError("no Hermitian representative found")
+    signature = _hermitian_signature(herm)
+    if signature in ((2, 0), (0, 2)):
+        ka, kb, kc = t.exponents
+        wanted_p = (ka + (kc - ka) % level + (kb - kc) % level + (-kb) % level) // level - 1
+        if wanted_p in (0, 2) and signature[0] != wanted_p:
+            herm = ((-herm[0][0], -herm[0][1]), (-herm[1][0], -herm[1][1]))
+            signature = (signature[1], signature[0])
+    return herm, signature
+
+
+def _form_or_error(t, form=invariant_hermitian_form):
     try:
-        return invariant_hermitian_form(t)
+        return form(t)
     except InternalInconsistencyError as exc:
         return type(exc)
 
 
 def test_closed_form_solve_matches_gauss_jordan_reference(monkeypatch):
     # the form depends on the triple alone, so one triple per exponent triple covers
-    # every irreducible n <= 12 instance; every (ka, kb, kc) at 2 <= n <= 9 adds the reducible ones
+    # every irreducible n <= 12 instance; every (ka, kb, kc) at 2 <= n <= 9 adds the reducible ones.
+    # Each line, the closed form's and the reference's, gives the same form through the former
+    # Hermitian point as through the one scalar s
     keys = {(n, e) for n in range(2, 10) for e in itertools.product(range(n), repeat=3)}
     keys |= {(w.n, levelt_exponents(w, j)) for w, j in _irreducible_instances(12)}
     triples = [levelt_triple(e, n) for n, e in sorted(keys)]
     closed = [_form_or_error(t) for t in triples]
+    assert [_form_or_error(t, _former_hermitian_form) for t in triples] == closed
     monkeypatch.setattr(monodromy, "_invariant_line", _invariant_line_reference)
     assert [_form_or_error(t) for t in triples] == closed
+    assert [_form_or_error(t, _former_hermitian_form) for t in triples] == closed
     errors = [r for r in closed if isinstance(r, type)]
-    assert ReducibleNoUniqueFormError in errors and len(errors) < len(closed)
+    assert ReducibleNoUniqueFormError in errors and InternalInconsistencyError in errors
+    assert len(errors) < len(closed)
+    monkeypatch.undo()
+    # n = 2, (1, 1, 0): qx = 1 and alpha = q = -1, so s = 1 + alpha = 0 and zeta - zeta^-1 = 0
+    for form in (invariant_hermitian_form, _former_hermitian_form):
+        with pytest.raises(InternalInconsistencyError, match="no Hermitian representative found"):
+            form(levelt_triple((1, 1, 0), 2))
 
 
 def test_form_rejects_reducible_triple():
