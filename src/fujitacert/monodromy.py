@@ -11,9 +11,11 @@ Two independent routes decide (ir)reducibility and (in)finiteness:
   determinant det(g0*g1 - g1*g0), a search of the group it generates (the
   generators, then the letters' pairs a*b with one word of each reversed
   pair tested, then one breadth-first walk of the group modulo its
-  root-of-unity scalars, keyed by the determinant exponent the walk carries,
-  which gives the exact order as |G/Z| * |Z|; Kronecker's theorem tests each
-  element for finite order), and an exactly solved invariant Hermitian form.
+  root-of-unity scalars, multiplying class keys by letters normalized to a
+  determinant exponent 0 or 1 and skipping the products that g0*g1*ginf = 1
+  makes 1 or a letter, which gives the exact order as |G/Z| * |Z|;
+  Kronecker's theorem tests each element for finite order), and an exactly
+  solved invariant Hermitian form.
 
 The oracle divides once, by 1 - y for a root of unity y (a sum of shifts), in
 the form's closed-form solve; companion inverses are closed forms, walk
@@ -317,47 +319,62 @@ def _projective_key(m: Mat, e: int) -> tuple[int, Mat]:
     one whose first nonzero coefficient is positive."""
     count = roots_of_unity_order(m[0][0].level)
     u = -(e % count // 2) % count
-    r = tuple(tuple(x.mul_root_of_unity(u) for x in row) for row in m)
+    r = tuple(tuple(x.mul_root_of_unity(u) for x in row) for row in m) if u else m
     if next(c for x in r[0] + r[1] for c in x.num if c) < 0:
         u, r = (u + count // 2) % count, tuple(tuple(-x for x in row) for row in r)
     return u, r
 
 
-def _letters(t: MonodromyTriple) -> list[tuple[Mat, str]]:
-    """(letter, name) for g0, g1, ginf, then t.inverses() (products, no division), in that order;
-    a repeated matrix keeps its first name."""
+# (a, b) with a*b = 1 or, by g0*g1*ginf = 1, a letter (g0*g1 = ginf^-1, g1^-1*g0^-1 = ginf, ...)
+_RELATION_PAIRS = (
+    ("g0", "g0^-1"), ("g0^-1", "g0"), ("g1", "g1^-1"), ("g1^-1", "g1"), ("ginf", "ginf^-1"), ("ginf^-1", "ginf"),
+    ("g0", "g1"), ("g1", "ginf"), ("ginf", "g0"), ("g1^-1", "g0^-1"), ("g0^-1", "ginf^-1"), ("ginf^-1", "g1^-1"),
+)
+
+
+def _letters(t: MonodromyTriple) -> tuple[list[tuple[Mat, str]], dict[str, str]]:
+    """((letter, name) for g0, g1, ginf, then t.inverses() (products, no division), in that order;
+    alias): a repeated matrix keeps its first name, and alias maps each of the six names to it."""
     names: dict[Mat, str] = {}
-    for name, g in t.generators() + t.inverses():
-        names.setdefault(g, name)
-    return list(names.items())
+    alias = {name: names.setdefault(g, name) for name, g in t.generators() + t.inverses()}
+    return list(names.items()), alias
 
 
-def _walk(t: MonodromyTriple, letters: list[tuple[Mat, str]], dets):
+def _walk(t: MonodromyTriple, letters: list[tuple[Mat, str]], dets, alias: dict[str, str]):
     """Breadth-first walk of the classes of G = <g0, g1, ginf> modulo mu_N, from the letters.
 
-    letters = _letters(t), in order, with det = zeta_N^dets[i] for the i-th; an element carries
-    e, the sum of its letters' exponents, into _projective_key(m, e) = (u, r), which names the
-    class r = zeta_N^u * m of the root-of-unity multiples of m.  Every class other than the
-    identity's is yielded once, as (matrix, word, None) with the first word reaching it, in order of
-    word length.  A product p meeting a known class q as p = zeta_N^d * q, d != 0, is yielded as
-    (p, word, d).
+    letters, alias = _letters(t), with det = zeta_N^dets[i] for the i-th letter.  A class is held
+    by its key _projective_key(m, e) = (u, r), r = zeta_N^u * m for its first word m; every class
+    other than the identity's is yielded once, as (r, word, None) with that word, in order of word
+    length.  The walk multiplies keys by the letters' keys, so a product's determinant exponent is
+    0, 1 or 2 (rescaled at 2 only), and adds up their u's, so u is against the word's own matrix p.
+    A product meeting a known class q as p = zeta_N^d * q, d != 0, is yielded
+    as (r, word, d).  After a word ending in a, the product with b is skipped when a*b is 1 or a
+    letter (_RELATION_PAIRS): then w*a*b = w*c exactly, a product made one length earlier, so a
+    skipped product is no new class and its d was already yielded.
     """
+    count = roots_of_unity_order(t.level)
+    place = {name: i for i, (_, name) in enumerate(letters)}
+    skip = {(place[alias[a]], place[alias[b]]) for a, b in _RELATION_PAIRS}
+    normal = [(*_projective_key(g, d), d % 2, name) for (g, name), d in zip(letters, dets)]
     identity = mat_identity(t.level)
     seen = {identity: 0}  # the identity's key is (0, I)
-    frontier: list[tuple[Mat, tuple[str, ...], int]] = [(identity, (), 0)]
+    frontier = [(identity, (), 0, 0, None)]  # key r, word, u: r = zeta_N^u * word, e: det r = zeta_N^e, last letter
     while frontier:
         next_frontier = []
-        for mat, word, e in frontier:
-            for (g, name), d in zip(letters, dets):
-                prod = mat_mul(mat, g) if word else g
-                u, r = _projective_key(prod, e + d)
+        for mat, word, s, e, a in frontier:
+            for b, (v, g, d, name) in enumerate(normal):
+                if (a, b) in skip:
+                    continue
+                u, r = _projective_key(mat_mul(mat, g), e + d) if word else (0, g)  # g is its own key
+                u = (u + s + v) % count
                 if r in seen:
                     if seen[r] != u:
-                        yield prod, word + (name,), seen[r] - u
+                        yield r, word + (name,), seen[r] - u
                     continue
                 seen[r] = u
-                next_frontier.append((prod, word + (name,), e + d))
-                yield prod, word + (name,), None
+                next_frontier.append((r, word + (name,), u, (e + d) % 2, b))
+                yield r, word + (name,), None
         frontier = next_frontier
 
 
@@ -379,11 +396,13 @@ def group_closure(
     modulo the scalars mu_N * I (mu_N: the roots of unity of Q(zeta_n)), keyed through the
     determinants (a letter's is a root of unity, as it or its inverse passed the test), and tests
     the longer words.  Finite order is unchanged by a root-of-unity scalar, so the first
-    infinite-order element is first in its class, and the class walk reaches it by the same word.  A
-    product meeting a known class as zeta_N^d times it puts zeta_N^d * I in G; once the walk closes
-    these are the Schreier generators of the scalars Z of G, so |Z| = N / gcd(N, every d) and
-    |G| = |G/Z| * |Z|, |G/Z| the number of classes.  The walk stops at a witness, or once it is
-    past max_word_len and the classes times the |Z| found so far exceed cap.
+    infinite-order element is first in its class, and the class walk reaches it by the same word
+    (as its class key).  A product meeting a known class as zeta_N^d times it puts zeta_N^d * I in
+    G; once the walk closes these are the Schreier generators of the scalars Z of G, so
+    |Z| = N / gcd(N, every d) and |G| = |G/Z| * |Z|, |G/Z| the number of classes.  A product the
+    walk skips equals a shorter one by g0*g1*ginf = 1, so its d was met before and every gcd is
+    the same.  The walk stops at a witness, or once it is past max_word_len and the classes times
+    the |Z| found so far exceed cap.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -397,7 +416,7 @@ def group_closure(
     for name, g in t.generators():
         if not has_finite_order(g, t.level):
             return infinite(name)
-    letters = _letters(t)
+    letters, alias = _letters(t)
     if short == 2:
         seen = {mat_identity(t.level), *(g for g, _ in letters)}
         for i, (a, a_name) in enumerate(letters):
@@ -412,7 +431,7 @@ def group_closure(
         raise InternalInconsistencyError("a letter's determinant is not a root of unity")
     count = roots_of_unity_order(t.level)
     scalars, classes = count, 1  # scalars: gcd of N and every d met so far
-    for mat, word, shift in _walk(t, letters, dets):
+    for mat, word, shift in _walk(t, letters, dets, alias):
         if shift is not None:
             scalars = gcd(scalars, shift)
             continue

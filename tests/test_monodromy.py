@@ -404,8 +404,21 @@ def test_group_closure_matches_exact_walk_past_the_short_words():
     g0, g1 = _mat(7, [[z, 1], [0, 1]]), _mat(7, [[z**2, 0], [0, 1]])
     ginf = _mat(7, [[z**4, -(z**4)], [0, 1]])
     t = MonodromyTriple(level=7, g0=g0, g1=g1, ginf=ginf, exponents=(0, 0, 0))
-    for cap, max_len in IRREDUCIBLE_LIMITS + [(50, 3)]:
-        assert group_closure(t, cap, max_len) == _exact_group_closure(t, cap, max_len)
+    # and triples whose letters coincide: _letters keeps a repeated matrix under its first name, and
+    # the walk reads the relation pairs of the other names through alias.  At n = 4 and kc = 2,
+    # g0 = g0^-1 and g1 = g1^-1, and also ginf = g0 when {ka, kb} = {0, 2}; the identity triple
+    # has one letter.
+    identity = mat_identity(5)
+    triples = [
+        t,
+        levelt_triple((1, 3, 2), 4),
+        levelt_triple((0, 2, 2), 4),
+        MonodromyTriple(level=5, g0=identity, g1=identity, ginf=identity, exponents=(0, 0, 0)),
+    ]
+    assert [len(_letters(u)[0]) for u in triples] == [6, 4, 2, 1]
+    for u in triples:
+        for cap, max_len in IRREDUCIBLE_LIMITS + [(50, 3)]:
+            assert group_closure(u, cap, max_len) == _exact_group_closure(u, cap, max_len), (u, cap, max_len)
     assert infinite_order_witness(t, 3) == "g0*g0*g1^-1"
 
 
@@ -615,7 +628,7 @@ def test_group_closure_makes_one_product_per_pair_before_the_class_walk(monkeypa
     # most one product a*b of letters per pair with b not before a
     for w, made in [(W4, 13), (WeightTuple(6, (1, 1, 1, 3)), 24)]:
         t = triple_from_weights(w, 1)
-        letters = [g for g, _ in _letters(t)]
+        letters = [g for g, _ in _letters(t)[0]]
         pairs = {(a, b) for i, a in enumerate(letters) for b in letters[i:]}
         products, before_key = [], []
         monkeypatch.setattr(monodromy, "mat_mul", lambda a, b: products.append((a, b)) or mat_mul(a, b))
@@ -631,13 +644,69 @@ def _projective_split(t):
     """(|G/Z|, |Z|) from one class walk: its classes, and N over the gcd of its shifts."""
     count = roots_of_unity_order(t.level)
     classes, scalars = 1, count
-    letters = _letters(t)
-    for _, _, shift in _walk(t, letters, _det_exponents(letters)):
+    letters, alias = _letters(t)
+    for _, _, shift in _walk(t, letters, _det_exponents(letters), alias):
         if shift is None:
             classes += 1
         else:
             scalars = gcd(scalars, shift)
     return classes, count // scalars
+
+
+def test_class_walk_product_budget(monkeypatch):
+    # at the n = 10 closures of order 600 (|G/Z| = 60), the class walk makes at most 4 letter
+    # products per class: after a last letter a, the two letters b with a*b = 1 or a letter are
+    # skipped.  It rescales a matrix by a root of unity at most once per class (a product's
+    # determinant exponent is 0, 1 or 2) and once per letter (to normalize it).
+    keys = {
+        levelt_exponents(w, j)
+        for w in iter_weight_tuples(10)
+        for j in range(1, 10)
+        if is_irreducible(w, j) and finiteness_by_signature(w, j).kind is Finiteness.FINITE
+    }
+    products, rescaled = [], []
+    monkeypatch.setattr(monodromy, "mat_mul", lambda a, b: products.append(a) or mat_mul(a, b))
+    rescale = CyclotomicNumber.mul_root_of_unity
+    monkeypatch.setattr(CyclotomicNumber, "mul_root_of_unity", lambda x, u: rescaled.append(x) or rescale(x, u))
+    walked = 0
+    for e in sorted(keys):
+        t = levelt_triple(e, 10)
+        letters, alias = _letters(t)
+        dets = _det_exponents(letters)
+        del products[:], rescaled[:]
+        classes = 1 + sum(shift is None for _, _, shift in _walk(t, letters, dets, alias))
+        if classes == 60:
+            walked += 1
+            assert len(products) <= 4 * classes, e
+            assert len(rescaled) <= 4 * (classes + len(letters)), e  # four entries per matrix
+    assert walked > 0
+
+
+def _classes_and_scalars(walk, count):
+    """([(word, matrix)] of the classes a walk yields, in order; gcd of N and its shifts)."""
+    yielded = list(walk)
+    shifts = (shift for _, _, shift in yielded if shift is not None)
+    return [(word, mat) for mat, word, shift in yielded if shift is None], gcd(count, *shifts)
+
+
+def test_class_walk_matches_the_walk_without_skipped_products():
+    # at every FINITE irreducible n <= 12 triple, the class walk (normalized letters, relation-fixed
+    # products skipped) yields the classes of the former walk (every letter after every word) by
+    # the same words in the same order, each as the key of its word, with the same gcd of shifts
+    keys = set()
+    for w, j in _irreducible_instances(12):
+        if finiteness_by_signature(w, j).kind is Finiteness.FINITE:
+            ka, kb, kc = levelt_exponents(w, j)
+            keys.add((w.n, (min(ka, kb), max(ka, kb), kc)))
+    for n, e in sorted(keys):
+        t = levelt_triple(e, n)
+        letters, alias = _letters(t)
+        count = roots_of_unity_order(n)
+        classes, scalars = _classes_and_scalars(_walk(t, letters, _det_exponents(letters), alias), count)
+        former, former_scalars = _classes_and_scalars(_former_walk(t, _former_projective_key), count)
+        assert [word for word, _ in classes] == [word for word, _ in former] and scalars == former_scalars, (n, e)
+        for (_, key), (_, mat) in zip(classes, former):
+            assert key == _projective_key(mat, mat_det(mat).root_of_unity_exponent())[1], (n, e)
 
 
 # (n, |G|) -> (|G/Z|, |Z|) over the finite irreducible characters with n <= 12
