@@ -11,7 +11,6 @@ from .certify import (
     Certificate,
     EnumerationMode,
     SplittingReport,
-    certify,
     enumerate_families,
     shimura_count,
     splitting,
@@ -79,7 +78,6 @@ __all__ = [
     "admissible_exists",
     "branch_table",
     "canonical_family",
-    "certify",
     "cyclotomic_polynomial",
     "eigenspace_table",
     "enumerate_families",

@@ -1,12 +1,14 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_N).
+"""Exact arithmetic in cyclotomic fields Q(zeta_n), n the level.
 
-Elements are stored in the power basis 1, x, ..., x^(phi(N)-1) modulo the
-N-th cyclotomic polynomial, as an integer coefficient vector with a single
+Elements are stored in the power basis 1, x, ..., x^(phi(n)-1) modulo the
+n-th cyclotomic polynomial Phi_n, as an integer coefficient vector with a single
 positive common denominator.  This gives canonical forms (equality is
 coefficient-wise) and cheap hashing, which is what the matrix-group closure
 leans on.  One kernel, sum_of_products, forms a_1*b_1 + ... + a_k*b_k in
-O(k*phi(N)^2) integer operations: a sum of products is folded and normalized
-once, and a product is its one-pair case.
+O(k*phi(n)^2) integer operations: a sum of products is folded and normalized
+once, and a product is its one-pair case.  The fold takes exponents mod n
+first (x^n = 1), then rewrites x^k, phi(n) <= k < n, by its row of
+_level_context: the one table, of n - phi(n) rows (one row at a prime n).
 
 All arithmetic stays in integers.  A field inverse is a norm quotient (the
 other Galois conjugates of the numerator over its rational norm), or for 1 - y,
@@ -14,7 +16,7 @@ y a root of unity, a sum of shifts.  `Fraction` appears only at the edges.
 
 Signs of real elements are decided exactly: an exact-zero shortcut via the
 normal form, then a float sum at the distinguished embedding
-zeta = exp(2*pi*i/N) that decides whenever it lies outside a rigorous error
+zeta = exp(2*pi*i/n) that decides whenever it lies outside a rigorous error
 band around zero, and only inside that band mpmath.iv interval evaluation at
 rising precision until the interval excludes zero.
 
@@ -72,21 +74,16 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _level_context(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(degree, rows) where rows[e] = coefficients of x^(degree+e) mod Phi_n.
-
-    Rows cover exponents up to max(2*degree - 2, n - 1): enough for products
-    of reduced elements and for Galois exponent images.
-    """
+    """(degree, rows) where rows[e] = coefficients of x^(degree+e) mod Phi_n, for degree+e < n."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    top = max(2 * deg - 2, n - 1)
     rows: list[tuple[int, ...]] = []
     # x^deg = -(phi_0 + phi_1 x + ... + phi_{deg-1} x^{deg-1})
     current = [-c for c in phi[:deg]]
-    for _ in range(deg, top + 1):
+    for _ in range(deg, n):
         rows.append(tuple(current))
-        lead = current[-1]
-        current = [0] + current[:-1]
+        lead = current.pop()
+        current.insert(0, 0)
         if lead:
             for i in range(deg):
                 current[i] -= lead * phi[i]
@@ -94,8 +91,11 @@ def _level_context(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def _reduce_exponents(n: int, raw: list[int]) -> list[int]:
-    """Fold coefficients at exponents >= phi(n) back into the power basis; len(raw) >= phi(n)."""
+    """Fold raw (phi(n) <= len(raw) < 2n; overwritten) into the power basis: k >= n into k - n, then the rows."""
     deg, rows = _level_context(n)
+    if len(raw) > n:  # a product with 2*phi(n) <= n, as at every even n <= 12, has nothing to fold
+        for k in range(n, len(raw)):
+            raw[k - n] += raw[k]
     out = raw[:deg]
     for row, c in zip(rows, raw[deg:]):
         if c:
@@ -106,7 +106,7 @@ def _reduce_exponents(n: int, raw: list[int]) -> list[int]:
 
 
 class CyclotomicNumber:
-    """An element of Q(zeta_N) in canonical reduced form."""
+    """An element of Q(zeta_n) in canonical reduced form."""
 
     __slots__ = ("level", "num", "den", "_hash")
 
@@ -228,7 +228,7 @@ class CyclotomicNumber:
         """Field inverse as an integer norm quotient (Cohen, GTM 138, 4.3).
 
         With P the product of sigma_h(num) over the units h != 1, the norm
-        N(num) = num*P is a nonzero rational, and x^-1 = den*P / N(num).  Only
+        Nm(num) = num*P is a nonzero rational, and x^-1 = den*P / Nm(num).  Only
         integer products and Galois images are used; a norm that is not a
         nonzero rational is an InternalInconsistencyError.
         """
@@ -312,7 +312,7 @@ class CyclotomicNumber:
     # -- numeric evaluation ----------------------------------------------
 
     def complex_value(self, h: int = 1) -> complex:
-        """Float value at the embedding zeta -> exp(2*pi*i*h/N)."""
+        """Float value at the embedding zeta -> exp(2*pi*i*h/n)."""
         return next(self.complex_values((h,)))
 
     def complex_values(self, hs):
@@ -333,7 +333,7 @@ def _embedding_table(n: int) -> tuple[complex, ...]:
 def _power_rows(n: int) -> dict[tuple[int, ...], int]:
     """{row of x^k: k} over phi(n) <= k < n, keyed by the _level_context rows themselves."""
     deg, rows = _level_context(n)
-    return {row: deg + e for e, row in enumerate(rows[: n - deg])}
+    return {row: deg + e for e, row in enumerate(rows)}
 
 
 def _element(level: int, num: tuple[int, ...], den: int) -> CyclotomicNumber:
@@ -347,8 +347,8 @@ def sum_of_products(*pairs: tuple[CyclotomicNumber, CyclotomicNumber]) -> Cyclot
     """a_1*b_1 + ... + a_k*b_k for pairs (a_i, b_i) at one level (Cohen, GTM 138, 4.3).
 
     Every pair's numerators are convolved into one integer buffer at the common
-    denominator D, the exponents >= phi(N) are folded once by the _level_context
-    rows, and D is normalized once; at D = 1 the result is built unchecked.
+    denominator D (2*phi(n) - 1 < 2n entries), folded once by _reduce_exponents,
+    and D is normalized once; at D = 1 the result is built unchecked.
     """
     level, den = pairs[0][0].level, 1
     for a, b in pairs:
@@ -393,16 +393,16 @@ def float_error_bound(x: CyclotomicNumber) -> float:
     """Bound on |complex_value(h) - sigma_h(num)| for the numerator num of x, with a 4x margin.
 
     This bounds complex_value itself when x is integral.  Each term
-    c*exp(2*pi*i*k/N) is off by at most |c|*27*2^-53 (rounding of the angle,
-    cos/sin within one ulp, one product), each of the phi(N) additions by at
+    c*exp(2*pi*i*k/n) is off by at most |c|*27*2^-53 (rounding of the angle,
+    cos/sin within one ulp, one product), each of the phi(n) additions by at
     most 2^-53 of a partial sum bounded by S = sum|c|, and abs() by one ulp:
-    S*(phi(N) + 27)*2^-53 + 2^-51 in all.
+    S*(phi(n) + 27)*2^-53 + 2^-51 in all.
     """
     return (sum(abs(c) for c in x.num) * (len(x.num) + 32) + 8) * 2.0**-51
 
 
 def zeta(level: int, k: int = 1) -> CyclotomicNumber:
-    """The root of unity zeta_N^k as a field element."""
+    """zeta_n^k as a field element, n the level: a power of x, not of mul_root_of_unity's zeta_N."""
     k %= level
     deg, rows = _level_context(level)
     if k < deg:
@@ -429,7 +429,7 @@ def real_sign(x: CyclotomicNumber) -> int:
     """Exact sign (-1, 0, 1) of a real cyclotomic number.
 
     Zero is decided by the canonical form.  The sign of x is that of its
-    integral numerator (den > 0), whose float value at zeta = exp(2*pi*i/N)
+    integral numerator (den > 0), whose float value at zeta = exp(2*pi*i/n)
     is within float_error_bound of the true value: outside that band the
     float sign is a proof.  Inside it, the value is enclosed in mpmath.iv
     intervals at rising precision until one excludes 0 (a proof).

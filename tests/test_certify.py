@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import json
-import sys
 from math import gcd
 
 import pytest
@@ -29,8 +28,8 @@ from fujitacert.monodromy import Finiteness, finiteness_by_signature, is_irreduc
 from fujitacert.residues import NonUnitError, is_unit, units
 from fujitacert.surfaces import SmoothnessReport, family, standard_family
 
-# the module itself: the package re-exports a function named certify
-CERTIFY_MODULE = sys.modules["fujitacert.certify"]
+# the module's dotted name: fujitacert.certify is the submodule, not the function
+CERTIFY_MODULE = "fujitacert.certify"
 
 W5 = WeightTuple(5, (1, 1, 1, 2))
 W7 = WeightTuple(7, (1, 1, 1, 4))
@@ -379,8 +378,7 @@ GATE_CASES = {
 def test_certify_gate_records_pinned(monkeypatch, case):
     fam, patches, kwargs, reason, none_keys, digest = GATE_CASES[case]
     for name, replacement in patches.items():
-        owner, _, attr = name.rpartition(".")  # a name of the module, or Class.attribute
-        monkeypatch.setattr(getattr(CERTIFY_MODULE, owner) if owner else CERTIFY_MODULE, attr, replacement)
+        monkeypatch.setattr(f"{CERTIFY_MODULE}.{name}", replacement)  # a name of the module, or Class.attribute
     cert = certify(fam, **kwargs)
     record = records.certificate_dict(cert)
     assert cert.is_counterexample is (reason is None)

@@ -169,14 +169,9 @@ def test_certify_invalid_input_exit1():
 
 
 def test_certify_oracle_disagreement_exit2(monkeypatch):
-    # forced disagreement: the closure oracle is patched to report FINITE;
-    # sys.modules lookup because the package re-exports a function named certify
-    import sys
-
-    certify_mod = sys.modules["fujitacert.certify"]
+    # forced disagreement: the closure oracle is patched to report FINITE
     monkeypatch.setattr(
-        certify_mod,
-        "group_closure",
+        "fujitacert.certify.group_closure",
         lambda *a, **k: FinitenessVerdict(Finiteness.FINITE, order=1),
     )
     code, out, _ = run_cli(
@@ -541,6 +536,22 @@ def test_certify_oracle_large_levels_digest_pinned():
         code, out, _ = run_cli(["certify", "-n", str(n), "-m", m, "--nw", nw, "--oracle"])
         digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == CERTIFY_ORACLE_DIGEST
+
+
+CERTIFY_ORACLE_THOUSANDS_DIGEST = "880dc6e9ca47e7c54fc90490ac4e637511f8a84b5ce5ff78b34e07b5fb3a5050"
+
+
+def test_certify_oracle_thousands_digest_pinned():
+    # exit code and stdout of certify --oracle on the standard family at n = 1001 = 7*11*13
+    # and the prime n = 1009, where the reduction rows differ most between composite and
+    # prime levels; a schema_version change must re-pin this digest
+    digest = hashlib.sha256()
+    for n in (1001, 1009):
+        f = standard_family(n)
+        m, nw = (",".join(map(str, v)) for v in (f.w.m, f.base_weights))
+        code, out, _ = run_cli(["certify", "-n", str(n), "-m", m, "--nw", nw, "--oracle"])
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == CERTIFY_ORACLE_THOUSANDS_DIGEST
 
 
 AFFECTED_ARGVS = [

@@ -95,23 +95,47 @@ def test_ring_axioms(data):
     assert x * (y + z) == x * y + x * z
 
 
-def _reference(level, pairs):
-    """sum a*b over the pairs: schoolbook Fraction products, then long division modulo Phi_level."""
+def _long_division(level, coefficients):
+    """The remainder of sum c_k x^k (coefficients low to high) by long division modulo Phi_level."""
     phi = cyclotomic_polynomial(level)
     deg = len(phi) - 1
+    total = list(coefficients) + [0] * deg
+    terms = [(i, p) for i, p in enumerate(phi) if p]
+    for top in range(len(total) - 1, deg - 1, -1):  # Phi_level is monic
+        q = total[top]
+        if q:
+            for i, p in terms:
+                total[top - deg + i] -= q * p
+    assert not any(total[deg:])
+    return tuple(total[:deg])
+
+
+def _reference(level, pairs):
+    """sum a*b over the pairs: schoolbook Fraction products, then long division modulo Phi_level."""
+    deg = euler_phi(level)
     total = [Fraction(0)] * (2 * deg - 1)
     for a, b in pairs:
         bs = [(k, y) for k, y in enumerate(b.coefficients()) if y]
         for i, x in enumerate(a.coefficients()):
             for k, y in bs:
                 total[i + k] += x * y
-    terms = [(i, p) for i, p in enumerate(phi) if p]
-    for top in range(len(total) - 1, deg - 1, -1):  # Phi_level is monic
-        q = total[top]
-        for i, p in terms:
-            total[top - deg + i] -= q * p
-    assert not any(total[deg:])
-    return tuple(total[:deg])
+    return _long_division(level, total)
+
+
+@pytest.mark.parametrize("levels", [range(1, 151), [1001, 1009, 10007]], ids=["n<=150", "large"])
+def test_level_context_holds_one_row_per_power_from_phi_to_n(levels):
+    # the one table: row k - phi(n) is x^k mod Phi_n for phi(n) <= k < n, so a prime level has one
+    # row; every buffer shorter than 2n folds by it once its exponents are taken mod n
+    rng = random.Random(0)
+    for n in levels:
+        deg, rows = cyclotomic._level_context(n)
+        assert deg == euler_phi(n) and len(rows) == n - deg, n
+        assert all(row == _long_division(n, [0] * k + [1]) for k, row in enumerate(rows, deg)), n
+        if n > 1 and all(n % d for d in range(2, int(n**0.5) + 1)):  # prime
+            assert len(rows) == 1, n
+        if n <= 150:
+            raw = [rng.randint(-9, 9) for _ in range(2 * n - 1)]
+            assert tuple(cyclotomic._reduce_exponents(n, list(raw))) == _long_division(n, raw), n
 
 
 @st.composite
