@@ -42,7 +42,7 @@ from .monodromy import (
     levelt_triple,
     triple_from_weights,
 )
-from .residues import InternalInconsistencyError, euler_phi, is_unit, units
+from .residues import InternalInconsistencyError, is_unit, units
 from .surfaces import (
     FamilyData,
     SurfaceInvariants,
@@ -81,7 +81,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "eigenspace_table",
     "enumerate_families",
-    "euler_phi",
     "family",
     "find_infinite_character",
     "finiteness_by_signature",

@@ -1,4 +1,4 @@
-"""Exact arithmetic in Z/n: moduli, units, Euler's phi and modular inverses.
+"""Exact arithmetic in Z/n: moduli, units and modular inverses.
 
 Residues are plain integers kept in the canonical range [0, n-1]; a bracket
 expression [x] elsewhere in the package is Python's x % n with n >= 2, which
@@ -35,25 +35,6 @@ def units(n: int) -> list[int]:
     """All residues coprime to n, ascending; length equals phi(n)."""
     check_modulus(n)
     return [x for x in range(1, n) if gcd(x, n) == 1]
-
-
-def euler_phi(n: int) -> int:
-    """phi(n) via prime factorization (independent of :func:`units`)."""
-    if n == 1:
-        return 1
-    check_modulus(n)
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
 
 
 def inverse_mod(x: int, n: int) -> int:

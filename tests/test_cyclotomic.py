@@ -19,7 +19,8 @@ from fujitacert.cyclotomic import (
     zeta,
 )
 from fujitacert.monodromy import mat_det, mat_mul
-from fujitacert.residues import InternalInconsistencyError, euler_phi, units
+from fujitacert.residues import InternalInconsistencyError, units
+from reference import euler_phi
 
 LEVELS = st.integers(min_value=2, max_value=13)
 

@@ -3,13 +3,12 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-import mpmath
 import pytest
 
-from fujitacert import cli, cyclotomic, monodromy
-from fujitacert.cyclotomic import CyclotomicNumber, real_sign, roots_of_unity_order, sum_of_products, zeta
+from fujitacert import cli, eigenspace, monodromy
+from fujitacert.cyclotomic import CyclotomicNumber, real_sign, roots_of_unity_order, zeta
 from fujitacert.eigenspace import WeightTuple, iter_weight_tuples, signature, sigma_sum
 from fujitacert.monodromy import (
     Finiteness,
@@ -39,8 +38,21 @@ from fujitacert.monodromy import (
     mat_trace,
     triple_from_weights,
 )
-from fujitacert.residues import InternalInconsistencyError, NonUnitError, euler_phi, units
+from fujitacert.residues import InternalInconsistencyError, NonUnitError, units
 from fujitacert.surfaces import standard_family
+from reference import (
+    decimal_ladder_sign,
+    euler_phi,
+    exact_closure,
+    exact_key,
+    finite_order_bound,
+    has_finite_order_by_power,
+    has_finite_order_by_unit_loop,
+    hermitian_form,
+    inverse,
+    letters,
+    walk,
+)
 
 W5 = WeightTuple(5, (1, 1, 1, 2))
 W7 = WeightTuple(7, (1, 1, 1, 4))
@@ -194,12 +206,6 @@ def _irreducible_instances(n_max):
                     yield w, j
 
 
-def _mat_inverse_reference(a):
-    """Adjugate over the field inverse of the determinant."""
-    inv = mat_det(a).inverse()
-    return ((a[1][1] * inv, -a[0][1] * inv), (-a[1][0] * inv, a[0][0] * inv))
-
-
 def _companion_reference(trace, det):
     level = trace.level
     return ((CyclotomicNumber.zero(level), -det), (CyclotomicNumber.one(level), trace))
@@ -213,10 +219,10 @@ def test_levelt_triple_matches_adjugate_reference():
         a_mat = _companion_reference(zeta(n, ka) + zeta(n, kb), zeta(n, ka + kb))
         b_mat = _companion_reference(zeta(n, kc) + 1, zeta(n, kc))
         assert t.ginf == a_mat
-        assert t.g0 == _mat_inverse_reference(b_mat)
-        assert t.g1 == mat_mul(b_mat, _mat_inverse_reference(a_mat))
+        assert t.g0 == inverse(b_mat)
+        assert t.g1 == mat_mul(b_mat, inverse(a_mat))
         for (_, g), (_, g_inv) in zip(t.generators(), t.inverses()):
-            assert g_inv == _mat_inverse_reference(g)
+            assert g_inv == inverse(g)
 
 
 def test_walk_letters_times_inverse_letters_are_identity():
@@ -348,52 +354,51 @@ def test_witness_rejects_bad_bound():
 
 
 # ---------------------------------------------------------------------------
-# the closure against one exact walk
+# the closure against the exact closure of tests/reference.py
 
 
-def _exact_group_closure(t, cap, max_word_len):
-    """group_closure as one exact walk: every element visited and, up to max_word_len, tested."""
-    letters = {}
-    for name, g in t.generators() + t.inverses():
-        letters.setdefault(g, name)
-    identity = mat_identity(t.level)
-    seen, frontier, order = {identity}, [(identity, ())], 1
-    while frontier:
-        next_frontier = []
-        for mat, word in frontier:
-            for g, name in letters.items():
-                prod = mat_mul(mat, g)
-                if prod in seen:
-                    continue
-                seen.add(prod)
-                next_frontier.append((prod, word + (name,)))
-                if len(word) + 1 <= max_word_len:
-                    if not has_finite_order(prod, t.level):
-                        witness = (("kind", "infinite_order_word"), ("word", "*".join(word + (name,))))
-                        return FinitenessVerdict(Finiteness.INFINITE, witness=witness)
-                elif order >= cap:
-                    return FinitenessVerdict(Finiteness.INCONCLUSIVE, cap=cap)
-                order += 1
-        frontier = next_frontier
-    if order > cap:
-        return FinitenessVerdict(Finiteness.INCONCLUSIVE, cap=cap)
-    return FinitenessVerdict(Finiteness.FINITE, order=order)
+def _galois_class(n, e):
+    """The least of the exponent triples h*(ka, kb, kc) and h*(kb, ka, kc), h a unit mod n.
 
-
-IRREDUCIBLE_LIMITS = [(20000, 8), (1, 8), (1, 1), (24, 3), (7, 2)]
-REDUCIBLE_LIMITS = [(20000, 8), (1, 2), (10, 1)]
+    The matrices of levelt_triple(e, n) depend on {ka, kb} and kc, and sigma_h maps them entry by
+    entry to those of levelt_triple(h*e, n) (test_galois_transports_levelt_triples), so every
+    closure verdict is the same on a class: orders, the shifts' gcd with N and the first words
+    are kept by a field automorphism.
+    """
+    ka, kb, kc = e
+    return n, min(tuple(h * k % n for k in (a, b, kc)) for h in units(n) for a, b in ((ka, kb), (kb, ka)))
 
 
 def test_group_closure_matches_exact_walk_n_le_8():
+    # every character at 4 <= n <= 8, reducible ones included: same kind, order, witness and cap
     kinds = set()
     for n in range(4, 9):
         for w in iter_weight_tuples(n):
             for j in range(1, n):
                 t = triple_from_weights(w, j)
-                for cap, max_len in IRREDUCIBLE_LIMITS if is_irreducible(w, j) else REDUCIBLE_LIMITS:
+                limits = [(20000, 8), (1, 8), (1, 1), (24, 3), (7, 2)] if is_irreducible(w, j) else [(20000, 8), (1, 2), (10, 1)]
+                for cap, max_len in limits:
                     verdict = group_closure(t, cap, max_len)
-                    assert verdict == _exact_group_closure(t, cap, max_len), (w, j, cap, max_len)
+                    assert verdict == exact_closure(t, cap, max_len), (w, j, cap, max_len)
                     kinds.add(verdict.kind)
+    assert kinds == set(Finiteness)
+
+
+def test_group_closure_matches_its_former_walk():
+    # the former walk is reference.walk, here under exact_key.  One triple per class of every
+    # exponent triple at 2 <= n <= 8, reducible ones included, and of the irreducible ones at
+    # n <= 12: same kind, order, witness and cap at each pair of limits
+    irreducible = {_galois_class(w.n, levelt_exponents(w, j)) for w, j in _irreducible_instances(12)}
+    assert len(irreducible) == 265
+    every = {_galois_class(n, e) for n in range(2, 9) for e in itertools.product(range(n), repeat=3)}
+    assert len(every) == 252
+    triples = [levelt_triple(e, n) for n, e in sorted(irreducible | every)]
+    kinds = set()
+    for limits in [(20000, 8), (1, 8), (1, 1), (1, 2), (1, 3), (24, 3), (7, 2), (10, 1), (50, 8)]:
+        for t in triples:
+            verdict = group_closure(t, *limits)
+            assert verdict == exact_closure(t, *limits), (t.level, t.exponents, limits)
+            kinds.add(verdict.kind)
     assert kinds == set(Finiteness)
 
 
@@ -417,8 +422,8 @@ def test_group_closure_matches_exact_walk_past_the_short_words():
     ]
     assert [len(_letters(u)[0]) for u in triples] == [6, 4, 2, 1]
     for u in triples:
-        for cap, max_len in IRREDUCIBLE_LIMITS + [(50, 3)]:
-            assert group_closure(u, cap, max_len) == _exact_group_closure(u, cap, max_len), (u, cap, max_len)
+        for cap, max_len in [(20000, 8), (1, 8), (1, 1), (24, 3), (7, 2), (50, 3)]:
+            assert group_closure(u, cap, max_len) == exact_closure(u, cap, max_len), (u, cap, max_len)
     assert infinite_order_witness(t, 3) == "g0*g0*g1^-1"
 
 
@@ -463,133 +468,6 @@ def test_projective_key_is_constant_on_root_of_unity_multiples(level):
     assert len(keys) > 1
 
 
-# ---------------------------------------------------------------------------
-# the closure against its former self: two walks from the identity, every word
-# tested, and classes keyed by the least root-of-unity multiple of an entry
-
-
-def _mu_orbit_exponent(x):
-    """The u in [0, N) with zeta_N^u * x the least of the N multiples of x by mu_N (coefficient order)."""
-    n, deg = x.level, len(x.num)
-    count = roots_of_unity_order(n)
-    step, half = count // n, count // 2
-    fold = zeta(n, deg).num  # x^deg in the power basis
-    y = list(x.num)
-    best, best_u = y, 0
-    for k in range(n):
-        for candidate, u in ((y, k * step), ([-c for c in y], k * step + half)):
-            if candidate < best:
-                best, best_u = candidate, u % count
-        top = y[-1]
-        y = [0] + y[:-1]
-        if top:
-            y = [a + top * b for a, b in zip(y, fold)]
-    return best_u
-
-
-def _former_projective_key(m):
-    u = _mu_orbit_exponent(next(x for x in m[0] + m[1] if not x.is_zero()))
-    return u, _scaled(m, u)
-
-
-def _former_letters(t):
-    letters = {}
-    for name, g in t.generators() + t.inverses():
-        letters.setdefault(g, name)
-    return letters
-
-
-def _former_walk(t, key):
-    identity = mat_identity(t.level)
-    u, r = key(identity)
-    seen = {r: u}
-    frontier = [(identity, ())]
-    while frontier:
-        next_frontier = []
-        for mat, word in frontier:
-            for g, name in _former_letters(t).items():
-                prod = mat_mul(mat, g)
-                u, r = key(prod)
-                if r in seen:
-                    if seen[r] != u:
-                        yield prod, word + (name,), seen[r] - u
-                    continue
-                seen[r] = u
-                next_frontier.append((prod, word + (name,)))
-                yield prod, word + (name,), None
-        frontier = next_frontier
-
-
-def _former_group_closure(t, cap=20000, max_word_len=8, tested=None):
-    """group_closure before the walks started at the letters; tested collects each tested matrix."""
-    short = min(2, max_word_len)
-
-    def finite(mat):
-        if tested is not None:
-            tested.append(mat)
-        return has_finite_order(mat, t.level)
-
-    def infinite(word):
-        return FinitenessVerdict(Finiteness.INFINITE, witness=(("kind", "infinite_order_word"), ("word", "*".join(word))))
-
-    for mat, word, _ in _former_walk(t, lambda m: (0, m)):
-        if len(word) > short:
-            break
-        if not finite(mat):
-            return infinite(word)
-    count = roots_of_unity_order(t.level)
-    scalars, classes = count, 1
-    for mat, word, shift in _former_walk(t, _former_projective_key):
-        if shift is not None:
-            scalars = gcd(scalars, shift)
-            continue
-        classes += 1
-        if len(word) <= max_word_len:
-            if len(word) > short and not finite(mat):
-                return infinite(word)
-        elif classes * (count // scalars) > cap:
-            return FinitenessVerdict(Finiteness.INCONCLUSIVE, cap=cap)
-    order = classes * (count // scalars)
-    return FinitenessVerdict(Finiteness.INCONCLUSIVE, cap=cap) if order > cap else FinitenessVerdict(Finiteness.FINITE, order=order)
-
-
-def _galois_class(n, e):
-    """The least of the exponent triples h*(ka, kb, kc) and h*(kb, ka, kc), h a unit mod n.
-
-    The matrices of levelt_triple(e, n) depend on {ka, kb} and kc, and sigma_h maps them entry by
-    entry to those of levelt_triple(h*e, n) (test_galois_transports_levelt_triples), so every
-    closure verdict is the same on a class: orders, the shifts' gcd with N and the first words
-    are kept by a field automorphism.
-    """
-    ka, kb, kc = e
-    return n, min(tuple(h * k % n for k in (a, b, kc)) for h in units(n) for a, b in ((ka, kb), (kb, ka)))
-
-
-def test_mu_orbit_key_reference_names_the_least_multiple():
-    for level, x in [(5, zeta(5) + 2), (6, zeta(6, 2) - 3), (9, zeta(9, 4) * 2 + 1), (12, -zeta(12, 7))]:
-        count = roots_of_unity_order(level)
-        multiples = [x.mul_root_of_unity(v) for v in range(count)]
-        assert multiples[_mu_orbit_exponent(x)].num == min(m.num for m in multiples)
-        assert len({m.mul_root_of_unity(_mu_orbit_exponent(m)) for m in multiples}) == 1
-
-
-def test_group_closure_matches_its_former_walk():
-    # one triple per class of every exponent triple at 2 <= n <= 8, reducible ones included, and of
-    # the irreducible ones at n <= 12: same kind, order, witness and cap at five pairs of limits
-    irreducible = {_galois_class(w.n, levelt_exponents(w, j)) for w, j in _irreducible_instances(12)}
-    assert len(irreducible) == 265
-    every = {_galois_class(n, e) for n in range(2, 9) for e in itertools.product(range(n), repeat=3)}
-    assert len(every) == 252
-    triples = [levelt_triple(e, n) for n, e in sorted(irreducible | every)]
-    kinds = set()
-    for limits in [(20000, 8), (1, 1), (1, 2), (1, 3), (50, 8)]:
-        for t in triples:
-            verdict = group_closure(t, *limits)
-            assert verdict == _former_group_closure(t, *limits), (t.level, t.exponents, limits)
-            kinds.add(verdict.kind)
-    assert kinds == set(Finiteness)
-
-
 def test_group_closure_multiplies_by_no_identity(monkeypatch):
     # the pair loop multiplies letters and the class walk starts at them: no product has the
     # identity as an operand
@@ -601,26 +479,24 @@ def test_group_closure_multiplies_by_no_identity(monkeypatch):
 
 
 def test_group_closure_tests_each_inverse_and_reversed_pair_once(monkeypatch):
-    # the former closure tests every word; the short phase skips a letter whose inverse letter
-    # comes first and a word (a, b) whose reverse (b, a) comes first
+    # the exact walk meets each element of the order-8 group at W4 by a word of length <= 2; the
+    # closure tests them in walk order, but skips a letter whose inverse letter comes first and a
+    # word (a, b) whose reverse (b, a) comes first
     t = triple_from_weights(W4, 1)
-    former = []
-    assert _former_group_closure(t, tested=former).order == 8
-    names = list(_former_letters(t).values())
-    matrices = list(_former_letters(t))
-    inverse = {a: next(b for b, h in zip(names, matrices) if mat_is_identity(mat_mul(g, h))) for a, g in zip(names, matrices)}
-    short_words = [(mat, word) for mat, word, _ in _former_walk(t, lambda m: (0, m)) if len(word) <= 2]
-    assert [mat for mat, _ in short_words] == former[: len(short_words)]
+    names, matrices = list(letters(t).values()), list(letters(t))
+    inverse_of = {a: next(b for b, h in zip(names, matrices) if mat_is_identity(mat_mul(g, h))) for a, g in zip(names, matrices)}
+    words = [(mat, word) for mat, word, _ in walk(t, exact_key)]
+    assert len(words) + 1 == 8 and max(len(word) for _, word in words) == 2
     kept = [
         mat
-        for mat, word in short_words
-        if names.index(inverse[word[0]] if len(word) == 1 else word[1]) >= names.index(word[0])
+        for mat, word in words
+        if names.index(inverse_of[word[0]] if len(word) == 1 else word[1]) >= names.index(word[0])
     ]
-    assert len(kept) < len(short_words)
+    assert len(kept) < len(words)
     tested = []
     monkeypatch.setattr(monodromy, "has_finite_order", lambda m, level: tested.append(m) or has_finite_order(m, level))
     assert group_closure(t).order == 8
-    assert tested == kept + former[len(short_words):]
+    assert tested == kept
 
 
 def test_group_closure_makes_one_product_per_pair_before_the_class_walk(monkeypatch):
@@ -682,9 +558,46 @@ def test_class_walk_product_budget(monkeypatch):
     assert walked > 0
 
 
-def _classes_and_scalars(walk, count):
+# The former class walk: every letter after every word, classes keyed by the least root-of-unity
+# multiple of the first nonzero entry.  It stays only for the test below, which asserts the class
+# walk's own words, their order and the keys it yields; the exact closure sees only the verdict.
+
+
+def _mu_orbit_exponent(x):
+    """The u in [0, N) with zeta_N^u * x the least of the N multiples of x by mu_N (coefficient order)."""
+    n, deg = x.level, len(x.num)
+    count = roots_of_unity_order(n)
+    step, half = count // n, count // 2
+    fold = zeta(n, deg).num  # x^deg in the power basis
+    y = list(x.num)
+    best, best_u = y, 0
+    for k in range(n):
+        for candidate, u in ((y, k * step), ([-c for c in y], k * step + half)):
+            if candidate < best:
+                best, best_u = candidate, u % count
+        top = y[-1]
+        y = [0] + y[:-1]
+        if top:
+            y = [a + top * b for a, b in zip(y, fold)]
+    return best_u
+
+
+def _former_projective_key(m):
+    u = _mu_orbit_exponent(next(x for x in m[0] + m[1] if not x.is_zero()))
+    return u, _scaled(m, u)
+
+
+def test_mu_orbit_key_reference_names_the_least_multiple():
+    for level, x in [(5, zeta(5) + 2), (6, zeta(6, 2) - 3), (9, zeta(9, 4) * 2 + 1), (12, -zeta(12, 7))]:
+        count = roots_of_unity_order(level)
+        multiples = [x.mul_root_of_unity(v) for v in range(count)]
+        assert multiples[_mu_orbit_exponent(x)].num == min(m.num for m in multiples)
+        assert len({m.mul_root_of_unity(_mu_orbit_exponent(m)) for m in multiples}) == 1
+
+
+def _classes_and_scalars(yielded, count):
     """([(word, matrix)] of the classes a walk yields, in order; gcd of N and its shifts)."""
-    yielded = list(walk)
+    yielded = list(yielded)
     shifts = (shift for _, _, shift in yielded if shift is not None)
     return [(word, mat) for mat, word, shift in yielded if shift is None], gcd(count, *shifts)
 
@@ -703,7 +616,7 @@ def test_class_walk_matches_the_walk_without_skipped_products():
         letters, alias = _letters(t)
         count = roots_of_unity_order(n)
         classes, scalars = _classes_and_scalars(_walk(t, letters, _det_exponents(letters), alias), count)
-        former, former_scalars = _classes_and_scalars(_former_walk(t, _former_projective_key), count)
+        former, former_scalars = _classes_and_scalars(walk(t, _former_projective_key), count)
         assert [word for word, _ in classes] == [word for word, _ in former] and scalars == former_scalars, (n, e)
         for (_, key), (_, mat) in zip(classes, former):
             assert key == _projective_key(mat, mat_det(mat).root_of_unity_exponent())[1], (n, e)
@@ -770,32 +683,10 @@ def test_icosahedral_closures_n15(m, order):
 # Kronecker's finite-order test against the exact reference M^B == I
 
 
-def _finite_order_bound(level):
-    """lcm of all k with phi(k) <= 2*phi(level).
-
-    Any finite-order 2x2 matrix over Q(zeta_level) has eigenvalues that are
-    roots of unity of degree at most 2 over the field, hence of order k with
-    phi(k) <= 2*phi(level); its order divides this bound.
-    """
-    target = 2 * euler_phi(level)
-    # phi(k) >= sqrt(k/2), so phi(k) <= target forces k <= 2*target^2
-    return lcm(*(k for k in range(1, 2 * target * target + 2) if euler_phi(k) <= target))
-
-
-def _has_finite_order_reference(m, level):
-    power, base, e = mat_identity(level), m, _finite_order_bound(level)
-    while e:
-        if e & 1:
-            power = mat_mul(power, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    return mat_is_identity(power)
-
-
 def test_finite_order_bound_values():
     # phi(k) <= 2*phi(4) = 4 holds for k in {1..6, 8, 10, 12}: lcm = 120
-    assert _finite_order_bound(4) == 120
-    b5 = _finite_order_bound(5)
+    assert finite_order_bound(4) == 120
+    b5 = finite_order_bound(5)
     for k in (1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 16, 20, 24, 30):
         if euler_phi(k) <= 8:
             assert b5 % k == 0
@@ -809,10 +700,10 @@ def test_finite_order_bound_values():
 def test_kronecker_agrees_with_reference_on_walk(w, max_len):
     t = triple_from_weights(w, 1)
     visited = 0
-    for mat, word, _ in _former_walk(t, lambda m: (0, m)):
+    for mat, word, _ in walk(t, exact_key):
         if max_len is not None and len(word) > max_len:
             break
-        assert has_finite_order(mat, t.level) == _has_finite_order_reference(mat, t.level), word
+        assert has_finite_order(mat, t.level) == has_finite_order_by_power(mat, t.level), word
         visited += 1
     if max_len is None:  # a finite fixture, walked in full (the identity is not yielded)
         assert visited + 1 == group_closure(t).order
@@ -845,7 +736,7 @@ def _mat(level, rows):
 def test_kronecker_edge_cases(rows, finite):
     m = _mat(5, rows)
     assert has_finite_order(m, 5) is finite
-    assert _has_finite_order_reference(m, 5) is finite
+    assert has_finite_order_by_power(m, 5) is finite
 
 
 def test_has_finite_order_past_the_float_range():
@@ -854,55 +745,22 @@ def test_has_finite_order_past_the_float_range():
     assert has_finite_order(_mat(5, [[0, -1], [1, 1]]), 5) is True  # order 6
 
 
-def _has_finite_order_full_unit_loop(m, level):
-    """has_finite_order without the lookup: roots of unity by x*conj(x) = 1, and every unit h."""
-
-    def is_root_of_unity(x):
-        return x.den == 1 and x * x.conjugate() == CyclotomicNumber.one(x.level)
-
-    if m[0][1].is_zero() and m[1][0].is_zero() and m[0][0] == m[1][1]:
-        return is_root_of_unity(m[0][0])
-    t, d = mat_trace(m), mat_det(m)
-    if t.den != 1 or not is_root_of_unity(d) or t != d * t.conjugate():
-        return False
-    err = cyclotomic.float_error_bound(t)
-    for h in units(level):
-        size = abs(t.complex_value(h))
-        if size < 2 - err:
-            continue
-        if size > 2 + err or real_sign((t * t.conjugate()).galois(h) - 4) >= 0:
-            return False
-    return True
-
-
 @pytest.mark.parametrize("n", [25, 49, 89, 97])
 def test_has_finite_order_matches_full_unit_loop_at_large_levels(n):
     # the words of length <= 2 of the certify --oracle witness triple of the standard family
     w = standard_family(n).w
     t = triple_from_weights(w, find_infinite_character(w))
     verdicts = []
-    for mat, word, _ in _former_walk(t, lambda m: (0, m)):
+    for mat, word, _ in walk(t, exact_key):
         if len(word) > 2:
             break
         verdicts.append(has_finite_order(mat, n))
-        assert verdicts[-1] == _has_finite_order_full_unit_loop(mat, n), word
+        assert verdicts[-1] == has_finite_order_by_unit_loop(mat, n), word
     assert True in verdicts and False in verdicts
 
 
 # ---------------------------------------------------------------------------
-# interval signs against the former decimal ladder
-
-
-def _decimal_ladder_sign(x):
-    """The former real_sign: a decimal sum against a (sum|c|+1)*10^(5-dps) bound."""
-    if x.is_rational():
-        return (x.num[0] > 0) - (x.num[0] < 0)
-    for dps in (30, 80, 200, 500, 1200, 3000, 8000):
-        with mpmath.workdps(dps):
-            total = sum(c * mpmath.cospi(mpmath.mpf(2 * i) / x.level) for i, c in enumerate(x.num) if c)
-            if abs(total) > (sum(abs(c) for c in x.num) + 1) * mpmath.mpf(10) ** (5 - dps):
-                return 1 if total > 0 else -1
-    raise AssertionError(f"decimal ladder undecided on {x!r}")
+# interval signs against the decimal ladder
 
 
 def test_interval_signs_match_decimal_ladder_on_population(monkeypatch):
@@ -925,7 +783,7 @@ def test_interval_signs_match_decimal_ladder_on_population(monkeypatch):
     irrational = [x for x in band | entries if not x.is_rational()]
     assert (len(band), len(entries), len(irrational)) == (6, 182, 143)
     for x in band | entries:
-        assert real_sign(x) == _decimal_ladder_sign(x), x
+        assert real_sign(x) == decimal_ladder_sign(x), x
 
 
 # ---------------------------------------------------------------------------
@@ -957,15 +815,8 @@ def test_common_eigenvector_for_reducible_triple():
     assert has_common_eigenvector(_diagonal_triple())
 
 
-def _inverse(m):
-    # closed-form 2x2 inverse: adjugate over determinant
-    (a, b), (c, d) = m
-    r = mat_det(m).inverse()
-    return ((d * r, -b * r), (-c * r, a * r))
-
-
 def _triple(level, g0, g1):
-    return MonodromyTriple(level, g0, g1, _inverse(mat_mul(g0, g1)), exponents=(0, 0, 0))
+    return MonodromyTriple(level, g0, g1, inverse(mat_mul(g0, g1)), exponents=(0, 0, 0))
 
 
 def _random_element(level, rng, size=2):
@@ -983,7 +834,7 @@ def _conjugated_upper_triangular_triple(level, rng):
     p = ((zero, zero), (zero, zero))
     while mat_det(p).is_zero():
         p = tuple(tuple(_random_element(level, rng) for _ in range(2)) for _ in range(2))
-    p_inv = _inverse(p)
+    p_inv = inverse(p)
     return _triple(level, *(mat_mul(mat_mul(p, upper()), p_inv) for _ in range(2)))
 
 
@@ -1065,118 +916,27 @@ def test_form_rejects_solution_not_closed_under_conjugate_transpose(monkeypatch)
         invariant_hermitian_form(triple_from_weights(W5, 2))
 
 
-def _kernel_of_system(rows: list[list[CyclotomicNumber]], ncols: int, level: int):
-    """Kernel basis of a small linear system over the cyclotomic field, by Gauss-Jordan reduction.
-
-    A column's pivot is its first root-of-unity candidate zeta_N^u, scaled by the shift zeta_N^-u,
-    else its first nonzero one, scaled by the norm inverse: the reduced row echelon form is unique,
-    so the choice changes neither it nor the basis read off its free columns.
-    """
-    zero = CyclotomicNumber.zero(level)
-    one = CyclotomicNumber.one(level)
-    matrix = [row[:] for row in rows if any(not c.is_zero() for c in row)]
-    pivots: list[int] = []
-    for col in range(ncols):
-        r = len(pivots)
-        entries = [(matrix[i][col], i) for i in range(r, len(matrix))]
-        candidates = [(x.root_of_unity_exponent(), i) for x, i in entries if not x.is_zero()]
-        if not candidates:
-            continue
-        u, pivot_row = next((c for c in candidates if c[0] is not None), candidates[0])
-        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
-        if u is None:
-            inv = matrix[r][col].inverse()
-            matrix[r] = [c * inv for c in matrix[r]]
-        else:
-            matrix[r] = [c.mul_root_of_unity(-u) for c in matrix[r]]
-        for i in range(len(matrix)):
-            if i != r and not matrix[i][col].is_zero():
-                minus_factor = -matrix[i][col]
-                matrix[i] = [sum_of_products((one, a), (minus_factor, b)) for a, b in zip(matrix[i], matrix[r])]
-        pivots.append(col)
-    # one basis vector per free column fc: 1 there, minus column fc of the reduced rows at the pivots
-    return [
-        [one if c == fc else -matrix[pivots.index(c)][fc] if c in pivots else zero for c in range(ncols)]
-        for fc in range(ncols)
-        if fc not in pivots
-    ]
-
-
-def _invariant_line_reference(t):
-    """_invariant_line by Gauss-Jordan on the 8 equations of g* M g = M for g0 and g1, any triple."""
-    level = t.level
-    # unknowns (m00, m01, m10, m11).  Equation (r, c) of g* M g - I M I = 0, g* = gbar^T, gives
-    # m_kl the coefficient g*[r][k]*g[l][c] - I[r][k]*I[l][c].
-    eye = mat_identity(level)
-    minus_eye = tuple(tuple(-x for x in row) for row in eye)
-    rows = [
-        [sum_of_products((gc[r][k], g[l][c]), (minus_eye[r][k], eye[l][c])) for k in (0, 1) for l in (0, 1)]
-        for g, gc in ((g, mat_conj_transpose(g)) for g in (t.g0, t.g1))
-        for r in (0, 1)
-        for c in (0, 1)
-    ]
-    basis = _kernel_of_system(rows, 4, level)
-    if len(basis) > 1:
-        raise ReducibleNoUniqueFormError(f"invariant form space has dimension {len(basis)}, expected 1")
-    return ((basis[0][0], basis[0][1]), (basis[0][2], basis[0][3])) if basis else None
-
-
-def _former_hermitian_form(t):
-    """invariant_hermitian_form with its former Hermitian point: m0* = alpha*m0 checked by eight
-    cross-multiplied products, then X + X* for X = zeta^k*m0 at the first k where that is nonzero."""
-    from fujitacert.monodromy import _hermitian_signature
-
-    level = t.level
-    m0 = monodromy._invariant_line(t)
-    if m0 is None:
-        raise ReducibleNoUniqueFormError("invariant form space has dimension 0, expected 1")
-    m0_ct = mat_conj_transpose(m0)
-    cells = [(r, c) for r in range(2) for c in range(2)]
-    p, p_ct = next(((m0[r][c], m0_ct[r][c]) for r, c in cells if not m0[r][c].is_zero()), (None, None))
-    if p is None or any(m0_ct[r][c] * p != p_ct * m0[r][c] for r, c in cells):
-        raise InternalInconsistencyError("conjugate-transpose left the solution line")
-    pairs = list(zip(m0[0] + m0[1], m0_ct[0] + m0_ct[1]))
-    sums = ([x.mul_zeta_power(k) + y.mul_zeta_power(-k) for x, y in pairs] for k in range(level))
-    s = next((s for s in sums if any(not x.is_zero() for x in s)), None)
-    herm = None if s is None else ((s[0], s[1]), (s[2], s[3]))
-    if herm is None or mat_conj_transpose(herm) != herm:
-        raise InternalInconsistencyError("no Hermitian representative found")
-    signature = _hermitian_signature(herm)
-    if signature in ((2, 0), (0, 2)):
-        ka, kb, kc = t.exponents
-        wanted_p = (ka + (kc - ka) % level + (kb - kc) % level + (-kb) % level) // level - 1
-        if wanted_p in (0, 2) and signature[0] != wanted_p:
-            herm = ((-herm[0][0], -herm[0][1]), (-herm[1][0], -herm[1][1]))
-            signature = (signature[1], signature[0])
-    return herm, signature
-
-
-def _form_or_error(t, form=invariant_hermitian_form):
+def _form_or_error(form, t):
     try:
         return form(t)
     except InternalInconsistencyError as exc:
         return type(exc)
 
 
-def test_closed_form_solve_matches_gauss_jordan_reference(monkeypatch):
-    # the form depends on the triple alone, so one triple per exponent triple covers
-    # every irreducible n <= 12 instance; every (ka, kb, kc) at 2 <= n <= 9 adds the reducible ones.
-    # Each line, the closed form's and the reference's, gives the same form through the former
-    # Hermitian point as through the one scalar s
+def test_closed_form_solve_matches_gauss_jordan_reference():
+    # the form depends on the triple alone, so one triple per exponent triple covers every
+    # irreducible n <= 12 instance; every (ka, kb, kc) at 2 <= n <= 9 adds the reducible ones.  The
+    # closed-form line and scalar give the form of the Gauss-Jordan line and the point X + X*
     keys = {(n, e) for n in range(2, 10) for e in itertools.product(range(n), repeat=3)}
     keys |= {(w.n, levelt_exponents(w, j)) for w, j in _irreducible_instances(12)}
     triples = [levelt_triple(e, n) for n, e in sorted(keys)]
-    closed = [_form_or_error(t) for t in triples]
-    assert [_form_or_error(t, _former_hermitian_form) for t in triples] == closed
-    monkeypatch.setattr(monodromy, "_invariant_line", _invariant_line_reference)
-    assert [_form_or_error(t) for t in triples] == closed
-    assert [_form_or_error(t, _former_hermitian_form) for t in triples] == closed
+    closed = [_form_or_error(invariant_hermitian_form, t) for t in triples]
+    assert [_form_or_error(hermitian_form, t) for t in triples] == closed
     errors = [r for r in closed if isinstance(r, type)]
     assert ReducibleNoUniqueFormError in errors and InternalInconsistencyError in errors
     assert len(errors) < len(closed)
-    monkeypatch.undo()
     # n = 2, (1, 1, 0): qx = 1 and alpha = q = -1, so s = 1 + alpha = 0 and zeta - zeta^-1 = 0
-    for form in (invariant_hermitian_form, _former_hermitian_form):
+    for form in (invariant_hermitian_form, hermitian_form):
         with pytest.raises(InternalInconsistencyError, match="no Hermitian representative found"):
             form(levelt_triple((1, 1, 0), 2))
 
@@ -1228,3 +988,60 @@ def test_sweep_asks_the_oracle_about_every_character(monkeypatch):
     assert len(reducible) == 14
     assert list(summary.irreducibility_mismatches) == reducible
     assert summary.irreducibility_checked == summary.characters
+
+
+# ---------------------------------------------------------------------------
+# the two routes stay independent
+
+
+class _Forbidden:
+    """Stands in for a name that a route may not use: a call or an attribute read fails the test."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError(f"{self.name} used")
+
+    __getattr__ = __call__
+
+
+def _forbid(monkeypatch, module, names):
+    for name in names:
+        monkeypatch.setattr(module, name, _Forbidden(f"{module.__name__}.{name}"))
+
+
+def test_criterion_route_uses_no_cyclotomic_number_and_no_oracle(monkeypatch):
+    # the criteria are integer arithmetic on the weights: every n <= 12 character, and the
+    # infinite character of each standard family, decided with the field and the oracle removed
+    characters = [(w, j) for n in range(4, 13) for w in iter_weight_tuples(n) for j in range(1, n)]
+    families = [standard_family(n).w for n in (5, 7, 11)]
+    cyclotomic_names = ("CyclotomicNumber", "sum_of_products", "zeta", "real_sign", "float_error_bound")
+    cyclotomic_names += ("inverse_one_minus_root", "roots_of_unity_order")
+    oracle_names = ("levelt_triple", "group_closure", "has_common_eigenvector", "invariant_hermitian_form")
+    _forbid(monkeypatch, monodromy, cyclotomic_names + oracle_names)
+    decided = 0
+    for w, j in characters:
+        levelt_exponents(w, j)
+        if is_irreducible(w, j):
+            finiteness_by_signature(w, j)
+            decided += 1
+    assert decided == 3671
+    assert [find_infinite_character(w) for w in families] == [3, 4, 6]
+
+
+def test_oracle_route_uses_no_sigma_sum_and_no_criterion(monkeypatch):
+    # the oracle reads the matrices alone: every n <= 8 character, decided with the sigma sums and
+    # the criteria removed (levelt_exponents, the one shared input, stays)
+    characters = [(w, j, is_irreducible(w, j)) for n in range(4, 9) for w in iter_weight_tuples(n) for j in range(1, n)]
+    _forbid(monkeypatch, monodromy, ("sigma_sum", "is_irreducible", "finiteness_by_signature", "find_infinite_character"))
+    _forbid(monkeypatch, eigenspace, ("sigma_sum", "sigma_table", "signature", "hodge_rows"))
+    decided = 0
+    for w, j, irreducible in characters:
+        t = triple_from_weights(w, j)
+        assert has_common_eigenvector(t) is not irreducible
+        if irreducible:
+            group_closure(t)
+            invariant_hermitian_form(t)
+            decided += 1
+    assert decided == 365
