@@ -35,7 +35,6 @@ from .monodromy import (
     find_infinite_character,
     group_closure,
     has_common_eigenvector,
-    infinite_order_witness,
     invariant_hermitian_form,
     is_irreducible,
     levelt_exponents,
@@ -48,7 +47,6 @@ from .surfaces import (
     SurfaceInvariants,
     admissible_exists,
     branch_table,
-    canonical_family,
     family,
     invariants,
     iter_admissible_families,
@@ -77,7 +75,6 @@ __all__ = [
     "WeightTuple",
     "admissible_exists",
     "branch_table",
-    "canonical_family",
     "cyclotomic_polynomial",
     "eigenspace_table",
     "enumerate_families",
@@ -86,7 +83,6 @@ __all__ = [
     "finiteness_by_signature",
     "group_closure",
     "has_common_eigenvector",
-    "infinite_order_witness",
     "invariant_hermitian_form",
     "invariants",
     "is_irreducible",

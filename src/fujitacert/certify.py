@@ -173,7 +173,7 @@ def certify(
 
     if adm_reason is not None:
         return stop(f"admissibility: {adm_reason}")
-    facts["smooth"] = smoothness_check(f).ok
+    facts["smooth"] = smoothness_check(f)
     if not facts["smooth"]:
         return stop("smoothness check failed")
     w = f.w

@@ -212,18 +212,6 @@ class CyclotomicNumber:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> CyclotomicNumber:
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = CyclotomicNumber.one(self.level)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def inverse(self) -> CyclotomicNumber:
         """Field inverse as an integer norm quotient (Cohen, GTM 138, 4.3).
 

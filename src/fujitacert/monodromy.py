@@ -38,7 +38,7 @@ from .cyclotomic import (
     CyclotomicNumber, float_error_bound, inverse_one_minus_root, real_sign, roots_of_unity_order, sum_of_products, zeta
 )
 from .eigenspace import WeightTuple, sigma_sum
-from .residues import InternalInconsistencyError, NonUnitError, check_modulus, inverse_mod, units
+from .residues import InternalInconsistencyError, NonUnitError, check_modulus, units
 
 DEFAULT_CLOSURE_CAP = 20000
 DEFAULT_MAX_WORD_LEN = 8
@@ -140,7 +140,7 @@ def find_infinite_character(w: WeightTuple) -> int:
     s = (w.m[0] + w.m[3]) % n
     if gcd(s, n) != 1:
         raise NonUnitError(f"m0+m3 = {s} is not a unit mod {n}")
-    j = (-inverse_mod(s, n)) % n
+    j = (-pow(s, -1, n)) % n
     total = sigma_sum(w, j)
     if total != 2 * n:
         raise InternalInconsistencyError(f"sigma({j}) = {total} for {w}, want 2n = {2 * n}")

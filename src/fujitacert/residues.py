@@ -1,4 +1,4 @@
-"""Exact arithmetic in Z/n: moduli, units and modular inverses.
+"""Exact arithmetic in Z/n: moduli and units.
 
 Residues are plain integers kept in the canonical range [0, n-1]; a bracket
 expression [x] elsewhere in the package is Python's x % n with n >= 2, which
@@ -12,7 +12,7 @@ from math import gcd
 
 
 class NonUnitError(ValueError):
-    """Raised when a modular inverse is requested for a non-unit."""
+    """A residue that must be a unit mod n is not."""
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -35,13 +35,4 @@ def units(n: int) -> list[int]:
     """All residues coprime to n, ascending; length equals phi(n)."""
     check_modulus(n)
     return [x for x in range(1, n) if gcd(x, n) == 1]
-
-
-def inverse_mod(x: int, n: int) -> int:
-    """Inverse of x in (Z/n)*; raises NonUnitError if gcd(x, n) != 1."""
-    check_modulus(n)
-    x = x % n
-    if gcd(x, n) != 1:
-        raise NonUnitError(f"{x} is not a unit mod {n}")
-    return pow(x, -1, n)
 

@@ -26,7 +26,7 @@ from fujitacert.eigenspace import (
 )
 from fujitacert.monodromy import Finiteness, finiteness_by_signature, is_irreducible
 from fujitacert.residues import NonUnitError, is_unit, units
-from fujitacert.surfaces import SmoothnessReport, family, standard_family
+from fujitacert.surfaces import family, standard_family
 
 # the module's dotted name: fujitacert.certify is the submodule, not the function
 CERTIFY_MODULE = "fujitacert.certify"
@@ -296,10 +296,6 @@ def test_enumerate_rejects_bad_range():
 # the gate ladder: every gate's certificate record, pinned
 
 
-def _failing_smoothness(f):
-    return SmoothnessReport(ok=False, order_failures=(), pair_failures=())
-
-
 def _splitting_with(**changes):
     return lambda w: dataclasses.replace(splitting(w), **changes)
 
@@ -324,7 +320,7 @@ GATE_CASES = {
         "15fb8cfb637acb32c642ec6894c75ada23f9b07a4f2c51254117e04fbec423d9",
     ),
     "not_smooth": (
-        standard_family(7), {"smoothness_check": _failing_smoothness}, {},
+        standard_family(7), {"smoothness_check": lambda f: False}, {},
         "smoothness check failed",
         ["admissibility_reason", "invariants", "splitting", "irreducible_all", "infinite_witness", "oracle"],
         "c13fa1c6f19db3ca0e27c93366bea125836dc767173291cb7f1a7a97bde7fb18",

@@ -1,7 +1,9 @@
 import cmath
 import io
+import operator
 import random
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 import pytest
@@ -71,8 +73,8 @@ def test_product_of_cyclotomics_is_xn_minus_1(n):
 
 def test_zeta_powers():
     z = zeta(5)
-    assert z**5 == CyclotomicNumber.one(5)
-    assert z**4 == zeta(5, 4)
+    assert z * z * z * z * z == CyclotomicNumber.one(5)
+    assert z * z * z * z == zeta(5, 4)
     assert zeta(5, 7) == zeta(5, 2)
     total = sum((zeta(5, k) for k in range(1, 5)), CyclotomicNumber.zero(5))
     assert total == CyclotomicNumber.from_rational(5, -1)
@@ -368,10 +370,11 @@ def test_mul_root_of_unity_is_a_power_of_a_generator():
         count = cyclotomic.roots_of_unity_order(level)
         gen = zeta(level) if level % 2 == 0 else -zeta(level, (level + 1) // 2)
         one = CyclotomicNumber.one(level)
-        assert gen**count == one and all(gen ** (count // p) != one for p in (2, 3, 5) if count % p == 0)
+        powers = list(accumulate([gen] * count, operator.mul, initial=one))  # gen^0 .. gen^count
+        assert powers[count] == one and all(powers[count // p] != one for p in (2, 3, 5) if count % p == 0)
         x = CyclotomicNumber(level, tuple(range(1, euler_phi(level) + 1)), 2)
         for u in range(-count, 2 * count):
-            assert x.mul_root_of_unity(u) == x * gen ** (u % count), (level, u)
+            assert x.mul_root_of_unity(u) == x * powers[u % count], (level, u)
 
 
 def test_root_of_unity_exponent_finds_every_root_of_unity():

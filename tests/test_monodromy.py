@@ -406,8 +406,9 @@ def test_group_closure_matches_exact_walk_past_the_short_words():
     # triangular, with diagonal exponent gaps 1, 2, 4 mod 7: every word of length <= 2
     # other than 1 has distinct eigenvalues, and g0*g0*g1^-1 is unipotent, not 1
     z = zeta(7)
-    g0, g1 = _mat(7, [[z, 1], [0, 1]]), _mat(7, [[z**2, 0], [0, 1]])
-    ginf = _mat(7, [[z**4, -(z**4)], [0, 1]])
+    z2 = z * z
+    g0, g1 = _mat(7, [[z, 1], [0, 1]]), _mat(7, [[z2, 0], [0, 1]])
+    ginf = _mat(7, [[z2 * z2, -(z2 * z2)], [0, 1]])
     t = MonodromyTriple(level=7, g0=g0, g1=g1, ginf=ginf, exponents=(0, 0, 0))
     # and triples whose letters coincide: _letters keeps a repeated matrix under its first name, and
     # the walk reads the relation pairs of the other names through alias.  At n = 4 and kc = 2,

@@ -2,12 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fujitacert.residues import (
-    NonUnitError,
-    inverse_mod,
-    is_unit,
-    units,
-)
+from fujitacert.residues import is_unit, units
 from reference import euler_phi
 
 
@@ -28,12 +23,6 @@ def test_units_examples():
     assert units(5) == [1, 2, 3, 4]
     assert units(6) == [1, 5]
     assert units(12) == [1, 5, 7, 11]
-
-
-def test_inverse_mod():
-    assert inverse_mod(3, 7) == 5
-    with pytest.raises(NonUnitError):
-        inverse_mod(4, 8)
 
 
 @given(st.integers(min_value=2, max_value=400))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fujitacert import surfaces
 from fujitacert.surfaces import (
     ADJACENT_PAIRS,
-    BranchLabel,
     InadmissibleFamilyError,
     NotCoprimeTo6Error,
     admissibility_reason,
@@ -97,14 +97,14 @@ def test_standard_family_admissible(n):
 def test_branch_table_values():
     f5 = standard_family(5)
     table = branch_table(f5)
-    assert table[BranchLabel.E2] == (3, 3)
-    assert table[BranchLabel.Y_INF] == (1, 0)
-    assert table[BranchLabel.X_INF] == (3, 1)  # (n - m3, n0) = (5-2, 1)
-    assert table[BranchLabel.X_0] == (0, 1)
+    assert table["E2"] == (3, 3)
+    assert table["Y_INF"] == (1, 0)
+    assert table["X_INF"] == (3, 1)  # (n - m3, n0) = (5-2, 1)
+    assert table["X_0"] == (0, 1)
     f7 = standard_family(7)
     t7 = branch_table(f7)
-    assert t7[BranchLabel.X_INF] == (3, 1)
-    assert t7[BranchLabel.DELTA] == (4, 0)
+    assert t7["X_INF"] == (3, 1)
+    assert t7["DELTA"] == (4, 0)
 
 
 @given(st.integers(min_value=5, max_value=200))
@@ -112,8 +112,8 @@ def test_delta_second_coordinate_zero(n):
     if gcd(n, 6) != 1:
         return
     table = branch_table(standard_family(n))
-    assert table[BranchLabel.DELTA][1] == 0
-    assert table[BranchLabel.DELTA][0] == n - 3
+    assert table["DELTA"][1] == 0
+    assert table["DELTA"][0] == n - 3
 
 
 def test_adjacency_is_the_fifteen_pairs():
@@ -122,40 +122,57 @@ def test_adjacency_is_the_fifteen_pairs():
     for a, b in ADJACENT_PAIRS:
         degree[a] = degree.get(a, 0) + 1
         degree[b] = degree.get(b, 0) + 1
-    for label in (BranchLabel.E0, BranchLabel.E1, BranchLabel.E2, BranchLabel.DELTA):
+    for label in ("E0", "E1", "E2", "DELTA"):
         assert degree[label] == 3
     # the three separated triple points: their pairs are no longer adjacent
     gone = {
-        frozenset((BranchLabel.Y_INF, BranchLabel.X_INF)),
-        frozenset((BranchLabel.Y_0, BranchLabel.X_0)),
-        frozenset((BranchLabel.Y_1, BranchLabel.X_1)),
+        frozenset(("Y_INF", "X_INF")),
+        frozenset(("Y_0", "X_0")),
+        frozenset(("Y_1", "X_1")),
     }
     assert all(frozenset(p) not in gone for p in ADJACENT_PAIRS)
+    # the pairs name exactly the ten divisors of the branch table: each lies on some crossing
+    assert set(degree) == set(branch_table(standard_family(5)))
 
 
 def test_smoothness_standard_families():
     for n in (5, 7, 11, 13, 25):
-        report = smoothness_check(standard_family(n))
-        assert report.ok, report
+        assert smoothness_check(standard_family(n)) is True, n
 
 
 def test_smoothness_e0_xinf_pair_needs_m0_plus_m3():
     # det for {E0, X_INF} is n0*(m0+m3) mod n: fails exactly when m0+m3 is a non-unit
     f = family(25, (1, 7, 10, 7), (1, 1, 23))  # m0+m3 = 8, unit; but m2 = 10 non-unit
     table = branch_table(f)
-    (u1, v1) = table[BranchLabel.E0]
-    (u2, v2) = table[BranchLabel.X_INF]
+    (u1, v1) = table["E0"]
+    (u2, v2) = table["X_INF"]
     det = (u1 * v2 - u2 * v1) % 25
     n0, m0, m3 = 1, 1, 7
     assert det == (n0 * (m0 + m3)) % 25
 
 
-def test_smoothness_broken_family():
+def test_smoothness_broken_family(monkeypatch):
     # non-unit first coordinate with zero second: order of (5,0) mod 25 is 5 < n
     f = family(25, (5, 1, 9, 10), (1, 1, 23))
-    report = smoothness_check(f)
-    assert not report.ok
-    assert any(label == "Y_INF" for label, _ in report.order_failures)
+    assert branch_table(f)["Y_INF"] == (5, 0)
+    assert smoothness_check(f) is False
+    # a common factor of (u, v) divides each determinant with (u, v), and every divisor lies on a
+    # crossing, so the crossings fail too: without crossings the order condition decides alone
+    monkeypatch.setattr(surfaces, "ADJACENT_PAIRS", ())
+    assert smoothness_check(f) is False
+    assert smoothness_check(standard_family(25)) is True
+
+
+def test_smoothness_fails_at_crossings_alone():
+    # every inertia element has order 25, but m0 + m3 = m1 + m3 = 5 is not a unit
+    f = family(25, (1, 1, 19, 4), (1, 1, 23))
+    table = branch_table(f)
+    assert all(gcd(gcd(u, v), 25) == 1 for u, v in table.values())
+    # det(E0, X_INF) = n0*(m0 + m3) and det(E1, X_0) = n1*(m1 + m3)
+    dets = {(a, b): table[a][0] * table[b][1] - table[b][0] * table[a][1] for a, b in ADJACENT_PAIRS}
+    failing = [pair for pair, det in dets.items() if gcd(det, 25) != 1]
+    assert failing == [("E0", "X_INF"), ("E1", "X_0")]
+    assert smoothness_check(f) is False
 
 
 def test_invariants_n5():
