@@ -10,7 +10,7 @@ monodromy to be infinite.  A family with all of these is a counterexample
 to the semiampleness question; anything less is NOT_CERTIFIED with a reason.
 The splitting stores the sigma table and derives its per-character
 EigenspaceReports on request; it and the Shimura count each read one
-sigma_table pass, which checks every character's sigma on the way.
+sigma_table, which computes j <= n/2, mirrors the rest and checks every sigma.
 Enumeration yields certificates one at a time, in increasing family order.
 """
 
@@ -83,7 +83,7 @@ class SplittingReport:
 
 
 def splitting(w: WeightTuple) -> SplittingReport:
-    """The sigma table with rank totals, from one sigma_table pass, which checks every sigma.
+    """The sigma table with rank totals, from sigma_table: one pass over j <= n/2, mirrored, every sigma checked.
 
     A degenerate character is carried as sigma 0; certification fails closed on it.
     """

@@ -148,6 +148,8 @@ def cmd_analyze(args, out) -> int:
         rows = records.character_rows(sigmas, records.eigenspace_report_dict)
     checks = [check("sigma_in_range", {0, n, 2 * n, 3 * n}.issuperset(sigmas), "sigma values lie in {n, 2n, 3n}")]
     if args.j is None:
+        # these two checks, and sigma_in_range above n/2, restate sigma_table's mirror sigma_{n-j} = 4n - sigma_j;
+        # kept for the output.  test_sigma_table_matches_sigma_sum_at_large_levels checks the mirror itself
         complementary = all(a == 0 or b == 0 or a + b == 4 * n for a, b in zip(sigmas, reversed(sigmas)))  # 0: degenerate
         checks.append(check("complementary_characters", complementary, "sigma_j + sigma_{n-j} = 4n"))
         if w.all_units():

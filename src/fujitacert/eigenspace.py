@@ -8,12 +8,11 @@ data governed by the normalized residues mu_i = [m_i * j] / n:
     dim H^{1,0} = -1 + sum_i mu_i,     dim H^{0,1} = 2 - dim H^{1,0},
 
 and the invariant Hermitian form has index (dim H^{1,0}, dim H^{0,1}).
-All of it follows from sigma_j = sum_i [m_i * j], which is n, 2n or 3n;
-sigma_table computes every sigma_j in one integer pass and checks each
-against that set.  EigenspaceReport, the one per-character record, holds
-sigma_j and what hodge_rows reads off it: the Hodge numbers and the split
-class.  Everything here is integer/rational arithmetic; no periods are
-computed.
+All of it follows from sigma_j = sum_i [m_i * j], which is n, 2n or 3n; sigma_table
+computes it for j <= n/2 in one integer pass, reads the rest off sigma_{n-j} = 4n - sigma_j
+and checks each against that set.  EigenspaceReport, the one per-character record, holds
+sigma_j and what hodge_rows reads off it: the Hodge numbers and the split class.  All of
+it is integer/rational arithmetic; no periods are computed.
 """
 
 from __future__ import annotations
@@ -181,15 +180,18 @@ def signature(w: ResidueWeights, j: int) -> tuple[int, int]:
 
 
 def sigma_table(w: ResidueWeights) -> list[int]:
-    """sigma_j for j = 1 .. n-1 in one integer pass; 0 marks a degenerate character.
+    """sigma_j for j = 1 .. n-1 from one integer pass over j <= n/2; 0 marks a degenerate character.
 
-    Every entry is checked: a value outside {0, n, 2n, 3n} raises
-    InternalInconsistencyError.
+    If r = [m_i * j] != 0, then m_i * (n - j) = -r mod n and 0 < r < n give [m_i * (n - j)] = n - r;
+    if r = 0, so is [m_i * (n - j)].  Summed: sigma_{n-j} = 4n - sigma_j, 0 mirrors to 0, and at
+    even n, j = n/2 is its own mirror.  Any m obeys this, so a bad sigma keeps its true value, at
+    the least bad j <= n/2.  Any entry outside {0, n, 2n, 3n} raises InternalInconsistencyError.
     """
     n = w.n
-    # row i holds [m_i * j] for j = 1 .. n-1, from the multiples m_i, 2 m_i, ...
-    rows = [[x % n for x in itertools.islice(itertools.count(mi, mi), n - 1)] for mi in w.m]
+    # row i holds [m_i * j] for j = 1 .. n // 2; range(mi, ..., mi) would raise at a residue mi = 0
+    rows = [[x % n for x in itertools.islice(itertools.count(mi, mi), n // 2)] for mi in w.m]
     table = [a + b + c + d if a and b and c and d else 0 for a, b, c, d in zip(*rows)]
+    table += [4 * n - s if s else 0 for s in reversed(table[: (n - 1) // 2])]
     allowed = {0, n, 2 * n, 3 * n}
     if not allowed.issuperset(table):
         j = next(j for j, s in enumerate(table, 1) if s not in allowed)

@@ -578,6 +578,24 @@ def test_splitting_output_digest_pinned():
     assert digest.hexdigest() == AFFECTED_DIGEST
 
 
+# 10006 = 2 * 5003: j = 5003 is its own mirror n - j, sigma 2n when every m_i is odd
+# and degenerate when some m_i is even; argv -> whether j = 5003 is degenerate
+MIRROR_FIXED_POINT_CASES = {"analyze -n 10006 -m 1,1,1,10003": False, "analyze -n 10006 -m 2,3,5,9996": True}
+MIRROR_FIXED_POINT_DIGEST = "576cc31507dc8b85cac0f8b1ff89ce2ddd0d361c5cddc1ec211ee9957f4bfaf2"
+
+
+def test_analyze_even_level_digest_pinned():
+    # exit code, stdout and stderr of analyze at an even level, in both cases of its
+    # self-mirrored character; a schema_version change must re-pin this digest
+    digest = hashlib.sha256()
+    for argv, degenerate in MIRROR_FIXED_POINT_CASES.items():
+        code, out, err = run_cli(argv.split())
+        row = json.loads(out)["result"]["table"][5002]
+        assert (row["j"], row["degenerate"]) == (5003, degenerate), argv
+        digest.update(f"{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == MIRROR_FIXED_POINT_DIGEST
+
+
 def test_oracle_internal_inconsistency_exit2(monkeypatch):
     monkeypatch.setattr(
         cli, "group_closure", lambda *a, **k: FinitenessVerdict(Finiteness.FINITE, order=1)

@@ -202,6 +202,9 @@ RESIDUE_SYSTEMS = [
 
 
 def _small_weights():
+    # every residue system at n = 2, 3, 4, where sigma_table's mirrored half is empty or one character
+    for n in (2, 3, 4):
+        yield from (ResidueWeights(n, m) for m in itertools.product(range(n), repeat=4) if sum(m) % n == 0)
     for n in range(4, 14):
         yield from iter_weight_tuples(n)
     yield from RESIDUE_SYSTEMS
@@ -232,7 +235,34 @@ def test_sigma_table_matches_sigma_sum():
         degenerate_seen += 0 in table
     assert sigma_table(RESIDUE_SYSTEMS[0]) == [24, 0, 0, 0, 24, 0, 24, 0, 0, 0, 24]
     assert sigma_table(RESIDUE_SYSTEMS[3]) == [0] * 5
+    assert sigma_table(ResidueWeights(2, (1, 1, 1, 1))) == [4]
+    assert sigma_table(ResidueWeights(4, (1, 1, 1, 1))) == [4, 8, 12]
     assert degenerate_seen > len(RESIDUE_SYSTEMS)
+
+
+# the mirror sigma_{n-j} = 4n - sigma_j checked against sigma_sum at every j: a prime
+# level; 5005 = 5*7*11*13 with non-unit m_i, degenerate in both halves; 10006 = 2*5003,
+# whose j = 5003 is its own mirror, degenerate (an even m_i) or 2n (every m_i odd);
+# a residue 0, degenerate everywhere
+LARGE_LEVEL_SYSTEMS = [
+    ResidueWeights(10007, (1, 1, 1, 10004)),
+    ResidueWeights(5005, (5, 7, 11, 4982)),
+    ResidueWeights(10006, (2, 3, 5, 9996)),
+    ResidueWeights(10006, (1, 1, 1, 10003)),
+    ResidueWeights(5005, (0, 1, 1, 5003)),
+]
+
+
+def test_sigma_table_matches_sigma_sum_at_large_levels():
+    tables = [sigma_table(w) for w in LARGE_LEVEL_SYSTEMS]
+    for w, table in zip(LARGE_LEVEL_SYSTEMS, tables):
+        assert table == [_sigma_or_zero(w, j) for j in range(1, w.n)], w
+    n = 5005
+    degenerate = [j for j, s in enumerate(tables[1], 1) if s == 0]
+    # multiples of n/5, n/7 and n/11: 4 + 6 + 10 characters, from 455 < n/2 to n - 455 > n/2
+    assert (min(degenerate), max(degenerate), len(degenerate)) == (455, n - 455, 4 + 6 + 10)
+    assert [table[5002] for table in tables[2:4]] == [0, 2 * 10006]
+    assert tables[4] == [0] * (n - 1)
 
 
 def test_eigenspace_table_matches_per_character_reports():
