@@ -18,7 +18,8 @@ Signs of real elements are decided exactly: an exact-zero shortcut via the
 normal form, then a float sum at the distinguished embedding
 zeta = exp(2*pi*i/n) that decides whenever it lies outside a rigorous error
 band around zero, and only inside that band mpmath.iv interval evaluation at
-rising precision until the interval excludes zero.
+rising precision until the interval excludes zero (mpmath is imported there,
+so a run whose signs all fall outside the band never loads it).
 
 The roots of unity in Q(zeta_n) form mu_N = {+-zeta_n^k}, N = 2n for odd n and
 n otherwise (Washington, Ex. 2.3); root_of_unity_exponent finds u with x = zeta_N^u
@@ -33,8 +34,6 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-from mpmath import iv
 
 from .residues import InternalInconsistencyError
 
@@ -78,15 +77,17 @@ def _level_context(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     rows: list[tuple[int, ...]] = []
+    shared: dict[int, int] = {}  # one int object per value: at n = 5005, 6.1 M entries take 71 values
+    terms = [(i, c) for i, c in enumerate(phi[:deg]) if c]
     # x^deg = -(phi_0 + phi_1 x + ... + phi_{deg-1} x^{deg-1})
-    current = [-c for c in phi[:deg]]
+    current = [shared.setdefault(-c, -c) for c in phi[:deg]]
     for _ in range(deg, n):
         rows.append(tuple(current))
         lead = current.pop()
         current.insert(0, 0)
         if lead:
-            for i in range(deg):
-                current[i] -= lead * phi[i]
+            for i, c in terms:
+                current[i] = shared.setdefault(v := current[i] - lead * c, v)
     return deg, tuple(rows)
 
 
@@ -435,6 +436,7 @@ def real_sign(x: CyclotomicNumber) -> int:
             return 1 if approx > 0 else -1
     except OverflowError:  # coefficients past the float range: the ladder alone decides
         pass
+    from mpmath import iv  # inside the band only: no CLI run reaches it in normal use
     saved = iv.dps
     try:
         for dps in _SIGN_DPS_LADDER:

@@ -355,6 +355,31 @@ def test_package_has_no_assert_statements():
         assert not lines, f"{path.name}: assert at lines {lines}"
 
 
+def test_mpmath_is_imported_only_inside_real_sign():
+    # no module body loads mpmath, so a run whose signs all fall outside the float band never does
+    import ast
+
+    import fujitacert
+
+    found = []
+    for path in sorted(Path(fujitacert.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for node in ast.walk(tree):  # breadth first, so an inner function overwrites its outer one
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(map(id, ast.walk(node)), node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "mpmath" for module in modules):
+                found.append((path.stem, owner.get(id(node))))
+    assert found == [("cyclotomic", "real_sign")]
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 

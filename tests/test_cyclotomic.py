@@ -1,10 +1,15 @@
 import cmath
 import io
+import json
 import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -125,15 +130,17 @@ def _reference(level, pairs):
     return _long_division(level, total)
 
 
-@pytest.mark.parametrize("levels", [range(1, 151), [1001, 1009, 10007]], ids=["n<=150", "large"])
+@pytest.mark.parametrize("levels", [range(1, 151), [1001, 1009, 1155, 10007]], ids=["n<=150", "large"])
 def test_level_context_holds_one_row_per_power_from_phi_to_n(levels):
     # the one table: row k - phi(n) is x^k mod Phi_n for phi(n) <= k < n, so a prime level has one
-    # row; every buffer shorter than 2n folds by it once its exponents are taken mod n
+    # row; every buffer shorter than 2n folds by it once its exponents are taken mod n.  Equal
+    # coefficients are one int object: at 1155 = 3*5*7*11 the rows reach -9..9, past the small-int cache
     rng = random.Random(0)
     for n in levels:
         deg, rows = cyclotomic._level_context(n)
         assert deg == euler_phi(n) and len(rows) == n - deg, n
         assert all(row == _long_division(n, [0] * k + [1]) for k, row in enumerate(rows, deg)), n
+        assert len({id(c) for row in rows for c in row}) == len({c for row in rows for c in row}), n
         if n > 1 and all(n % d for d in range(2, int(n**0.5) + 1)):  # prime
             assert len(rows) == 1, n
         if n <= 150:
@@ -344,7 +351,7 @@ def test_real_sign_examples():
 
 
 def test_real_sign_decides_by_floats_outside_the_band(monkeypatch):
-    monkeypatch.setattr(cyclotomic, "iv", None)  # the interval ladder is not reached
+    monkeypatch.setitem(sys.modules, "mpmath", None)  # the interval ladder is not reached: its import would raise
     assert real_sign(zeta(7) + zeta(7, 6)) == 1
     assert real_sign(Fraction(1, 3) * (zeta(7, 3) + zeta(7, 4))) == -1
 
@@ -363,6 +370,37 @@ def test_real_sign_ladder_decides_inside_the_band(k):
     a = 2 * p - q
     want = 1 if a >= 0 or 5 * q * q > a * a else -1
     assert real_sign(x) == want and real_sign(-x) == -want
+
+
+_LAZY_MPMATH = """
+import io, json, math, sys
+from fujitacert import cli, cyclotomic
+
+argvs = [
+    ["certify", "-n", "10007", "-m", "1,1,1,10004", "--nw", "1,1,10005"],
+    ["certify", "-n", "25", "-m", "1,1,1,22", "--nw", "1,1,23", "--oracle"],
+    ["oracle", "-n", "10", "-m", "1,3,3,3", "-j", "1"],
+]
+exits = [cli.main(argv, out=io.StringIO()) for argv in argvs]
+loaded = ["mpmath" in sys.modules]
+cyclotomic.float_error_bound = lambda x: math.inf  # every sign now falls inside the band
+signs = [cyclotomic.real_sign(cyclotomic.zeta(7) + cyclotomic.zeta(7, 6))]
+loaded.append("mpmath" in sys.modules)
+from mpmath import iv
+iv.dps = 17
+signs.append(cyclotomic.real_sign(cyclotomic.zeta(7, 3) + cyclotomic.zeta(7, 4)))
+print(json.dumps({"exits": exits, "loaded": loaded, "signs": signs, "dps": iv.dps}))
+"""
+
+
+def test_mpmath_loads_only_when_a_sign_falls_inside_the_band():
+    # a fresh interpreter: certify at a large prime level, certify --oracle and oracle decide every
+    # sign by floats and never load mpmath; a sign forced into the band loads it, decides through
+    # the interval ladder and leaves iv.dps as it found it
+    env = dict(os.environ, PYTHONPATH=str(Path(cyclotomic.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _LAZY_MPMATH], env=env, capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"exits": [0, 0, 0], "loaded": [False, True], "signs": [1, -1], "dps": 17}
 
 
 def test_mul_root_of_unity_is_a_power_of_a_generator():
