@@ -33,7 +33,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .residues import InternalInconsistencyError
 
@@ -42,32 +42,29 @@ from .residues import InternalInconsistencyError
 # integer polynomial plumbing
 
 
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Quotient of integer polynomials, denominator monic; remainder must vanish."""
-    if den[-1] != 1:
-        raise InternalInconsistencyError("polynomial division needs a monic divisor")
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        coeff = num[k + len(den) - 1]
-        out[k] = coeff
-        if coeff:
-            for i, d in enumerate(den):
-                num[k + i] -= coeff * d
-    if any(num):
-        raise InternalInconsistencyError("non-exact polynomial division")
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients (low to high) of the n-th cyclotomic polynomial."""
+    """Coefficients (low to high) of the n-th cyclotomic polynomial.
+
+    Phi_n is the product of (x^d - 1)^mu(n/d) over d | n.  Every multiplication comes first, so
+    each division by x^d - 1 is exact: it runs from the low end, as a power series, and the top
+    d terms of the quotient must vanish.
+    """
     if n < 1:
         raise ValueError("level must be >= 1")
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d)))
+    up, down = [n], []  # the d | n with mu(n/d) = +1 and -1
+    for p in range(2, n + 1):
+        if n % p == 0 and all(p % q for q in range(2, isqrt(p) + 1)):
+            up, down = up + [d // p for d in down], down + [d // p for d in up]
+    poly = [1]
+    for d in up:
+        poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+    for d in down:
+        for k in range(len(poly)):
+            poly[k] = (poly[k - d] if k >= d else 0) - poly[k]
+        if any(poly[-d:]):
+            raise InternalInconsistencyError("non-exact polynomial division")
+        del poly[-d:]
     return tuple(poly)
 
 

@@ -16,7 +16,6 @@ under m's stabilizer), since an image with a larger m-part is a larger pair.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -160,10 +159,19 @@ ADJACENT_PAIRS: tuple[tuple[str, str], ...] = (
 
 
 def _adjacency_sanity():
-    degree = Counter(itertools.chain.from_iterable(ADJACENT_PAIRS))
-    for label in ("E0", "E1", "E2", "DELTA"):
-        if degree[label] != 3:
-            raise InternalInconsistencyError(f"{label} meets {degree[label]} branch divisors, want 3")
+    """Check that the ten lines and their crossings form the Petersen graph, srg(10, 3, 0, 1).
+
+    Then D, the sum of the ten lines, has D.L = -1 + 3 = 2 = -2K.L on each line L and
+    D^2 = 20 = 4K^2, so D = -2K (Dolgachev, Classical Algebraic Geometry, ch. 8).
+    """
+    meets = {}
+    for a, b in ADJACENT_PAIRS:
+        meets.setdefault(a, set()).add(b)
+        meets.setdefault(b, set()).add(a)
+    if len(meets) != 10 or any(
+        len(meets[a]) != 3 or len(meets[a] & meets[b]) != (b not in meets[a]) for a, b in itertools.permutations(meets, 2)
+    ):
+        raise InternalInconsistencyError("the branch divisors' crossings do not form the Petersen graph")
 
 
 _adjacency_sanity()

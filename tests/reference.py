@@ -7,6 +7,7 @@ stays in a test module only where a comment there names the property that only i
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm
 
 import mpmath
@@ -41,6 +42,24 @@ def euler_phi(n):
     if m > 1:
         result -= result // m
     return result
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(n):
+    """Phi_n, low to high, as x^n - 1 divided by Phi_d for each proper divisor d, by long division from the top."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = cyclotomic_polynomial(d)  # monic
+            out = [0] * (len(poly) - len(den) + 1)
+            for k in range(len(out) - 1, -1, -1):
+                out[k] = coeff = poly[k + len(den) - 1]
+                for i, c in enumerate(den):
+                    poly[k + i] -= coeff * c
+            if any(poly):
+                raise InternalInconsistencyError("non-exact polynomial division")
+            poly = out
+    return tuple(poly)
 
 
 def letters(t):

@@ -341,6 +341,20 @@ def test_output_unchanged_under_python_O(argv):
     assert runs[0].stdout and runs[0].stdout == runs[1].stdout
 
 
+def test_package_root_holds_only_zeta():
+    # every name is imported from its module; the root keeps zeta for the benchmark's level warm-up
+    import types
+
+    import fujitacert
+
+    public = {k for k, v in vars(fujitacert).items() if not k.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert public == {"zeta"}
+    env = dict(os.environ, PYTHONPATH=str(Path(fujitacert.__file__).parents[1]))
+    argv = ["certify", "-n", "7", "-m", "1,1,1,4", "--nw", "1,1,5"]
+    run = subprocess.run([sys.executable, "-m", "fujitacert.cli", *argv], env=env, capture_output=True, text=True, check=False)
+    assert run.returncode == 0, run.stderr
+
+
 def test_package_has_no_assert_statements():
     # python -O strips assert statements, so every self-check is an explicit raise
     import ast

@@ -27,6 +27,7 @@ from fujitacert.cyclotomic import (
 )
 from fujitacert.monodromy import mat_det, mat_mul
 from fujitacert.residues import InternalInconsistencyError, units
+from reference import cyclotomic_polynomial as cyclotomic_polynomial_by_divisors
 from reference import euler_phi
 
 LEVELS = st.integers(min_value=2, max_value=13)
@@ -58,6 +59,11 @@ def test_cyclotomic_polynomials():
         assert len(cyclotomic_polynomial(n)) - 1 == euler_phi(n)
 
 
+def test_cyclotomic_polynomial_matches_division_by_divisors():
+    for n in [*range(1, 301), 1001, 1155, 5005]:
+        assert cyclotomic_polynomial(n) == cyclotomic_polynomial_by_divisors(n), n
+
+
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -66,7 +72,7 @@ def _poly_mul(a, b):
     return out
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 9, 12, 15, 24, 30])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 9, 12, 15, 24, 30, 105, 210])
 def test_product_of_cyclotomics_is_xn_minus_1(n):
     prod = [1]
     for d in range(1, n + 1):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fujitacert import surfaces
+from fujitacert.residues import InternalInconsistencyError
 from fujitacert.surfaces import (
     ADJACENT_PAIRS,
     InadmissibleFamilyError,
@@ -133,6 +134,14 @@ def test_adjacency_is_the_fifteen_pairs():
     assert all(frozenset(p) not in gone for p in ADJACENT_PAIRS)
     # the pairs name exactly the ten divisors of the branch table: each lies on some crossing
     assert set(degree) == set(branch_table(standard_family(5)))
+
+
+def test_adjacency_that_is_not_the_petersen_graph_is_refused(monkeypatch):
+    surfaces._adjacency_sanity()
+    (a, _), *rest = ADJACENT_PAIRS  # ("X_0", "Y_INF") becomes ("X_0", "Y_0")
+    monkeypatch.setattr(surfaces, "ADJACENT_PAIRS", ((a, "Y_0"), *rest))
+    with pytest.raises(InternalInconsistencyError, match="Petersen"):
+        surfaces._adjacency_sanity()
 
 
 def test_smoothness_standard_families():
