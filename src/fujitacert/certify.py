@@ -9,8 +9,8 @@ unit conjugate carrying an indefinite form, which forces the flat summand's
 monodromy to be infinite.  A family with all of these is a counterexample
 to the semiampleness question; anything less is NOT_CERTIFIED with a reason.
 The splitting stores the sigma table and derives its per-character
-EigenspaceReports on request; it and the Shimura count each read one
-sigma_table, which computes j <= n/2, mirrors the rest and checks every sigma.
+EigenspaceReports on request; it reads the table its WeightTuple caches, which the families
+of one m share, and the Shimura count one sigma_table (j <= n/2, mirrored, each sigma checked).
 Enumeration yields certificates one at a time, in increasing family order.
 """
 
@@ -83,16 +83,16 @@ class SplittingReport:
 
 
 def splitting(w: WeightTuple) -> SplittingReport:
-    """The sigma table with rank totals, from sigma_table: one pass over j <= n/2, mirrored, every sigma checked.
+    """The sigma table with rank totals, from w.sigmas: one sigma_table pass per WeightTuple, every sigma checked.
 
     A degenerate character is carried as sigma 0; certification fails closed on it.
     """
     n = w.n
-    table = sigma_table(w)
+    table = w.sigmas
     ample, flat = table.count(2 * n), table.count(3 * n)
     deg_v = (n * n - 1) // 12 if (n * n - 1) % 12 == 0 else None
     return SplittingReport(
-        sigmas=tuple(table),
+        sigmas=table,
         rank_V=ample + 2 * flat,  # dim V_j is 1 at an ample candidate and 2 at a flat character
         rank_flat=2 * flat,
         rank_ample_candidate=ample,

@@ -22,7 +22,7 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import gcd
 from operator import add
 from typing import NamedTuple
@@ -106,6 +106,11 @@ class WeightTuple(ResidueWeights):
         if gcd(gcd(gcd(gcd(m[0], m[1]), m[2]), m[3]), self.n) != 1:
             raise ValueError(f"gcd(m0,...,m3, n) != 1 for m = {m}, n = {self.n}")
         object.__setattr__(self, "m", m)  # 0 < m_i < n and sum n: the residue checks hold
+
+    @cached_property
+    def sigmas(self) -> tuple[int, ...]:
+        """sigma_table(self), one pass per instance: the families of one m share their WeightTuple."""
+        return tuple(sigma_table(self))
 
 
 def compositions(n: int, k: int):

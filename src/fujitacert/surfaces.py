@@ -8,9 +8,9 @@ invariant is a closed form in n and is computed exactly here, with the
 smoothness verification reduced to one verdict on its combinatorial content
 (orders and pairwise spans of inertia elements in (Z/n)^2, Pardini 1991),
 which admissibility already implies.  Families are walked in increasing
-order from compositions of n; normalization keeps a family when it is least
-in its symmetry orbit (m least among its images, base weights least
-under m's stabilizer), since an image with a larger m-part is a larger pair.
+order from compositions of n; normalization marks each class once from its least m: the
+images of m under units and permutations, with sum n, are its class (inverses make this
+symmetric, and permuting commutes with rescaling), and base weights are marked under m's stabilizer.
 """
 
 from __future__ import annotations
@@ -124,11 +124,11 @@ def _admissible_parts(n: int) -> tuple[list, list]:
 
 
 def iter_admissible_families(n: int):
-    """All admissible families for this n, in strictly increasing (m, base_weights) order."""
+    """All admissible families for this n, in strictly increasing (m, base_weights) order; one WeightTuple per m."""
     if n < 5 or not admissible_exists(n):
         return
-    for m, bw in itertools.product(*_admissible_parts(n)):
-        yield family(n, m, bw)
+    ms, bws = _admissible_parts(n)
+    yield from (FamilyData(w, bw) for w in (WeightTuple(n, m) for m in ms) for bw in bws)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +288,15 @@ def _images(n: int, hs, xs) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     return {p: [(hx[p[0]], hx[p[1]], hx[p[2]], *hx[3:]) for hx in hxs] for p in itertools.permutations(range(3))}
 
 
+def _least_members(n: int, hs, xs, perms):
+    """Each x of the increasing xs that no earlier x's images under perms reach, with its images."""
+    marked = set()
+    for x in itertools.filterfalse(marked.__contains__, xs):
+        images = _images(n, hs, x)
+        marked.update(itertools.chain.from_iterable(images[p] for p in perms))
+        yield x, images
+
+
 def family_orbit(f: FamilyData):
     """Orbit of the family datum under the symmetries of the construction.
 
@@ -314,19 +323,20 @@ def canonical_family(f: FamilyData) -> FamilyData:
 
 
 def iter_canonical_families(n: int):
-    """canonical_family of each symmetry class for this n, in increasing order, by a least-in-orbit test."""
-    # (m, bw) is least in its orbit iff m is least among the p(h*m) and bw among the p(u*bw)
-    # for every p in m's stabilizer: an image with a larger m-part is a larger pair
+    """canonical_family of each symmetry class for this n, in increasing order, by orbit marking.
+
+    The images p(h*x) with sum n (h a unit, p in a group P) are x's class: x = p(h*y) gives y = p^-1(h^-1*x),
+    and q(k*p(h*x)) = qp(kh*x) as permuting commutes with rescaling.  So an m no earlier m's images reach is
+    least in its class, and its images mark the class.  (m, bw) is least in its orbit iff m is and bw is least
+    under m's stabilizer {p : m in p(h*m)}, a group, since an image with a larger m-part is a larger pair.
+    """
     if n < 5 or not admissible_exists(n):
         return
     hs = units(n)
     ms, bws = _admissible_parts(n)
-    least_bw = {bw: {p: min(pbs) for p, pbs in _images(n, hs, bw).items()} for bw in bws}
-    for m in ms:
-        m_images = _images(n, hs, m)
-        if min(map(min, m_images.values())) < m:
-            continue
-        stabilizer = [p for p, pms in m_images.items() if m in pms]
-        for bw, least in least_bw.items():
-            if all(least[p] >= bw for p in stabilizer):
-                yield family(n, m, bw)
+    least_bws = {}  # stabilizer -> the least base weights of its classes
+    for m, m_images in _least_members(n, hs, ms, tuple(itertools.permutations(range(3)))):
+        stabilizer = tuple(p for p, pms in m_images.items() if m in pms)
+        if stabilizer not in least_bws:
+            least_bws[stabilizer] = [bw for bw, _ in _least_members(n, hs, bws, stabilizer)]
+        yield from map(FamilyData, itertools.repeat(WeightTuple(n, m)), least_bws[stabilizer])

@@ -12,7 +12,7 @@ from math import lcm
 
 import mpmath
 
-from fujitacert import cyclotomic
+from fujitacert import cyclotomic, surfaces
 from fujitacert.cyclotomic import CyclotomicNumber, real_sign, sum_of_products
 from fujitacert.monodromy import (
     Finiteness,
@@ -255,3 +255,24 @@ def decimal_ladder_sign(x):
             if abs(total) > (sum(abs(c) for c in x.num) + 1) * mpmath.mpf(10) ** (5 - dps):
                 return 1 if total > 0 else -1
     raise AssertionError(f"decimal ladder undecided on {x!r}")
+
+
+def least_in_orbit_families(n):
+    """The canonical families of n in increasing order, each (m, bw) tested as least in its orbit.
+
+    m is kept when it is least among all its images p(h*m) with sum n, and bw when, for every p
+    in m's stabilizer, it is least among the p(u*bw); no image is marked or shared between tests.
+    """
+    if n < 5 or not surfaces.admissible_exists(n):
+        return
+    hs = units(n)
+    ms, bws = surfaces._admissible_parts(n)
+    least_bw = {bw: {p: min(pbs) for p, pbs in surfaces._images(n, hs, bw).items()} for bw in bws}
+    for m in ms:
+        m_images = surfaces._images(n, hs, m)
+        if min(map(min, m_images.values())) < m:
+            continue
+        stabilizer = [p for p, pms in m_images.items() if m in pms]
+        for bw, least in least_bw.items():
+            if all(least[p] >= bw for p in stabilizer):
+                yield surfaces.family(n, m, bw)

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from fujitacert import records
+from fujitacert import eigenspace, records
 
 from fujitacert.certify import (
     CERTIFICATE_PROSE,
@@ -278,11 +278,26 @@ def test_enumerate_all_normalized_n5():
         ((1, 1, 2, 1), (1, 2, 2)),
     ]
     assert all(c.is_counterexample for c in certs)
+    # the abstract's three ball quotients: base genus 2, fibres of genus 4
+    assert all(c.invariants.ball_quotient and (c.invariants.g, c.invariants.b) == (4, 2) for c in certs)
 
 
 def test_enumerate_all_unnormalized_n5():
     certs = list(enumerate_families(5, 5, EnumerationMode.ALL))
     assert len(certs) == 24
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_enumerate_shares_one_weight_tuple_and_one_sigma_pass_per_m(monkeypatch, normalize):
+    passes = []
+    table = eigenspace.sigma_table
+    monkeypatch.setattr(eigenspace, "sigma_table", lambda w: passes.append(w.m) or table(w))
+    certs = list(enumerate_families(13, 13, EnumerationMode.ALL, normalize=normalize))
+    shared = {}
+    assert all(shared.setdefault(c.family.w.m, c.family.w) is c.family.w for c in certs)
+    assert passes == list(shared)  # one pass per distinct m, in walk order
+    if normalize:
+        assert (len(certs), len(passes)) == (189, 22)
 
 
 def test_enumerate_rejects_bad_range():

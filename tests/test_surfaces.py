@@ -23,6 +23,7 @@ from fujitacert.surfaces import (
     smoothness_check,
     standard_family,
 )
+from reference import least_in_orbit_families
 
 
 def _search_admissible(n):
@@ -260,7 +261,7 @@ def test_orbit_members_stay_admissible():
 
 
 # normalized class counts per n: regression fixtures for the orbit walk
-CLASS_COUNTS = {5: 3, 7: 16, 11: 100, 13: 189, 17: 497, 19: 734, 23: 1410, 25: 255, 29: 3055, 31: 3804}
+CLASS_COUNTS = {5: 3, 7: 16, 11: 100, 13: 189, 17: 497, 19: 734, 23: 1410, 25: 255, 29: 3055, 31: 3804, 35: 164, 37: 6761}
 
 
 @pytest.mark.parametrize("n", sorted(CLASS_COUNTS))
@@ -275,9 +276,16 @@ def test_orbit_walk_matches_brute_force_canonical(n):
     assert walk == sorted((f.w.m, f.base_weights) for f in reps)
 
 
+@pytest.mark.parametrize("n", [n for n in range(5, 32) if gcd(n, 6) == 1] + [35])
+def test_orbit_marking_walk_matches_least_in_orbit_test(n):
+    # the marking walk against the per-m least-in-orbit test it replaced, family for family
+    walk = [(f.w.m, f.base_weights) for f in iter_canonical_families(n)]
+    assert walk == [(f.w.m, f.base_weights) for f in least_in_orbit_families(n)]
+
+
 @pytest.mark.parametrize("n", [17, 19])
 def test_walk_yields_only_canonical_families(n):
-    # the stabilizer test against the full-orbit minimum, past the brute-force range above
+    # the walk against the full-orbit minimum, past the brute-force range above
     for f in iter_canonical_families(n):
         assert canonical_family(f) == f
 
