@@ -42,9 +42,9 @@ from .residues import NonUnitError
 from .surfaces import (
     FamilyData,
     SurfaceInvariants,
+    _invariants_at,
     admissibility_reason,
     admissible_exists,
-    invariants,
     iter_admissible_families,
     iter_canonical_families,
     smoothness_check,
@@ -177,7 +177,7 @@ def certify(
     if not facts["smooth"]:
         return stop("smoothness check failed")
     w = f.w
-    facts["invariants"] = invariants(f)
+    facts["invariants"] = _invariants_at(f.n)  # admissibility checked by the first gate
     split = facts["splitting"] = splitting(w)
     if split.has_degenerate:
         return stop("degenerate character present")

@@ -4,11 +4,15 @@ Elements are stored in the power basis 1, x, ..., x^(phi(n)-1) modulo the
 n-th cyclotomic polynomial Phi_n, as an integer coefficient vector with a single
 positive common denominator.  This gives canonical forms (equality is
 coefficient-wise) and cheap hashing, which is what the matrix-group closure
-leans on.  One kernel, sum_of_products, forms a_1*b_1 + ... + a_k*b_k in
-O(k*phi(n)^2) integer operations: a sum of products is folded and normalized
-once, and a product is its one-pair case.  The fold takes exponents mod n
-first (x^n = 1), then rewrites x^k, phi(n) <= k < n, by its row of
-_level_context: the one table, of n - phi(n) rows (one row at a prime n).
+leans on.  Every kernel walks an element's nonzero terms (i, c), kept beside
+the coefficients once found.  One kernel, sum_of_products, forms
+a_1*b_1 + ... + a_k*b_k in O(sum t_a*t_b) integer operations, t the number of
+nonzero terms, plus one row per folded exponent >= phi(n): a sum of products
+is folded and normalized once, and a product is its one-pair case.  The one
+fold, _fold, reads a map {exponent mod n: coefficient} (x^n = 1) and rewrites
+x^k, phi(n) <= k < n, by its row of _level_context: the one table, of
+n - phi(n) rows (one row at a prime n).  Products, Galois images, shifts by
+roots of unity and inverse_one_minus_root all end in it.
 
 All arithmetic stays in integers.  A field inverse is a norm quotient (the
 other Galois conjugates of the numerator over its rational norm), or for 1 - y,
@@ -88,25 +92,27 @@ def _level_context(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return deg, tuple(rows)
 
 
-def _reduce_exponents(n: int, raw: list[int]) -> list[int]:
-    """Fold raw (phi(n) <= len(raw) < 2n; overwritten) into the power basis: k >= n into k - n, then the rows."""
+def _fold(n: int, raw: dict[int, int], den: int) -> CyclotomicNumber:
+    """The element sum c*x^k / den over raw = {k: c}, 0 <= k < n, in the power basis.
+
+    An exponent k < phi(n) adds c at k; k >= phi(n) adds c times row k - phi(n) of _level_context.
+    """
     deg, rows = _level_context(n)
-    if len(raw) > n:  # a product with 2*phi(n) <= n, as at every even n <= 12, has nothing to fold
-        for k in range(n, len(raw)):
-            raw[k - n] += raw[k]
-    out = raw[:deg]
-    for row, c in zip(rows, raw[deg:]):
-        if c:
-            for i, r in enumerate(row):
+    out = [0] * deg
+    for k, c in raw.items():
+        if k < deg:
+            out[k] += c
+        elif c:
+            for i, r in enumerate(rows[k - deg]):
                 if r:
                     out[i] += c * r
-    return out
+    return _element(n, tuple(out), 1) if den == 1 else CyclotomicNumber(n, tuple(out), den)
 
 
 class CyclotomicNumber:
     """An element of Q(zeta_n) in canonical reduced form."""
 
-    __slots__ = ("level", "num", "den", "_hash")
+    __slots__ = ("level", "num", "den", "_hash", "_terms")
 
     def __init__(self, level: int, num: tuple[int, ...], den: int = 1):
         deg, _ = _level_context(level)
@@ -125,7 +131,7 @@ class CyclotomicNumber:
         self.level = level
         self.num = num
         self.den = den
-        self._hash = None
+        self._hash = self._terms = None
 
     # -- constructors -------------------------------------------------
 
@@ -144,6 +150,13 @@ class CyclotomicNumber:
         return _element(level, (1,) + (0,) * (_level_context(level)[0] - 1), 1)
 
     # -- canonical form / comparisons ----------------------------------
+
+    @property
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """The (i, c) with c = num[i] != 0, in order of i: the pairs every kernel walks."""
+        if self._terms is None:
+            self._terms = tuple([(i, c) for i, c in enumerate(self.num) if c])
+        return self._terms
 
     def coefficients(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.num)
@@ -239,12 +252,7 @@ class CyclotomicNumber:
         n = self.level
         if gcd(h, n) != 1:
             raise ValueError(f"{h} is not a unit mod {n}")
-        h %= n
-        raw = [0] * n
-        for i, c in enumerate(self.num):
-            if c:
-                raw[(i * h) % n] += c
-        return CyclotomicNumber(n, tuple(_reduce_exponents(n, raw)), self.den)
+        return _fold(n, {i * h % n: c for i, c in self.terms}, self.den)  # i -> i*h is one-to-one
 
     def conjugate(self) -> CyclotomicNumber:
         """Complex conjugation zeta -> zeta^(-1)."""
@@ -261,11 +269,7 @@ class CyclotomicNumber:
         k %= n
         if k == 0:
             return self
-        raw = [0] * n
-        for i, c in enumerate(self.num):
-            if c:
-                raw[(i + k) % n] += c
-        return CyclotomicNumber(n, tuple(_reduce_exponents(n, raw)), self.den)
+        return _fold(n, {(i + k) % n: c for i, c in self.terms}, self.den)
 
     def mul_root_of_unity(self, u: int) -> CyclotomicNumber:
         """zeta_N^u * self for the generator zeta_N of mu_N: zeta_n, or -zeta_n^((n+1)/2) at odd n.
@@ -288,9 +292,12 @@ class CyclotomicNumber:
         if self.den != 1:
             return None
         n, count = self.level, roots_of_unity_order(self.level)
+        if len(self.terms) == 1:  # one term c*x^k: a root of unity iff c = +-1
+            ((k, c),) = self.terms
+            sign = 0 if c == 1 else count // 2 if c == -1 else None
+            return None if sign is None else (k * (count // n) + sign) % count
         for num, sign in ((self.num, 0), (tuple(-c for c in self.num), count // 2)):
-            single = num.count(0) == len(num) - 1  # one nonzero coefficient: a root of unity iff it is +-1
-            k = (num.index(1) if 1 in num else None) if single else _power_rows(n).get(num)
+            k = _power_rows(n).get(num)
             if k is not None:
                 return (k * (count // n) + sign) % count
         return None
@@ -302,9 +309,8 @@ class CyclotomicNumber:
         return next(self.complex_values((h,)))
 
     def complex_values(self, hs):
-        """complex_value(h) for each h in hs, lazily; the nonzero terms are found once."""
-        n, table = self.level, _embedding_table(self.level)
-        terms = [(i, c) for i, c in enumerate(self.num) if c]
+        """complex_value(h) for each h in hs, lazily, as a sum over the nonzero terms."""
+        n, table, terms = self.level, _embedding_table(self.level), self.terms
         for h in hs:
             yield sum((c * table[(i * h) % n] for i, c in terms), 0j) / self.den
 
@@ -325,33 +331,36 @@ def _power_rows(n: int) -> dict[tuple[int, ...], int]:
 def _element(level: int, num: tuple[int, ...], den: int) -> CyclotomicNumber:
     """The element num/den, trusted canonical: phi(level) coefficients, den > 0, gcd(den, num) = 1."""
     x = object.__new__(CyclotomicNumber)
-    x.level, x.num, x.den, x._hash = level, num, den, None
+    x.level, x.num, x.den, x._hash, x._terms = level, num, den, None, None
     return x
 
 
 def sum_of_products(*pairs: tuple[CyclotomicNumber, CyclotomicNumber]) -> CyclotomicNumber:
     """a_1*b_1 + ... + a_k*b_k for pairs (a_i, b_i) at one level (Cohen, GTM 138, 4.3).
 
-    Every pair's numerators are convolved into one integer buffer at the common
-    denominator D (2*phi(n) - 1 < 2n entries), folded once by _reduce_exponents,
-    and D is normalized once; at D = 1 the result is built unchecked.
+    Every pair's nonzero terms are multiplied into one map {exponent mod n: coefficient} at the
+    common denominator D (exponents i + k < 2*phi(n) - 1 < 2n, so one subtraction of n takes
+    them mod n), folded once by _fold, and D is normalized once; at D = 1 unchecked.
     """
     level, den = pairs[0][0].level, 1
     for a, b in pairs:
         if a.level != level or b.level != level:
             raise ValueError("mixed cyclotomic levels")
         den = lcm(den, a.den * b.den)
-    conv = [0] * (2 * len(pairs[0][0].num) - 1)
+    raw: dict[int, int] = {}
     for a, b in pairs:
-        scale = den // (a.den * b.den)
-        for i, c in enumerate(a.num):
-            if c:
-                c *= scale
-                for k, e in enumerate(b.num, i):
-                    if e:
-                        conv[k] += c * e
-    num = tuple(_reduce_exponents(level, conv))
-    return _element(level, num, 1) if den == 1 else CyclotomicNumber(level, num, den)
+        scale, b_terms = den // (a.den * b.den), b.terms
+        for i, c in a.terms:
+            c *= scale
+            for k, e in b_terms:
+                k += i
+                if k >= level:
+                    k -= level
+                if k in raw:
+                    raw[k] += c * e
+                else:
+                    raw[k] = c * e
+    return _fold(level, raw, den)
 
 
 def roots_of_unity_order(level: int) -> int:
@@ -368,11 +377,12 @@ def inverse_one_minus_root(level: int, u: int) -> CyclotomicNumber:
     m = count // gcd(count, u)
     if m == 1:
         raise ZeroDivisionError("1 - 1 has no inverse")
-    raw = [0] * level
+    raw: dict[int, int] = {}
     for j in range(1, m):
         v = u * j % count
-        raw[v * (level + 1) // 2 % level if level % 2 else v] += j if level % 2 and v % 2 else -j
-    return CyclotomicNumber(level, tuple(_reduce_exponents(level, raw)), m)
+        k = v * (level + 1) // 2 % level if level % 2 else v
+        raw[k] = raw.get(k, 0) + (j if level % 2 and v % 2 else -j)
+    return _fold(level, raw, m)
 
 
 def float_error_bound(x: CyclotomicNumber) -> float:
@@ -384,7 +394,7 @@ def float_error_bound(x: CyclotomicNumber) -> float:
     most 2^-53 of a partial sum bounded by S = sum|c|, and abs() by one ulp:
     S*(phi(n) + 27)*2^-53 + 2^-51 in all.
     """
-    return (sum(abs(c) for c in x.num) * (len(x.num) + 32) + 8) * 2.0**-51
+    return (sum(abs(c) for _, c in x.terms) * (len(x.num) + 32) + 8) * 2.0**-51
 
 
 def zeta(level: int, k: int = 1) -> CyclotomicNumber:
@@ -438,7 +448,7 @@ def real_sign(x: CyclotomicNumber) -> int:
     try:
         for dps in _SIGN_DPS_LADDER:
             iv.dps = dps
-            total = sum(c * iv.cos(2 * i * iv.pi / n) for i, c in enumerate(x.num) if c)
+            total = sum(c * iv.cos(2 * i * iv.pi / n) for i, c in x.terms)
             if total.a > 0 or total.b < 0:
                 return 1 if total.a > 0 else -1
     finally:

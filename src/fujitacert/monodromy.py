@@ -320,7 +320,7 @@ def _projective_key(m: Mat, e: int) -> tuple[int, Mat]:
     count = roots_of_unity_order(m[0][0].level)
     u = -(e % count // 2) % count
     r = tuple(tuple(x.mul_root_of_unity(u) for x in row) for row in m) if u else m
-    if next(c for x in r[0] + r[1] for c in x.num if c) < 0:
+    if next(x.terms[0][1] for x in r[0] + r[1] if x.terms) < 0:
         u, r = (u + count // 2) % count, tuple(tuple(-x for x in row) for row in r)
     return u, r
 

@@ -248,7 +248,11 @@ def invariants(f: FamilyData) -> SurfaceInvariants:
     reason = admissibility_reason(f.n, f.w.m, f.base_weights)
     if reason is not None:
         raise InadmissibleFamilyError(reason)
-    n = f.n
+    return _invariants_at(f.n)
+
+
+def _invariants_at(n: int) -> SurfaceInvariants:
+    """invariants(f) for an admissible family f of level n, whose admissibility the caller has checked."""
     g = n - 1
     b = (n - 1) // 2
     e = 2 * n * n - 10 * n + 15

@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import io
 import json
+import sys
 from math import gcd
 
 import pytest
 
-from fujitacert import eigenspace, records
+from fujitacert import cli, eigenspace, records, surfaces
 
 from fujitacert.certify import (
     CERTIFICATE_PROSE,
@@ -298,6 +300,22 @@ def test_enumerate_shares_one_weight_tuple_and_one_sigma_pass_per_m(monkeypatch,
     assert passes == list(shared)  # one pass per distinct m, in walk order
     if normalize:
         assert (len(certs), len(passes)) == (189, 22)
+
+
+def test_enumerate_checks_admissibility_once_per_record(monkeypatch):
+    # certify's gate is the one check: the invariants it records after the gate do not check again
+    calls = []
+    reason = surfaces.admissibility_reason
+
+    def spy(*args):
+        calls.append(args)
+        return reason(*args)
+
+    monkeypatch.setattr(surfaces, "admissibility_reason", spy)
+    monkeypatch.setattr(sys.modules[CERTIFY_MODULE], "admissibility_reason", spy)
+    out = io.StringIO()
+    assert cli.main(["enumerate", "--n-min", "13", "--n-max", "13", "--all", "--normalize"], out=out) == 0
+    assert out.getvalue().count("\n") == len(calls) == 189
 
 
 def test_enumerate_rejects_bad_range():

@@ -577,6 +577,25 @@ def test_certify_oracle_large_levels_digest_pinned():
     assert digest.hexdigest() == CERTIFY_ORACLE_DIGEST
 
 
+ORACLE_LARGE_LEVELS = tuple(n for n in range(25, 98) if n % 2 and n % 3)
+ORACLE_LARGE_LEVELS_DIGEST = "77d9af74666a14fa2938e3c519714ea48701a5b25141d9755a0e0e6ea6e9198c"
+
+
+def test_oracle_large_levels_digest_pinned():
+    # exit code, stdout and stderr of oracle at the witness character of the standard family, for
+    # each of the 25 admissible n in [25, 97]: its traces, determinants and invariant form are
+    # power-basis coefficients made by Galois images, inverse_one_minus_root and the fold; a
+    # schema_version change must re-pin this digest
+    assert len(ORACLE_LARGE_LEVELS) == 25
+    digest = hashlib.sha256()
+    for n in ORACLE_LARGE_LEVELS:
+        w = standard_family(n).w
+        j = monodromy.find_infinite_character(w)
+        code, out, err = run_cli(["oracle", "-n", str(n), "-m", ",".join(map(str, w.m)), "-j", str(j)])
+        digest.update(f"{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == ORACLE_LARGE_LEVELS_DIGEST
+
+
 CERTIFY_ORACLE_THOUSANDS_DIGEST = "880dc6e9ca47e7c54fc90490ac4e637511f8a84b5ce5ff78b34e07b5fb3a5050"
 
 
@@ -591,6 +610,19 @@ def test_certify_oracle_thousands_digest_pinned():
         code, out, _ = run_cli(["certify", "-n", str(n), "-m", m, "--nw", nw, "--oracle"])
         digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == CERTIFY_ORACLE_THOUSANDS_DIGEST
+
+
+CERTIFY_ORACLE_4001_DIGEST = "352bb11a39d64b55af8e6f1ac3728ec0664943a189754a83eb6d3ab13f858d82"
+
+
+def test_certify_oracle_4001_digest_pinned():
+    # exit code and stdout of certify --oracle on the standard family at the prime n = 4001, one
+    # level in the thousands the term-sparse kernels keep within the suite's budget; a
+    # schema_version change must re-pin this digest
+    f = standard_family(4001)
+    m, nw = (",".join(map(str, v)) for v in (f.w.m, f.base_weights))
+    code, out, _ = run_cli(["certify", "-n", "4001", "-m", m, "--nw", nw, "--oracle"])
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == CERTIFY_ORACLE_4001_DIGEST
 
 
 AFFECTED_ARGVS = [

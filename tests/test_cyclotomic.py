@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 from pathlib import Path
@@ -149,9 +150,10 @@ def test_level_context_holds_one_row_per_power_from_phi_to_n(levels):
         assert len({id(c) for row in rows for c in row}) == len({c for row in rows for c in row}), n
         if n > 1 and all(n % d for d in range(2, int(n**0.5) + 1)):  # prime
             assert len(rows) == 1, n
-        if n <= 150:
+        if n <= 150:  # the buffer as the map {k mod n: coefficient} the one fold reads
             raw = [rng.randint(-9, 9) for _ in range(2 * n - 1)]
-            assert tuple(cyclotomic._reduce_exponents(n, list(raw))) == _long_division(n, raw), n
+            terms = {k: sum(raw[k::n]) for k in range(n)}
+            assert cyclotomic._fold(n, terms, 1).num == _long_division(n, raw), n
 
 
 @st.composite
@@ -170,6 +172,7 @@ def level_and_sparse_elements(draw, count):
 
 def _assert_canonical(x, level):
     assert len(x.num) == euler_phi(level) and x.den > 0 and gcd(x.den, *x.num) == 1
+    assert x.terms == tuple((i, c) for i, c in enumerate(x.num) if c)
 
 
 @settings(max_examples=40, deadline=None)
@@ -196,6 +199,81 @@ def test_mat_mul_and_mat_det_match_entrywise_reference(data):
             assert prod[i][j].coefficients() == _reference(level, [(a[i][0], b[0][j]), (a[i][1], b[1][j])])
     diagonal, anti = _reference(level, [(a[0][0], a[1][1])]), _reference(level, [(a[0][1], a[1][0])])
     assert mat_det(a).coefficients() == tuple(p - q for p, q in zip(diagonal, anti))
+
+
+def _image_reference(x, exponent):
+    """sum c_i x^exponent(i) over the numerator of x: a raw buffer of length n by long division."""
+    raw = [0] * x.level
+    for i, c in enumerate(x.num):
+        raw[exponent(i) % x.level] += c
+    return _long_division(x.level, raw)
+
+
+@lru_cache(maxsize=None)
+def _roots_of_unity_reference(level):
+    """{coefficients of zeta_N^u: u}, from +-x^k mod Phi_level by repeated multiplication by x.
+
+    zeta_N is mul_root_of_unity's generator: zeta_n = zeta_N^(N/n) and -1 = zeta_N^(N/2)."""
+    phi = cyclotomic_polynomial(level)
+    count = cyclotomic.roots_of_unity_order(level)
+    power, found = [1] + [0] * (len(phi) - 2), {}
+    for k in range(level):
+        found[tuple(power)] = k * (count // level) % count
+        found[tuple(-c for c in power)] = (k * (count // level) + count // 2) % count
+        top = power.pop()
+        power = [c - top * p for c, p in zip([0] + power, phi)]
+    return found
+
+
+def _assert_galois_and_shifts_match_dense_reference(x, h, u):
+    n, count = x.level, cyclotomic.roots_of_unity_order(x.level)
+    images = x.galois(h), x.conjugate(), x.mul_zeta_power(u), x.mul_root_of_unity(u)
+    for image in images:
+        _assert_canonical(image, n)
+    # each map is a ring automorphism or a unit multiple, so the denominator stays; zeta_N^u is
+    # zeta_n^u at even n and (-1)^u * zeta_n^(u*(n+1)/2) at odd n
+    shift, sign = (u * (n + 1) // 2, (-1) ** (u % 2)) if n % 2 else (u, 1)
+    assert [(image.num, image.den) for image in images] == [
+        (_image_reference(x, lambda i: i * h), x.den),
+        (_image_reference(x, lambda i: -i), x.den),
+        (_image_reference(x, lambda i: i + u), x.den),
+        (tuple(sign * c for c in _image_reference(x, lambda i: i + shift)), x.den),
+    ]
+    roots = _roots_of_unity_reference(n)
+    assert x.root_of_unity_exponent() == roots.get(tuple(x.coefficients())), x
+    root = CyclotomicNumber.one(n).mul_root_of_unity(u)
+    assert roots[tuple(root.coefficients())] == root.root_of_unity_exponent() == u % count
+    assert (-root).root_of_unity_exponent() == (u + count // 2) % count
+    assert (2 * root).root_of_unity_exponent() is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(level_and_sparse_elements(1), st.data())
+def test_galois_and_shifts_match_dense_reference(data, draw):
+    level, (x,) = data
+    h = draw.draw(st.integers(min_value=1, max_value=level))
+    while gcd(h, level) != 1:
+        h += 1
+    u = draw.draw(st.integers(min_value=-3 * level, max_value=3 * level))
+    _assert_galois_and_shifts_match_dense_reference(x, h, u)
+
+
+@pytest.mark.parametrize("level", [1001, 1009])
+def test_galois_and_shifts_match_dense_reference_at_large_levels(level):
+    # fixed elements: a few terms, a folded row, 1 - a root of unity, and a dense one; h and u
+    # both below and above phi(n)
+    rng, deg = random.Random(level), euler_phi(level)
+    sparse = [0] * deg
+    for i in rng.sample(range(deg), 5):
+        sparse[i] = rng.choice([-3, -2, -1, 1, 2, 3])
+    xs = [
+        CyclotomicNumber(level, tuple(sparse), 3),
+        zeta(level, level - 1),
+        1 - zeta(level, deg + 5),
+        CyclotomicNumber(level, tuple(rng.randint(-2, 2) for _ in range(deg))),
+    ]
+    for x, h, u in zip(xs, (2, level - 1, 500, 997), (1, deg + 1, level - 1, 2 * level - 3)):
+        _assert_galois_and_shifts_match_dense_reference(x, h, u)
 
 
 def test_sum_of_products_rejects_mixed_levels():
