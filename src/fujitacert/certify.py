@@ -6,8 +6,9 @@ A certificate for a family records, with every sub-claim independently
 checkable: admissibility, combinatorial smoothness, exact invariants, the
 splitting bookkeeping, irreducibility of all characters, and an explicit
 unit conjugate carrying an indefinite form, which forces the flat summand's
-monodromy to be infinite.  A family with all of these is a counterexample
-to the semiampleness question; anything less is NOT_CERTIFIED with a reason.
+monodromy to be infinite.  Admissibility is the one gate: every other claim
+follows from it and is checked, so an admissible family is a counterexample
+to the semiampleness question and an inadmissible one NOT_CERTIFIED.
 The splitting stores the sigma table and derives its per-character
 EigenspaceReports on request; it reads the table its WeightTuple caches, which the families
 of one m share, and the Shimura count one sigma_table (j <= n/2, mirrored, each sigma checked).
@@ -38,13 +39,13 @@ from .monodromy import (
     group_closure,
     triple_from_weights,
 )
-from .residues import NonUnitError
+from .residues import InternalInconsistencyError
 from .surfaces import (
     FamilyData,
     SurfaceInvariants,
-    _invariants_at,
     admissibility_reason,
     admissible_exists,
+    invariants,
     iter_admissible_families,
     iter_canonical_families,
     smoothness_check,
@@ -85,7 +86,7 @@ class SplittingReport:
 def splitting(w: WeightTuple) -> SplittingReport:
     """The sigma table with rank totals, from w.sigmas: one sigma_table pass per WeightTuple, every sigma checked.
 
-    A degenerate character is carried as sigma 0; certification fails closed on it.
+    A degenerate character is carried as sigma 0; certify raises on it, as admissible data have none.
     """
     n = w.n
     table = w.sigmas
@@ -116,10 +117,10 @@ class InfiniteWitness:
 
 @dataclass(frozen=True)
 class Certificate:
-    """The facts certify established, each stored once, up to the first failed gate.
+    """The facts certify established, each stored once; an inadmissible family has only its reasons.
 
-    Fields the pipeline did not reach stay None; the verdict, admissibility
-    and oracle agreement are read off the stored reasons and verdicts.
+    Its other fields stay None; the verdict, admissibility and oracle
+    agreement are read off the stored reasons and verdicts.
     """
 
     family: FamilyData
@@ -157,47 +158,38 @@ def certify(
     cap: int = DEFAULT_CLOSURE_CAP,
     max_word_len: int = DEFAULT_MAX_WORD_LEN,
 ) -> Certificate:
-    """Run the gate ladder; never raises on admissibility failures.
+    """One gate, admissibility; the other claims are its consequences, each computed and checked.
 
-    COUNTEREXAMPLE requires: admissible, smooth, no degenerate characters,
-    every character irreducible, flat rank >= 2, and a valid infinite-monodromy
-    witness.  A failed gate returns the certificate built so far with its
-    reason.  With with_oracle the matrix oracle re-decides the witness
-    character and both verdicts are recorded.
+    An inadmissible datum is NOT_CERTIFIED with the reason "admissibility: ..." and no
+    other field.  Admissibility (each m_i, n_i and m_i + m_3 a unit mod n) implies:
+    - smooth: each inertia element has a unit coordinate, each crossing determinant is +- two units' product;
+    - no degenerate character and every character irreducible: n divides no j*m_i for 0 < j < n;
+    - rank_flat >= 2: sigma_{n-1} = sum of [-m_i] = sum of (n - m_i) = 4n - n = 3n;
+    - a witness: m0 + m3 is a unit, so find_infinite_character's j exists.
+    A broken one raises InternalInconsistencyError, or NonUnitError (a ValueError) from
+    find_infinite_character; the CLI exits 2 on both.  With with_oracle the matrix
+    oracle re-decides the witness character and both verdicts are recorded.
     """
-    adm_reason = admissibility_reason(f.n, f.w.m, f.base_weights)
-    facts = {"admissibility_reason": adm_reason}  # the fields established so far
-
-    def stop(reason: str) -> Certificate:
-        return Certificate(f, **facts, not_certified_reason=reason)
-
-    if adm_reason is not None:
-        return stop(f"admissibility: {adm_reason}")
-    facts["smooth"] = smoothness_check(f)
-    if not facts["smooth"]:
-        return stop("smoothness check failed")
+    reason = admissibility_reason(f.n, f.w.m, f.base_weights)
+    if reason is not None:
+        return Certificate(f, admissibility_reason=reason, not_certified_reason=f"admissibility: {reason}")
     w = f.w
-    facts["invariants"] = _invariants_at(f.n)  # admissibility checked by the first gate
-    split = facts["splitting"] = splitting(w)
-    if split.has_degenerate:
-        return stop("degenerate character present")
-    # is_irreducible at every j, that is n divides no j*m_i: each m_i is a unit mod n
-    facts["irreducible_all"] = w.all_units()
-    if not facts["irreducible_all"]:
-        return stop("some character is reducible")
-    if split.rank_flat < 2:
-        return stop("no flat rank-2 summand")
-    try:
-        j_star = find_infinite_character(w)
-    except NonUnitError as exc:
-        return stop(f"no infinite-monodromy witness: {exc}")
-    unit_h = (-j_star) % w.n  # [h * (n-1)] = j_star
-    facts["infinite_witness"] = InfiniteWitness(j_star, unit_h, sigma_sum(w, j_star))
+    smooth, split, irreducible = smoothness_check(f), splitting(w), w.all_units()
+    if not smooth or split.has_degenerate or not irreducible or split.rank_flat < 2:
+        raise InternalInconsistencyError(
+            f"admissible n={f.n}, m={w.m}, nw={f.base_weights} breaks an implication: smooth={smooth}, "
+            f"has_degenerate={split.has_degenerate}, irreducible_all={irreducible}, rank_flat={split.rank_flat}"
+        )
+    j_star = find_infinite_character(w)
+    witness = InfiniteWitness(j_star, (-j_star) % w.n, sigma_sum(w, j_star))  # [unit * (n-1)] = j_star
+    verdicts = None
     if with_oracle:
         criterion = finiteness_by_signature(w, j_star)
-        oracle = group_closure(triple_from_weights(w, j_star), cap, max_word_len)
-        facts["oracle_verdicts"] = (criterion.kind, oracle.kind)
-    return Certificate(f, **facts)
+        verdicts = (criterion.kind, group_closure(triple_from_weights(w, j_star), cap, max_word_len).kind)
+    return Certificate(
+        f, smooth=smooth, invariants=invariants(f.n), splitting=split, irreducible_all=irreducible,
+        infinite_witness=witness, oracle_verdicts=verdicts,
+    )
 
 
 def shimura_count(w: WeightTuple) -> tuple[int, bool]:

@@ -3,8 +3,9 @@
 All output is machine-readable JSON on stdout (one record per line for the
 streaming commands); diagnostics go to stderr.  Exit codes: 0 success or
 certified, 1 invalid input (checked here), 2 internal inconsistency (criterion
-vs oracle disagreement, failed self-check, any library error), 3 not
-certified.  No environment-variable configuration: everything is a flag, so
+vs oracle disagreement, failed self-check such as a broken consequence of
+admissibility, any library error), 3 not certified: an inadmissible covering
+datum.  No environment-variable configuration: everything is a flag, so
 certificates are reproducible.
 """
 

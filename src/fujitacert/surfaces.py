@@ -4,7 +4,7 @@ A family is the covering datum (n; m0..m3) together with base weights
 (n0, n1, n2).  Admissibility (each m_j, each n_i and each m_i + m_3 a unit
 mod n, sums equal to n, gcd(n,6) = 1) guarantees the total space is a smooth
 minimal surface of general type fibred over a curve; every numerical
-invariant is a closed form in n and is computed exactly here, with the
+invariant is a closed form in n alone, computed exactly once per level here, with the
 smoothness verification reduced to one verdict on its combinatorial content
 (orders and pairwise spans of inertia elements in (Z/n)^2, Pardini 1991),
 which admissibility already implies.  Families are walked in increasing
@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .eigenspace import WeightTuple, compositions
@@ -25,10 +26,6 @@ from .residues import InternalInconsistencyError, units
 
 
 class NotCoprimeTo6Error(ValueError):
-    pass
-
-
-class InadmissibleFamilyError(ValueError):
     pass
 
 
@@ -208,8 +205,7 @@ def smoothness_check(f: FamilyData) -> bool:
     E_i.  (ii): each of the 15 determinants is +- a product of two admissible
     units, -m_j*n_i at the six x-line/y-line crossings and at each E_i with its
     y-line and with DELTA, and n_i*(m_i + m_3) at E0.X_INF, E1.X_0 and E2.X_1.
-    So certify's smoothness gate, which follows its admissibility gate, can
-    only fail on an injected verdict.
+    So certify checks it on every admissible family as an implication, not a gate.
     """
     n = f.n
     table = branch_table(f)
@@ -237,22 +233,17 @@ class SurfaceInvariants:
     p_g: int
 
 
-def invariants(f: FamilyData) -> SurfaceInvariants:
-    """All numerical invariants of the fibred surface, exactly.
+@cache
+def invariants(n: int) -> SurfaceInvariants:
+    """All numerical invariants of the fibred surface of any admissible family of level n, exactly; built once per n.
 
     deg V is computed as chi - (g-1)(b-1) with chi from Noether; the closed
     form (n^2 - 1)/12 and the Zeuthen-Segre count mu = 3 of singular fibres
-    (each two genus-b curves meeting once) are checked on every call
-    (InternalInconsistencyError otherwise).
+    (each two genus-b curves meeting once) are checked (InternalInconsistencyError
+    otherwise).  Raises NotCoprimeTo6Error at the levels with no admissible data.
     """
-    reason = admissibility_reason(f.n, f.w.m, f.base_weights)
-    if reason is not None:
-        raise InadmissibleFamilyError(reason)
-    return _invariants_at(f.n)
-
-
-def _invariants_at(n: int) -> SurfaceInvariants:
-    """invariants(f) for an admissible family f of level n, whose admissibility the caller has checked."""
+    if n < 5 or gcd(n, 6) != 1:
+        raise NotCoprimeTo6Error(f"admissible families need n >= 5 coprime to 6, got {n}")
     g = n - 1
     b = (n - 1) // 2
     e = 2 * n * n - 10 * n + 15

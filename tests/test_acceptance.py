@@ -34,7 +34,7 @@ def _report(num: int, ok: bool, elapsed: float, detail: str):
 def test_criterion_01_n5_standard_family():
     start = time.perf_counter()
     fam = standard_family(5)
-    inv = invariants(fam)
+    inv = invariants(fam.n)
     split = splitting(fam.w)
     ok = (
         inv.g == 4
@@ -55,7 +55,7 @@ def test_criterion_01_n5_standard_family():
 def test_criterion_02_n7_standard_family():
     start = time.perf_counter()
     fam = standard_family(7)
-    inv = invariants(fam)
+    inv = invariants(fam.n)
     cert = certify(fam)
     ok = (
         inv.g == 6
@@ -192,7 +192,7 @@ def test_criterion_08_structural_invariants_to_1e4():
     for n in range(5, 10_001):
         if gcd(n, 6) != 1:
             continue
-        inv = invariants(standard_family(n))
+        inv = invariants(n)
         assert (inv.K2 + inv.e) % 12 == 0, n
         assert inv.e - 4 * (inv.g - 1) * (inv.b - 1) == 3, n
         assert inv.slope > Fraction(5, 2), n

@@ -6,6 +6,8 @@ import sys
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fujitacert import cli, eigenspace, records, surfaces
 
@@ -26,9 +28,9 @@ from fujitacert.eigenspace import (
     iter_weight_tuples,
     sigma_sum,
 )
-from fujitacert.monodromy import Finiteness, finiteness_by_signature, is_irreducible
-from fujitacert.residues import NonUnitError, is_unit, units
-from fujitacert.surfaces import family, standard_family
+from fujitacert.monodromy import Finiteness, find_infinite_character, finiteness_by_signature, is_irreducible
+from fujitacert.residues import InternalInconsistencyError, NonUnitError, is_unit, units
+from fujitacert.surfaces import admissibility_reason, family, smoothness_check, standard_family
 
 # the module's dotted name: fujitacert.certify is the submodule, not the function
 CERTIFY_MODULE = "fujitacert.certify"
@@ -80,17 +82,50 @@ def test_standard_case_zero_up_to_n_over_3():
 
 
 def test_irreducible_all_is_all_units():
-    # certify's irreducible_all gate asks whether every m_i is a unit where it tested every j
+    # certify records irreducible_all as whether every m_i is a unit, where it once tested every j
     for n in range(4, 41):
         for w in iter_weight_tuples(n):
             assert all(gcd(m, n) == 1 for m in w.m) == all(is_irreducible(w, j) for j in range(1, n)), w
 
 
 def test_has_degenerate_is_not_all_units():
-    # so certify stops every non-unit m_i at its degenerate gate, and the irreducible_all gate after it never fails
+    # so a non-unit m_i shows as a degenerate character, and admissible (all-unit) data have none
     for n in range(4, 41):
         for w in iter_weight_tuples(n):
             assert splitting(w).has_degenerate is not all(is_unit(m, n) for m in w.m), w
+
+
+LEVELS = [n for n in range(5, 601) if gcd(n, 6) == 1]  # prime and composite, with repeated primes
+
+
+def _random_parts(n, k, rng):
+    cuts = sorted(rng.sample(range(1, n), k - 1))
+    return tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
+
+
+@st.composite
+def admissible_families(draw):
+    # random compositions of n, redrawn until admissible: about one m in 60 is at n = 385 = 5*7*11
+    n, rng = draw(st.sampled_from(LEVELS)), draw(st.randoms(use_true_random=False))
+    while admissibility_reason(n, m := _random_parts(n, 4, rng), (1, 1, n - 2)) is not None:
+        pass
+    while admissibility_reason(n, m, bw := _random_parts(n, 3, rng)) is not None:
+        pass
+    return family(n, m, bw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(admissible_families())
+@example(family(25, (6, 7, 11, 1), (1, 23, 1)))
+@example(family(35, (3, 8, 23, 1), (1, 18, 16)))
+@example(family(385, (1, 1, 1, 382), (1, 1, 383)))
+def test_admissibility_implies_what_certify_checks(f):
+    # the implications certify's self-checks rest on, over random admissible data
+    n, w, split = f.n, f.w, splitting(f.w)
+    assert smoothness_check(f)
+    assert w.all_units() and not split.has_degenerate
+    assert w.sigmas[n - 2] == 3 * n and split.rank_flat >= 2
+    assert sigma_sum(w, find_infinite_character(w)) == 2 * n
 
 
 def _splitting_reference(w):
@@ -289,6 +324,15 @@ def test_enumerate_all_unnormalized_n5():
     assert len(certs) == 24
 
 
+@pytest.mark.parametrize("n, classes", [(25, 255), (35, 164)])
+def test_enumerate_all_normalized_certifies_every_class(n, classes):
+    # composite levels, 5^2 and 5*7; the class counts are test_canonical_class_counts' fixtures
+    out = io.StringIO()
+    assert cli.main(["enumerate", "--n-min", str(n), "--n-max", str(n), "--all", "--normalize"], out=out) == 0
+    verdicts = [json.loads(line)["result"]["verdict"] for line in out.getvalue().splitlines()]
+    assert verdicts == ["COUNTEREXAMPLE"] * classes
+
+
 @pytest.mark.parametrize("normalize", [True, False])
 def test_enumerate_shares_one_weight_tuple_and_one_sigma_pass_per_m(monkeypatch, normalize):
     passes = []
@@ -298,6 +342,7 @@ def test_enumerate_shares_one_weight_tuple_and_one_sigma_pass_per_m(monkeypatch,
     shared = {}
     assert all(shared.setdefault(c.family.w.m, c.family.w) is c.family.w for c in certs)
     assert passes == list(shared)  # one pass per distinct m, in walk order
+    assert all(c.invariants is certs[0].invariants for c in certs)  # one value per level
     if normalize:
         assert (len(certs), len(passes)) == (189, 22)
 
@@ -326,7 +371,56 @@ def test_enumerate_rejects_bad_range():
 
 
 # ---------------------------------------------------------------------------
-# the gate ladder: every gate's certificate record, pinned
+# the one gate and its checked consequences: every certificate record, pinned
+
+
+# (family, certify keywords, reason, record keys that are None, sha256 of the JSON certificate record)
+GATE_CASES = {
+    "inadmissible_gcd": (
+        family(9, (1, 1, 1, 6), (1, 1, 7)), {},
+        "admissibility: gcd(n, 6) = 3 != 1",
+        ["smooth", "invariants", "splitting", "irreducible_all", "infinite_witness", "oracle"],
+        "ef07cb72e0d389a239032c5e175d0bb7567b5675c3c992372224568668d6628e",
+    ),
+    "inadmissible_pair_sum": (
+        family(25, (1, 2, 19, 3), (1, 1, 23)), {},
+        "admissibility: m_1 + m_3 = 5 is not a unit mod 25",
+        ["smooth", "invariants", "splitting", "irreducible_all", "infinite_witness", "oracle"],
+        "15fb8cfb637acb32c642ec6894c75ada23f9b07a4f2c51254117e04fbec423d9",
+    ),
+    "counterexample": (
+        standard_family(7), {},
+        None,
+        ["admissibility_reason", "oracle", "not_certified_reason"],
+        "de4fd9dc80dde1059d9b9568ad2fcafcc9d2da2fe1c2199b11f9f9af81ed93ff",
+    ),
+    "oracle_agrees": (
+        standard_family(7), {"with_oracle": True},
+        None,
+        ["admissibility_reason", "not_certified_reason"],
+        "53c59af5942c87f2907b83696bb95e8c45df85e2cd7312570372ea619bcb6a7a",
+    ),
+    "oracle_inconclusive": (
+        standard_family(5), {"with_oracle": True, "cap": 1, "max_word_len": 1},
+        None,
+        ["admissibility_reason", "not_certified_reason"],
+        "503d9e73c48fdb25ba186f6d208f27da4d9c4fdb43ce65ae2bac5041bf031b54",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GATE_CASES))
+def test_certify_gate_records_pinned(case):
+    fam, kwargs, reason, none_keys, digest = GATE_CASES[case]
+    cert = certify(fam, **kwargs)
+    record = records.certificate_dict(cert)
+    assert cert.is_counterexample is (reason is None)
+    assert record["verdict"] == ("COUNTEREXAMPLE" if reason is None else "NOT_CERTIFIED")
+    assert record["not_certified_reason"] == reason
+    assert record["admissible"] is not case.startswith("inadmissible")
+    assert [key for key, value in record.items() if value is None] == none_keys
+    text = json.dumps(json.loads(records.dumps_record(record)))  # the splitting's rows are pre-encoded text
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _splitting_with(**changes):
@@ -337,86 +431,32 @@ def _no_unit_witness(w):
     raise NonUnitError(f"m0+m3 is not a unit mod {w.n}")
 
 
-# (family, patched names of fujitacert.certify, certify keywords, reason,
-#  record keys that are None, sha256 of the JSON certificate record)
-GATE_CASES = {
-    "inadmissible_gcd": (
-        family(9, (1, 1, 1, 6), (1, 1, 7)), {}, {},
-        "admissibility: gcd(n, 6) = 3 != 1",
-        ["smooth", "invariants", "splitting", "irreducible_all", "infinite_witness", "oracle"],
-        "ef07cb72e0d389a239032c5e175d0bb7567b5675c3c992372224568668d6628e",
-    ),
-    "inadmissible_pair_sum": (
-        family(25, (1, 2, 19, 3), (1, 1, 23)), {}, {},
-        "admissibility: m_1 + m_3 = 5 is not a unit mod 25",
-        ["smooth", "invariants", "splitting", "irreducible_all", "infinite_witness", "oracle"],
-        "15fb8cfb637acb32c642ec6894c75ada23f9b07a4f2c51254117e04fbec423d9",
-    ),
-    "not_smooth": (
-        standard_family(7), {"smoothness_check": lambda f: False}, {},
-        "smoothness check failed",
-        ["admissibility_reason", "invariants", "splitting", "irreducible_all", "infinite_witness", "oracle"],
-        "c13fa1c6f19db3ca0e27c93366bea125836dc767173291cb7f1a7a97bde7fb18",
-    ),
+# consequences of admissibility that only an injected bug breaks: (patched names of fujitacert.certify,
+# the error certify raises, its message)
+BROKEN_CONSEQUENCES = {
+    "not_smooth": ({"smoothness_check": lambda f: False}, InternalInconsistencyError, "smooth=False"),
     "degenerate": (
-        standard_family(7), {"splitting": _splitting_with(has_degenerate=True)}, {},
-        "degenerate character present",
-        ["admissibility_reason", "irreducible_all", "infinite_witness", "oracle"],
-        "0e9692c239328005afeb1dbea248f702e0a1446ddc9e40494ad694b74311b10b",
+        {"splitting": _splitting_with(has_degenerate=True)}, InternalInconsistencyError, "has_degenerate=True"
     ),
     "reducible": (
-        standard_family(7), {"WeightTuple.all_units": lambda w: 4 not in w.m}, {},
-        "some character is reducible",
-        ["admissibility_reason", "infinite_witness", "oracle"],
-        "5f618fd9cb6327788ed462ccd7ff1de9acad4e96d3dd4c05074f8f31fcffc70a",
+        {"WeightTuple.all_units": lambda w: 4 not in w.m}, InternalInconsistencyError, "irreducible_all=False"
     ),
-    "no_flat_summand": (
-        standard_family(7), {"splitting": _splitting_with(rank_flat=0)}, {},
-        "no flat rank-2 summand",
-        ["admissibility_reason", "infinite_witness", "oracle"],
-        "957771f649f81307d2af7c216383d6ab75f977e84fcab6781debdf2da2cd731d",
-    ),
-    "no_witness": (
-        standard_family(7), {"find_infinite_character": _no_unit_witness}, {},
-        "no infinite-monodromy witness: m0+m3 is not a unit mod 7",
-        ["admissibility_reason", "infinite_witness", "oracle"],
-        "b3f44310c0370f6a108b9db71539cadd5bb52b971f4cf417e28e4d74f75b119c",
-    ),
-    "counterexample": (
-        standard_family(7), {}, {},
-        None,
-        ["admissibility_reason", "oracle", "not_certified_reason"],
-        "de4fd9dc80dde1059d9b9568ad2fcafcc9d2da2fe1c2199b11f9f9af81ed93ff",
-    ),
-    "oracle_agrees": (
-        standard_family(7), {}, {"with_oracle": True},
-        None,
-        ["admissibility_reason", "not_certified_reason"],
-        "53c59af5942c87f2907b83696bb95e8c45df85e2cd7312570372ea619bcb6a7a",
-    ),
-    "oracle_inconclusive": (
-        standard_family(5), {}, {"with_oracle": True, "cap": 1, "max_word_len": 1},
-        None,
-        ["admissibility_reason", "not_certified_reason"],
-        "503d9e73c48fdb25ba186f6d208f27da4d9c4fdb43ce65ae2bac5041bf031b54",
-    ),
+    "no_flat_summand": ({"splitting": _splitting_with(rank_flat=0)}, InternalInconsistencyError, "rank_flat=0"),
+    "no_witness": ({"find_infinite_character": _no_unit_witness}, NonUnitError, "m0\\+m3 is not a unit mod 7"),
 }
 
 
-@pytest.mark.parametrize("case", list(GATE_CASES))
-def test_certify_gate_records_pinned(monkeypatch, case):
-    fam, patches, kwargs, reason, none_keys, digest = GATE_CASES[case]
+@pytest.mark.parametrize("case", list(BROKEN_CONSEQUENCES))
+def test_certify_broken_consequence_exits2(monkeypatch, case):
+    patches, error, message = BROKEN_CONSEQUENCES[case]
     for name, replacement in patches.items():
         monkeypatch.setattr(f"{CERTIFY_MODULE}.{name}", replacement)  # a name of the module, or Class.attribute
-    cert = certify(fam, **kwargs)
-    record = records.certificate_dict(cert)
-    assert cert.is_counterexample is (reason is None)
-    assert record["verdict"] == ("COUNTEREXAMPLE" if reason is None else "NOT_CERTIFIED")
-    assert record["not_certified_reason"] == reason
-    assert record["admissible"] is not case.startswith("inadmissible")
-    assert [key for key, value in record.items() if value is None] == none_keys
-    text = json.dumps(json.loads(records.dumps_record(record)))  # the splitting's rows are pre-encoded text
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    with pytest.raises(error, match=message):
+        certify(standard_family(7))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.main(["certify", "-n", "7", "-m", "1,1,1,4", "--nw", "1,1,5"], out=out, err=err) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: internal: ")
 
 
 def test_certify_oracle_inconclusive_has_no_agreement():

@@ -9,7 +9,6 @@ from fujitacert import surfaces
 from fujitacert.residues import InternalInconsistencyError
 from fujitacert.surfaces import (
     ADJACENT_PAIRS,
-    InadmissibleFamilyError,
     NotCoprimeTo6Error,
     admissibility_reason,
     admissible_exists,
@@ -64,6 +63,24 @@ def test_admissibility_reports_first_violation():
     assert "not a unit" in admissibility_reason(25, (5, 5, 5, 10), (1, 1, 23))
     r = admissibility_reason(25, (1, 1, 1, 22), (5, 5, 15))
     assert "n_0" in r and "unit" in r
+
+
+@pytest.mark.parametrize(
+    "n, m, bw, reason",
+    [
+        # each datum breaks one clause only, so deleting that clause admits it
+        (5, (1, 1, 1, 1, 1), (1, 1, 3), "need four branch exponents"),
+        (5, (1, 1, 1, 2), (1, 1, 1, 2), "need three base weights"),
+        (5, (-1, 2, 2, 2), (1, 1, 3), "m_0 = -1 outside [1, n-1]"),
+        (5, (1, 1, 1, 2), (-1, 3, 3), "n_0 = -1 outside [1, n-1]"),
+        (5, (1, 1, 1, 1), (1, 1, 3), "sum(m) = 4 != n"),
+        (5, (1, 1, 1, 2), (1, 1, 1), "sum(base weights) = 3 != n"),
+    ],
+    ids=["len_m", "len_bw", "m_range", "n_range", "sum_m", "sum_bw"],
+)
+def test_admissibility_reason_names_each_raw_clause(n, m, bw, reason):
+    # raw tuples, as exhaustive searches feed them: the typed FamilyData refuses each of these
+    assert admissibility_reason(n, m, bw) == reason
 
 
 def test_admissible_exists_matches_gcd_rule():
@@ -186,7 +203,7 @@ def test_smoothness_fails_at_crossings_alone():
 
 
 def test_invariants_n5():
-    inv = invariants(standard_family(5))
+    inv = invariants(5)
     assert (inv.g, inv.b, inv.e, inv.K2) == (4, 2, 15, 45)
     assert inv.slope == Fraction(3) and inv.ball_quotient
     assert inv.deg_V == 2 and inv.mu == 3 and inv.chi == 5
@@ -194,30 +211,32 @@ def test_invariants_n5():
 
 
 def test_invariants_n7():
-    inv = invariants(standard_family(7))
+    inv = invariants(7)
     assert (inv.g, inv.b, inv.e, inv.K2, inv.chi, inv.deg_V, inv.mu) == (6, 3, 43, 125, 14, 4, 3)
     assert not inv.ball_quotient
 
 
 def test_invariants_n11():
-    assert invariants(standard_family(11)).deg_V == (121 - 1) // 12
+    assert invariants(11).deg_V == (121 - 1) // 12
 
 
 def test_invariants_rejects_inadmissible():
-    with pytest.raises(InadmissibleFamilyError):
-        invariants(family(9, (1, 1, 1, 6), (1, 1, 7)))
+    # the levels with no admissible datum: n < 5 or gcd(n, 6) != 1
+    for n in (1, 4, 6, 9, 15, 24):
+        with pytest.raises(NotCoprimeTo6Error):
+            invariants(n)
 
 
 def test_ball_quotient_only_n5():
     for n in (5, 7, 11, 13, 17, 19, 23, 25):
-        assert invariants(standard_family(n)).ball_quotient == (n == 5)
+        assert invariants(n).ball_quotient == (n == 5)
 
 
 @given(st.integers(min_value=5, max_value=3000))
 def test_structural_invariants(n):
     if gcd(n, 6) != 1:
         return
-    inv = invariants(standard_family(n))
+    inv = invariants(n)
     assert (inv.K2 + inv.e) % 12 == 0
     assert inv.e - 4 * (inv.g - 1) * (inv.b - 1) == 3
     assert inv.slope > Fraction(5, 2)
@@ -228,7 +247,7 @@ def test_structural_invariants(n):
 
 def test_slope_strictly_decreasing():
     slopes = [
-        invariants(standard_family(n)).slope
+        invariants(n).slope
         for n in range(5, 200)
         if gcd(n, 6) == 1
     ]
