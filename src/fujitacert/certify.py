@@ -9,26 +9,16 @@ unit conjugate carrying an indefinite form, which forces the flat summand's
 monodromy to be infinite.  Admissibility is the one gate: every other claim
 follows from it and is checked, so an admissible family is a counterexample
 to the semiampleness question and an inadmissible one NOT_CERTIFIED.
-The splitting stores the sigma table and derives its per-character
-EigenspaceReports on request; it reads the table its WeightTuple caches, which the families
-of one m share, and the Shimura count one sigma_table (j <= n/2, mirrored, each sigma checked).
-Enumeration yields certificates one at a time, in increasing family order.
+The splitting and the Shimura count both read the sigma table the WeightTuple caches
+(one sigma_table pass: j <= n/2, mirrored, each sigma checked), which the families of one m share.
 """
 
 from __future__ import annotations
 
-import enum
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .eigenspace import (
-    EigenspaceReport,
-    WeightTuple,
-    character_reports,
-    sigma_sum,
-    sigma_table,
-)
+from .eigenspace import WeightTuple, sigma_sum
 from .monodromy import (
     DEFAULT_CLOSURE_CAP,
     DEFAULT_MAX_WORD_LEN,
@@ -44,12 +34,8 @@ from .surfaces import (
     FamilyData,
     SurfaceInvariants,
     admissibility_reason,
-    admissible_exists,
     invariants,
-    iter_admissible_families,
-    iter_canonical_families,
     smoothness_check,
-    standard_family,
 )
 
 CERTIFICATE_PROSE = (
@@ -77,10 +63,6 @@ class SplittingReport:
     rank_ample_candidate: int
     deg_V: int | None
     has_degenerate: bool
-
-    @property
-    def entries(self) -> tuple[EigenspaceReport, ...]:
-        return tuple(character_reports(self.sigmas, len(self.sigmas) + 1))
 
 
 def splitting(w: WeightTuple) -> SplittingReport:
@@ -117,10 +99,10 @@ class InfiniteWitness:
 
 @dataclass(frozen=True)
 class Certificate:
-    """The facts certify established, each stored once; an inadmissible family has only its reasons.
+    """The facts certify established, each stored once; an inadmissible family has only its reason.
 
     Its other fields stay None; the verdict, admissibility and oracle
-    agreement are read off the stored reasons and verdicts.
+    agreement are read off the stored reason and verdicts.
     """
 
     family: FamilyData
@@ -131,7 +113,6 @@ class Certificate:
     irreducible_all: bool | None = None
     infinite_witness: InfiniteWitness | None = None
     oracle_verdicts: tuple[Finiteness, Finiteness] | None = None  # (criterion kind, closure kind)
-    not_certified_reason: str | None = None
     prose: ClassVar[str] = CERTIFICATE_PROSE
 
     @property
@@ -139,8 +120,12 @@ class Certificate:
         return self.admissibility_reason is None
 
     @property
+    def not_certified_reason(self) -> str | None:
+        return None if self.admissible else f"admissibility: {self.admissibility_reason}"
+
+    @property
     def is_counterexample(self) -> bool:
-        return self.not_certified_reason is None
+        return self.admissible
 
     @property
     def verdict(self) -> str:
@@ -172,7 +157,7 @@ def certify(
     """
     reason = admissibility_reason(f.n, f.w.m, f.base_weights)
     if reason is not None:
-        return Certificate(f, admissibility_reason=reason, not_certified_reason=f"admissibility: {reason}")
+        return Certificate(f, admissibility_reason=reason)
     w = f.w
     smooth, split, irreducible = smoothness_check(f), splitting(w), w.all_units()
     if not smooth or split.has_degenerate or not irreducible or split.rank_flat < 2:
@@ -198,33 +183,5 @@ def shimura_count(w: WeightTuple) -> tuple[int, bool]:
     One such pair means the symmetry-preserving deformations of the
     associated abelian varieties form a 1-dimensional space.
     """
-    count = sigma_table(w)[: w.n // 2].count(2 * w.n)  # j = 1 .. n // 2
+    count = w.sigmas[: w.n // 2].count(2 * w.n)  # j = 1 .. n // 2
     return count, count == 1
-
-
-class EnumerationMode(enum.Enum):
-    STANDARD_ONLY = "standard-only"
-    ALL = "all"
-
-
-def enumerate_families(
-    n_min: int,
-    n_max: int,
-    mode: EnumerationMode = EnumerationMode.STANDARD_ONLY,
-    normalize: bool = False,
-) -> Iterator[Certificate]:
-    """Certify families for every admissible n in [n_min, n_max], yielded in increasing order.
-
-    STANDARD_ONLY takes the standard family per n; ALL takes every admissible
-    tuple, reduced to canonical representatives when normalize is set.  The
-    range is checked on call, before the first certificate.
-    """
-    if not 5 <= n_min <= n_max:
-        raise ValueError("need 5 <= n_min <= n_max")
-    walk = iter_canonical_families if normalize else iter_admissible_families
-    return (
-        certify(fam)
-        for n in range(n_min, n_max + 1)
-        if admissible_exists(n)
-        for fam in ([standard_family(n)] if mode is EnumerationMode.STANDARD_ONLY else walk(n))
-    )

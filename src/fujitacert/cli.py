@@ -17,13 +17,7 @@ from functools import cache
 from math import gcd
 
 from . import records
-from .certify import (
-    Certificate,
-    EnumerationMode,
-    certify,
-    enumerate_families,
-    shimura_count,
-)
+from .certify import Certificate, certify, shimura_count
 from .eigenspace import (
     ResidueWeights,
     WeightTuple,
@@ -47,7 +41,13 @@ from .monodromy import (
 )
 from .records import check, dumps_record, output_record
 from .residues import InternalInconsistencyError
-from .surfaces import FamilyData, admissible_exists, standard_family
+from .surfaces import (
+    FamilyData,
+    admissible_exists,
+    iter_admissible_families,
+    iter_canonical_families,
+    standard_family,
+)
 from .sweep import SAFE_N_MAX, run_sweep
 
 EXIT_OK = 0
@@ -222,18 +222,21 @@ def cmd_certify(args, out) -> int:
 
 
 def cmd_enumerate(args, out) -> int:
-    mode = EnumerationMode.ALL if args.all_families else EnumerationMode.STANDARD_ONLY
     if not 5 <= args.n_min <= args.n_max:
         raise CliInputError("need 5 <= --n-min <= --n-max")
-    inputs = {"n_min": args.n_min, "n_max": args.n_max, "mode": mode.value, "normalize": args.normalize}
-    for cert in enumerate_families(args.n_min, args.n_max, mode, normalize=args.normalize):
-        record = output_record(
-            "enumerate",
-            inputs,
-            records.certificate_dict(cert),
-            [check("certified", cert.is_counterexample, cert.not_certified_reason or "")],
-        )
-        out.write(dumps_record(record))
+    mode = "all" if args.all_families else "standard-only"
+    walk = iter_canonical_families if args.normalize else iter_admissible_families
+    inputs = {"n_min": args.n_min, "n_max": args.n_max, "mode": mode, "normalize": args.normalize}
+    for n in filter(admissible_exists, range(args.n_min, args.n_max + 1)):
+        for fam in walk(n) if args.all_families else [standard_family(n)]:
+            cert = certify(fam)
+            record = output_record(
+                "enumerate",
+                inputs,
+                records.certificate_dict(cert),
+                [check("certified", cert.is_counterexample, cert.not_certified_reason or "")],
+            )
+            out.write(dumps_record(record))
     return EXIT_OK
 
 

@@ -100,15 +100,13 @@ def admissibility_reason(n: int, m, base_weights) -> str | None:
 
 
 def admissible_exists(n: int) -> bool:
-    """Admissible data exists iff gcd(n, 6) = 1 (for n >= 5)."""
-    if n < 5:
-        raise ValueError("admissible families need n >= 5")
-    return gcd(n, 6) == 1
+    """Admissible data exists iff n >= 5 and gcd(n, 6) = 1: the one test of which levels have families."""
+    return n >= 5 and gcd(n, 6) == 1
 
 
 def standard_family(n: int) -> FamilyData:
     """The standard case m = (1, 1, 1, n-3), base weights (1, 1, n-2)."""
-    if n < 5 or gcd(n, 6) != 1:
+    if not admissible_exists(n):
         raise NotCoprimeTo6Error(f"standard family needs n >= 5 coprime to 6, got {n}")
     return family(n, (1, 1, 1, n - 3), (1, 1, n - 2))
 
@@ -122,7 +120,7 @@ def _admissible_parts(n: int) -> tuple[list, list]:
 
 def iter_admissible_families(n: int):
     """All admissible families for this n, in strictly increasing (m, base_weights) order; one WeightTuple per m."""
-    if n < 5 or not admissible_exists(n):
+    if not admissible_exists(n):
         return
     ms, bws = _admissible_parts(n)
     yield from (FamilyData(w, bw) for w in (WeightTuple(n, m) for m in ms) for bw in bws)
@@ -242,7 +240,7 @@ def invariants(n: int) -> SurfaceInvariants:
     (each two genus-b curves meeting once) are checked (InternalInconsistencyError
     otherwise).  Raises NotCoprimeTo6Error at the levels with no admissible data.
     """
-    if n < 5 or gcd(n, 6) != 1:
+    if not admissible_exists(n):
         raise NotCoprimeTo6Error(f"admissible families need n >= 5 coprime to 6, got {n}")
     g = n - 1
     b = (n - 1) // 2
@@ -325,7 +323,7 @@ def iter_canonical_families(n: int):
     least in its class, and its images mark the class.  (m, bw) is least in its orbit iff m is and bw is least
     under m's stabilizer {p : m in p(h*m)}, a group, since an image with a larger m-part is a larger pair.
     """
-    if n < 5 or not admissible_exists(n):
+    if not admissible_exists(n):
         return
     hs = units(n)
     ms, bws = _admissible_parts(n)

@@ -263,7 +263,7 @@ def least_in_orbit_families(n):
     m is kept when it is least among all its images p(h*m) with sum n, and bw when, for every p
     in m's stabilizer, it is least among the p(u*bw); no image is marked or shared between tests.
     """
-    if n < 5 or not surfaces.admissible_exists(n):
+    if not surfaces.admissible_exists(n):
         return
     hs = units(n)
     ms, bws = surfaces._admissible_parts(n)

@@ -12,14 +12,8 @@ from fractions import Fraction
 from math import gcd
 
 from fujitacert import cli
-from fujitacert.certify import (
-    CERTIFICATE_PROSE,
-    EnumerationMode,
-    certify,
-    enumerate_families,
-    splitting,
-)
-from fujitacert.eigenspace import SplitClass, WeightTuple, sigma_sum
+from fujitacert.certify import CERTIFICATE_PROSE, certify, splitting
+from fujitacert.eigenspace import SplitClass, WeightTuple, character_reports, eigenspace_table, sigma_sum
 from fujitacert.monodromy import find_infinite_character
 from fujitacert.surfaces import invariants, standard_family
 from fujitacert.sweep import run_sweep
@@ -225,18 +219,19 @@ def test_criterion_08_structural_invariants_to_1e4():
 
 def test_criterion_09_classification_fixtures():
     start = time.perf_counter()
-    certs = list(enumerate_families(5, 5, EnumerationMode.ALL, normalize=True))
-    ok = len(certs) == 3
+    out = io.StringIO()
+    code = cli.main(["enumerate", "--n-min", "5", "--n-max", "5", "--all", "--normalize"], out=out)
+    ok = code == 0 and len(out.getvalue().splitlines()) == 3
     flat_js = [
         e.j
-        for e in splitting(WeightTuple(11, (1, 2, 3, 5))).entries
+        for e in eigenspace_table(WeightTuple(11, (1, 2, 3, 5)))
         if e.split_class is SplitClass.FLAT
     ]
     ok = ok and flat_js == [10]
     for n in (25, 49):
         split = splitting(WeightTuple(n, (1, 1, 1, n - 3)))
         ok = ok and all(
-            (e.split_class is SplitClass.ZERO) == (3 * e.j <= n) for e in split.entries
+            (e.split_class is SplitClass.ZERO) == (3 * e.j <= n) for e in character_reports(split.sigmas, n)
         )
     elapsed = time.perf_counter() - start
     _report(

@@ -11,26 +11,28 @@ from hypothesis import strategies as st
 
 from fujitacert import cli, eigenspace, records, surfaces
 
-from fujitacert.certify import (
-    CERTIFICATE_PROSE,
-    EnumerationMode,
-    certify,
-    enumerate_families,
-    shimura_count,
-    splitting,
-)
+from fujitacert.certify import CERTIFICATE_PROSE, certify, shimura_count, splitting
 from fujitacert.eigenspace import (
     DegenerateCharacterError,
     EigenspaceReport,
     SplitClass,
     WeightTuple,
+    character_reports,
     eigenspace_report,
+    eigenspace_table,
     iter_weight_tuples,
     sigma_sum,
 )
 from fujitacert.monodromy import Finiteness, find_infinite_character, finiteness_by_signature, is_irreducible
 from fujitacert.residues import InternalInconsistencyError, NonUnitError, is_unit, units
-from fujitacert.surfaces import admissibility_reason, family, smoothness_check, standard_family
+from fujitacert.surfaces import (
+    admissibility_reason,
+    family,
+    iter_admissible_families,
+    iter_canonical_families,
+    smoothness_check,
+    standard_family,
+)
 
 # the module's dotted name: fujitacert.certify is the submodule, not the function
 CERTIFY_MODULE = "fujitacert.certify"
@@ -47,28 +49,29 @@ def test_splitting_n5():
     assert s.rank_ample_candidate == 2
     assert s.deg_V == 2
     assert not s.has_degenerate
-    flat_js = [e.j for e in s.entries if e.split_class is SplitClass.FLAT]
+    flat_js = [e.j for e in character_reports(s.sigmas, 5) if e.split_class is SplitClass.FLAT]
     assert flat_js == [4]
 
 
 def test_splitting_n7():
     s = splitting(W7)
-    flat_js = [e.j for e in s.entries if e.split_class is SplitClass.FLAT]
-    ample_js = [e.j for e in s.entries if e.split_class is SplitClass.AMPLE_CANDIDATE]
+    reports = list(character_reports(s.sigmas, 7))
+    flat_js = [e.j for e in reports if e.split_class is SplitClass.FLAT]
+    ample_js = [e.j for e in reports if e.split_class is SplitClass.AMPLE_CANDIDATE]
     assert flat_js == [5, 6] and s.rank_flat == 4
     assert ample_js == [3, 4]
 
 
 def test_splitting_n11_flat_only_at_10():
     s = splitting(W11)
-    flat_js = [e.j for e in s.entries if e.split_class is SplitClass.FLAT]
+    flat_js = [e.j for e in character_reports(s.sigmas, 11) if e.split_class is SplitClass.FLAT]
     assert flat_js == [10]
 
 
 def test_top_character_always_flat():
     for w in (W5, W7, W11, WeightTuple(25, (1, 1, 1, 22))):
         s = splitting(w)
-        assert s.entries[w.n - 2].split_class is SplitClass.FLAT
+        assert list(character_reports(s.sigmas, w.n))[w.n - 2].split_class is SplitClass.FLAT
         assert sigma_sum(w, w.n - 1) == 3 * w.n
 
 
@@ -76,7 +79,7 @@ def test_standard_case_zero_up_to_n_over_3():
     for n in (25, 49):
         w = WeightTuple(n, (1, 1, 1, n - 3))
         s = splitting(w)
-        for e in s.entries:
+        for e in character_reports(s.sigmas, n):
             assert (e.split_class is SplitClass.ZERO) == (3 * e.j <= n)
             assert (e.split_class is SplitClass.FLAT) == (3 * (n - e.j) <= n)
 
@@ -162,9 +165,10 @@ def test_splitting_matches_per_character_reference():
     for w in weights:
         split = splitting(w)
         entries, totals = _splitting_reference(w)
-        assert split.entries == entries, w
+        reports = tuple(character_reports(split.sigmas, w.n))
+        assert reports == entries, w
         assert (split.rank_V, split.rank_flat, split.rank_ample_candidate, split.deg_V, split.has_degenerate) == totals, w
-        assert all(type(e) is EigenspaceReport for e in split.entries)
+        assert all(type(e) is EigenspaceReport for e in reports)
         assert type(split.sigmas) is tuple and all(type(s) is int for s in split.sigmas)
         degenerate += split.has_degenerate
     assert degenerate > 0
@@ -183,7 +187,7 @@ def test_shimura_count_matches_per_character_reference():
 
 def _flat_census(w):
     # each FLAT character of the splitting with its criterion finiteness verdict
-    flat = (e.j for e in splitting(w).entries if e.split_class is SplitClass.FLAT)
+    flat = (e.j for e in eigenspace_table(w) if e.split_class is SplitClass.FLAT)
     return [(j, finiteness_by_signature(w, j)) for j in flat]
 
 
@@ -289,8 +293,18 @@ def test_shimura_count_invariant_under_unit_rescaling():
             assert shimura_count(WeightTuple(n, scaled))[0] == base
 
 
-def test_enumerate_standard_range():
-    certs = list(enumerate_families(5, 13))
+def _enumerated(monkeypatch, *flags):
+    # the certificates `enumerate` writes records of, as the command's certify returned them
+    certs = []
+    monkeypatch.setattr(cli, "certify", lambda f: certs.append(certify(f)) or certs[-1])
+    out = io.StringIO()
+    assert cli.main(["enumerate", *flags], out=out) == 0
+    assert out.getvalue().count("\n") == len(certs)
+    return certs
+
+
+def test_enumerate_standard_range(monkeypatch):
+    certs = _enumerated(monkeypatch, "--n-min", "5", "--n-max", "13")
     assert [c.family.n for c in certs] == [5, 7, 11, 13]
     assert all(c.is_counterexample for c in certs)
     assert [c.family.w.m for c in certs] == [
@@ -301,27 +315,30 @@ def test_enumerate_standard_range():
     ]
 
 
-def test_enumerate_empty_when_not_coprime():
-    assert list(enumerate_families(9, 9, EnumerationMode.ALL)) == []
-    assert list(enumerate_families(6, 6)) == []
+def test_enumerate_empty_when_not_coprime(monkeypatch):
+    assert list(iter_admissible_families(9)) == list(iter_canonical_families(9)) == []
+    assert _enumerated(monkeypatch, "--n-min", "9", "--n-max", "9", "--all") == []
+    assert _enumerated(monkeypatch, "--n-min", "6", "--n-max", "6") == []
 
 
-def test_enumerate_all_normalized_n5():
-    certs = list(enumerate_families(5, 5, EnumerationMode.ALL, normalize=True))
+def test_enumerate_all_normalized_n5(monkeypatch):
+    certs = _enumerated(monkeypatch, "--n-min", "5", "--n-max", "5", "--all", "--normalize")
     keys = [(c.family.w.m, c.family.base_weights) for c in certs]
     assert keys == [
         ((1, 1, 1, 2), (1, 1, 3)),
         ((1, 1, 2, 1), (1, 1, 3)),
         ((1, 1, 2, 1), (1, 2, 2)),
     ]
+    assert keys == [(f.w.m, f.base_weights) for f in iter_canonical_families(5)]
     assert all(c.is_counterexample for c in certs)
     # the abstract's three ball quotients: base genus 2, fibres of genus 4
     assert all(c.invariants.ball_quotient and (c.invariants.g, c.invariants.b) == (4, 2) for c in certs)
 
 
-def test_enumerate_all_unnormalized_n5():
-    certs = list(enumerate_families(5, 5, EnumerationMode.ALL))
+def test_enumerate_all_unnormalized_n5(monkeypatch):
+    certs = _enumerated(monkeypatch, "--n-min", "5", "--n-max", "5", "--all")
     assert len(certs) == 24
+    assert [c.family for c in certs] == list(iter_admissible_families(5))
 
 
 @pytest.mark.parametrize("n, classes", [(25, 255), (35, 164)])
@@ -338,13 +355,24 @@ def test_enumerate_shares_one_weight_tuple_and_one_sigma_pass_per_m(monkeypatch,
     passes = []
     table = eigenspace.sigma_table
     monkeypatch.setattr(eigenspace, "sigma_table", lambda w: passes.append(w.m) or table(w))
-    certs = list(enumerate_families(13, 13, EnumerationMode.ALL, normalize=normalize))
+    certs = _enumerated(monkeypatch, "--n-min", "13", "--n-max", "13", "--all", *(["--normalize"] if normalize else []))
     shared = {}
     assert all(shared.setdefault(c.family.w.m, c.family.w) is c.family.w for c in certs)
     assert passes == list(shared)  # one pass per distinct m, in walk order
     assert all(c.invariants is certs[0].invariants for c in certs)  # one value per level
     if normalize:
         assert (len(certs), len(passes)) == (189, 22)
+
+
+def test_enumerate_rejects_bad_range(monkeypatch):
+    # n_min > n_max and n_min below 5 are refused before any family is certified
+    certs = []
+    monkeypatch.setattr(cli, "certify", lambda f: certs.append(f))
+    for lo, hi in ((13, 5), (4, 10)):
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.main(["enumerate", "--n-min", str(lo), "--n-max", str(hi)], out=out, err=err) == 1
+        assert out.getvalue() == "" and err.getvalue() == "error: need 5 <= --n-min <= --n-max\n"
+    assert certs == []
 
 
 def test_enumerate_checks_admissibility_once_per_record(monkeypatch):
@@ -361,13 +389,6 @@ def test_enumerate_checks_admissibility_once_per_record(monkeypatch):
     out = io.StringIO()
     assert cli.main(["enumerate", "--n-min", "13", "--n-max", "13", "--all", "--normalize"], out=out) == 0
     assert out.getvalue().count("\n") == len(calls) == 189
-
-
-def test_enumerate_rejects_bad_range():
-    with pytest.raises(ValueError):
-        enumerate_families(13, 5)
-    with pytest.raises(ValueError):
-        enumerate_families(4, 10)
 
 
 # ---------------------------------------------------------------------------

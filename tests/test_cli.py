@@ -321,6 +321,7 @@ def test_closure_bounds_below_one_exit1(argv, flag):
         ["oracle", "-n", "5", "-m", "1,1,1,2", "-j", "1"],
         ["oracle", "-n", "10", "-m", "1,3,3,3", "-j", "1"],  # FINITE, order 600: the class walk runs
         ["oracle", "-n", "6", "-m", "1,1,1,3", "-j", "3"],  # qx = 1: the form is ((0, conj(s)), (s, 0))
+        ["enumerate", "--n-min", "5", "--n-max", "7", "--all", "--normalize"],
     ],
 )
 def test_output_unchanged_under_python_O(argv):
@@ -428,6 +429,28 @@ def test_enumerate_empty_stream():
 def test_enumerate_bad_range():
     code, _, err = run_cli(["enumerate", "--n-min", "10", "--n-max", "5"])
     assert code == 1
+    code, out, err = run_cli(["enumerate", "--n-min", "4", "--n-max", "10"])
+    assert (code, out, err) == (1, "", "error: need 5 <= --n-min <= --n-max\n")
+
+
+# every flag combination of enumerate: standard-only is the default, and --normalize changes only --all
+ENUMERATE_FLAG_ARGVS = [
+    "enumerate --n-min 5 --n-max 13",
+    "enumerate --n-min 5 --n-max 13 --standard-only",
+    "enumerate --n-min 5 --n-max 13 --normalize",
+    "enumerate --n-min 5 --n-max 13 --standard-only --normalize",
+    "enumerate --n-min 8 --n-max 11 --all --normalize",
+]
+ENUMERATE_FLAGS_DIGEST = "6224eafd53a0cdf163b1a8831f0791ac245ca05ad9fe33b9cdf9594794cd54fa"
+
+
+def test_enumerate_flag_combinations_digest_pinned():
+    # exit code, stdout and stderr of each; a schema_version change must re-pin this digest
+    digest = hashlib.sha256()
+    for argv in ENUMERATE_FLAG_ARGVS:
+        code, out, err = run_cli(argv.split())
+        digest.update(f"{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == ENUMERATE_FLAGS_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +701,7 @@ def test_oracle_internal_inconsistency_exit2(monkeypatch):
 
 
 def test_enumerate_writes_each_record_before_the_next_certify(monkeypatch):
-    certify_mod = sys.modules["fujitacert.certify"]
-    original = certify_mod.certify
+    original = cli.certify
     out = io.StringIO()
     records_before = []
 
@@ -687,7 +709,7 @@ def test_enumerate_writes_each_record_before_the_next_certify(monkeypatch):
         records_before.append(out.getvalue().count("\n"))
         return original(f, **kwargs)
 
-    monkeypatch.setattr(certify_mod, "certify", spy)
+    monkeypatch.setattr(cli, "certify", spy)
     argv = ["enumerate", "--n-min", "5", "--n-max", "5", "--all", "--normalize"]
     assert cli.main(argv, out=out, err=io.StringIO()) == 0
     assert records_before == [0, 1, 2]

@@ -89,7 +89,9 @@ def test_admissible_exists_matches_gcd_rule():
     assert admissible_exists(35)
 
 
-@pytest.mark.parametrize("n", range(5, 26))
+# n = 1 .. 4 included: 1 is coprime to 6, yet four positive parts need n >= 4, and at n = 4 the
+# one composition (1, 1, 1, 1) has m_i + m_3 = 2, not a unit
+@pytest.mark.parametrize("n", range(1, 26))
 def test_admissible_exists_against_exhaustive_search(n):
     assert admissible_exists(n) == _search_admissible(n)
 
@@ -225,6 +227,19 @@ def test_invariants_rejects_inadmissible():
     for n in (1, 4, 6, 9, 15, 24):
         with pytest.raises(NotCoprimeTo6Error):
             invariants(n)
+
+
+def test_positive_index_and_the_ball_quotient_identity():
+    # the abstract's "positive index", and why n = 5 alone gives ball quotients: over every admissible
+    # n <= 1000, K^2 - 2e = n^2 - 10 = 3 tau with tau > 0, and 3e - K^2 = (n - 5)^2, zero exactly at n = 5
+    levels = [n for n in range(1, 1001) if admissible_exists(n)]
+    assert len(levels) == 332
+    for n in levels:
+        inv = invariants(n)
+        assert inv.K2 - 2 * inv.e == n * n - 10, n
+        assert (n * n - 10) % 3 == 0 and n * n - 10 > 0, n
+        assert 3 * inv.e - inv.K2 == (n - 5) ** 2, n
+        assert inv.ball_quotient == (n == 5), n
 
 
 def test_ball_quotient_only_n5():
