@@ -20,7 +20,8 @@ Two independent routes decide (ir)reducibility and (in)finiteness:
 The oracle divides once, by 1 - y for a root of unity y (a sum of shifts), in
 the form's closed-form solve; companion inverses are closed forms, walk
 inverses are products via g0*g1*ginf = 1, and the form is s*m0 for the
-solution line m0 and one scalar s, checked Hermitian.
+solution line m0 and s = 1 + alpha from m0* = alpha*m0, checked Hermitian; the
+sign of its determinant decides the signature, and 0 means a reducible triple.
 
 The sweep tests elsewhere hold agreement of the two routes as the highest
 severity invariant; neither side may be shortcut through the other.
@@ -240,6 +241,12 @@ def levelt_triple(exponents: Exponents, n: int) -> MonodromyTriple:
     lambda^2 - t*lambda + zeta^k = 0.  A root shared by the multisets at 0
     and oo is thus a left eigenvector w of both A and B, and ker w is fixed
     by g0 and g1; has_common_eigenvector finds that line from the matrices.
+    The word g0*g1^-1 = B^-1*A*B^-1 has trace tr(A*B^-2), which is
+    tr(B^-1)*tr(A*B^-1) - zeta^-kc*tr(A) by Cayley-Hamilton, and
+    tr(A*B^-1) = 1 + zeta^(ka+kb-kc), as g1^-1 - I = (A - B)*B^-1 has rank 1.
+    So tr(g0*g1^-1) = 1 + zeta^(ka+kb-kc) + zeta^-kc + zeta^(ka+kb-2kc)
+    - zeta^(ka-kc) - zeta^(kb-kc), and det(g0*g1^-1) = zeta^(ka+kb-2kc) is a
+    root of unity: |sigma_h(tr)| > 2 at one unit h gives infinite order.
     """
     level = n
     ka, kb, kc = (k % level for k in exponents)
@@ -486,8 +493,8 @@ def has_common_eigenvector(t: MonodromyTriple) -> bool:
 # invariant Hermitian form
 
 
-def _invariant_line(t: MonodromyTriple) -> Mat | None:
-    """invariant_hermitian_form's m0 (last nonzero entry 1), or None if g0 and g1 fix no form but 0.
+def _invariant_line(t: MonodromyTriple) -> tuple[Mat, CyclotomicNumber] | None:
+    """(m0, alpha) with m0* = alpha*m0 for invariant_hermitian_form's m0, or None if g0 and g1 do not fix m0.
 
     A triple not in the Levelt companion shape is a ValueError.
     """
@@ -501,12 +508,12 @@ def _invariant_line(t: MonodromyTriple) -> Mat | None:
     u = (uq + ux) % roots_of_unity_order(t.level)  # qx = zeta_N^u
     if u:
         b1 = px_t * inverse_one_minus_root(t.level, u)
-        m0 = ((one, b1), (p + b1.mul_root_of_unity(uq), one))
+        m0, alpha = ((one, b1), (p + b1.mul_root_of_unity(uq), one)), one
     elif not px_t.is_zero():
-        m0 = ((zero, one.mul_root_of_unity(-uq)), (one, zero))
+        m0, alpha = ((zero, one.mul_root_of_unity(-uq)), (one, zero)), q
     else:
         raise ReducibleNoUniqueFormError("g1 = I: the invariant forms are those of g0 alone, not one line")
-    return m0 if all(mat_mul(mat_conj_transpose(g), mat_mul(m0, g)) == m0 for g in (t.g0, t.g1)) else None
+    return (m0, alpha) if all(mat_mul(mat_conj_transpose(g), mat_mul(m0, g)) == m0 for g in (t.g0, t.g1)) else None
 
 
 def invariant_hermitian_form(t: MonodromyTriple) -> tuple[Mat, tuple[int, int]]:
@@ -520,48 +527,38 @@ def invariant_hermitian_form(t: MonodromyTriple) -> tuple[Mat, tuple[int, int]]:
     so (1 - qx)*b = (px + t)*a.  So every solution is a multiple of m0 = ((1, b1), (p + b1*q, 1)),
     b1 = (px + t)/(1 - qx), if qx != 1, or of m0 = ((0, conj(q)), (1, 0)) if qx = 1 and
     px + t != 0; else g0*ginf = I = g1, and the forms of g0 alone are a plane.  m0 spans the
-    solutions iff g0 and g1 (so ginf) fix it.  m0* solves too, so m0* = alpha*m0 with
-    alpha = conj(m0[c][r]), read at m0's last nonzero entry m0[r][c] = 1.  The form is
-    s*m0 = X + X* for X = zeta^k*m0, s = zeta^k + zeta^-k*alpha at k = 0, or at k = 1 when that
-    is 0 (s is 0 at both only if alpha = -1 and level <= 2; no division).  s*m0 is checked
-    Hermitian, which holds iff m0* = alpha*m0.  The form is oriented by the Hodge convention:
-    among the two real rays of solutions, the one whose positivity index equals (weight sum - 1)
-    when the form is definite.  The definite/indefinite alternative itself is solved, not assumed:
-    an indefinite solution is returned as (1,1) regardless of the weight data, and the
-    cross-check against the eigenspace signature is a real test.
+    solutions iff g0 and g1 (so ginf) fix it.  m0* solves too, so m0* = alpha*m0: alpha = 1 if
+    qx != 1, as both (1, 1) entries are 1, else alpha = q.  The form is s*m0 = X + X* for X = m0,
+    s = 1 + alpha, or for X = zeta*m0, s = zeta - zeta^-1 if alpha = -1 (0 only at level <= 2; no
+    division), checked Hermitian, which holds iff m0* = alpha*m0.  det < 0 is signature (1, 1);
+    det > 0 is definite, of the sign of the (0, 0) entry, and oriented by the Hodge convention:
+    of the two real rays of solutions, the one whose positivity index is (weight sum - 1).  det = 0
+    is ReducibleNoUniqueFormError: the kernel of a degenerate invariant form is a line every
+    generator fixes.  The definite/indefinite alternative is solved, not assumed: an indefinite
+    solution is returned as (1,1) regardless of the weight data, and the cross-check against the
+    eigenspace signature is a real test.
     """
     level = t.level
-    m0 = _invariant_line(t)
-    if m0 is None:
+    line = _invariant_line(t)
+    if line is None:
         raise ReducibleNoUniqueFormError("invariant form space has dimension 0, expected 1")
-    r, c = next((r, c) for r in (1, 0) for c in (1, 0) if not m0[r][c].is_zero())
-    alpha = m0[c][r].conjugate()
-    s = next((s for s in (zeta(level, k) + alpha.mul_zeta_power(-k) for k in (0, 1)) if not s.is_zero()), None)
-    if s is None:
+    m0, alpha = line
+    s = 1 + alpha if alpha != -CyclotomicNumber.one(level) else zeta(level, 1) - zeta(level, -1)
+    if s.is_zero():
         raise InternalInconsistencyError("no Hermitian representative found")
     herm = tuple(tuple(s * x for x in row) for row in m0)
     if mat_conj_transpose(herm) != herm:
         raise InternalInconsistencyError("conjugate-transpose left the solution line")
-    signature = _hermitian_signature(herm)
-    if signature in ((2, 0), (0, 2)):
-        # Hodge weight sum: the normalized residues are [-kb], [kc-ka], [kb-kc], [ka] over n
-        ka, kb, kc = t.exponents
-        wanted_p = (ka + (kc - ka) % level + (kb - kc) % level + (-kb) % level) // level - 1
-        if wanted_p in (0, 2) and signature[0] != wanted_p:
-            herm = ((-herm[0][0], -herm[0][1]), (-herm[1][0], -herm[1][1]))
-            signature = (signature[1], signature[0])
+    det_sign = real_sign(mat_det(herm))
+    if det_sign == 0:
+        raise ReducibleNoUniqueFormError("degenerate invariant form: its kernel is a line every generator fixes")
+    if det_sign < 0:
+        return herm, (1, 1)
+    signature = (2, 0) if real_sign(herm[0][0]) > 0 else (0, 2)
+    # Hodge weight sum: the normalized residues are [-kb], [kc-ka], [kb-kc], [ka] over n
+    ka, kb, kc = t.exponents
+    wanted_p = (ka + (kc - ka) % level + (kb - kc) % level + (-kb) % level) // level - 1
+    if wanted_p in (0, 2) and signature[0] != wanted_p:
+        herm = ((-herm[0][0], -herm[0][1]), (-herm[1][0], -herm[1][1]))
+        signature = (signature[1], signature[0])
     return herm, signature
-
-
-def _hermitian_signature(m: Mat) -> tuple[int, int]:
-    s_det = real_sign(mat_det(m))
-    if s_det > 0:
-        return (2, 0) if real_sign(m[0][0]) > 0 else (0, 2)
-    if s_det < 0:
-        return (1, 1)
-    s_tr = real_sign(m[0][0] + m[1][1])
-    if s_tr > 0:
-        return (1, 0)
-    if s_tr < 0:
-        return (0, 1)
-    return (0, 0)

@@ -18,7 +18,6 @@ from fujitacert.monodromy import (
     Finiteness,
     FinitenessVerdict,
     ReducibleNoUniqueFormError,
-    _hermitian_signature,
     has_finite_order,
     mat_conj_transpose,
     mat_det,
@@ -209,10 +208,24 @@ def invariant_line(t):
     return ((basis[0][0], basis[0][1]), (basis[0][2], basis[0][3])) if basis else None
 
 
+def hermitian_signature(m):
+    """The signature of a Hermitian 2x2 form from the signs of its determinant and trace.
+
+    A zero determinant is ReducibleNoUniqueFormError: the kernel of a degenerate invariant form
+    is a line that every generator fixes.
+    """
+    det_sign = real_sign(mat_det(m))
+    if det_sign == 0:
+        raise ReducibleNoUniqueFormError("degenerate invariant form")
+    if det_sign < 0:
+        return (1, 1)
+    return (2, 0) if real_sign(mat_trace(m)) > 0 else (0, 2)
+
+
 def hermitian_form(t):
     """invariant_hermitian_form from the Gauss-Jordan line m0: m0* = alpha*m0 checked by cross-multiplying,
-    then X + X* for X = zeta^k*m0 at the first k where that is nonzero, oriented by the Hodge convention
-    (the signature is read by the package's _hermitian_signature, whose signs the sign tests check)."""
+    then X + X* for X = zeta^k*m0 at the first k where that is nonzero, its signature read by
+    hermitian_signature, and a definite form oriented by the Hodge convention."""
     level = t.level
     m0 = invariant_line(t)
     if m0 is None:
@@ -228,7 +241,7 @@ def hermitian_form(t):
     if s is None:
         raise InternalInconsistencyError("no Hermitian representative found")
     herm = ((s[0], s[1]), (s[2], s[3]))
-    signature = _hermitian_signature(herm)
+    signature = hermitian_signature(herm)
     if signature in ((2, 0), (0, 2)):
         ka, kb, kc = t.exponents
         wanted_p = (ka + (kc - ka) % level + (kb - kc) % level + (-kb) % level) // level - 1

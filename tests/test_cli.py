@@ -266,6 +266,8 @@ def _det_not_a_root_on_ginf_inverse(m, mat_det=monodromy.mat_det):
             ["oracle", "-n", "4", "-m", "1,1,1,1", "-j", "1"],
             InternalInconsistencyError,
         ),
+        # a zero determinant: the form is degenerate, which no irreducible triple's form is
+        (monodromy, "real_sign", lambda x: 0, ORACLE_ARGV, monodromy.ReducibleNoUniqueFormError),
     ],
 )
 def test_internal_errors_exit2(monkeypatch, owner, attr, value, argv, error):
@@ -322,6 +324,7 @@ def test_closure_bounds_below_one_exit1(argv, flag):
         ["oracle", "-n", "10", "-m", "1,3,3,3", "-j", "1"],  # FINITE, order 600: the class walk runs
         ["oracle", "-n", "6", "-m", "1,1,1,3", "-j", "3"],  # qx = 1: the form is ((0, conj(s)), (s, 0))
         ["enumerate", "--n-min", "5", "--n-max", "7", "--all", "--normalize"],
+        ["oracle", "-n", "5", "-m", "1,1,1,2", "-j", "2"],  # indefinite, qx != 1
     ],
 )
 def test_output_unchanged_under_python_O(argv):

@@ -456,6 +456,15 @@ def test_real_sign_ladder_decides_inside_the_band(k):
     assert real_sign(x) == want and real_sign(-x) == -want
 
 
+@pytest.mark.parametrize("n", [131, 257, 1009])
+def test_float_band_covers_recursive_summation(n):
+    # Higham (2002), 4.2: adding phi(n) terms one at a time errs by up to (phi(n) - 1)*S*2^-53, S the
+    # sum of their sizes, the worst case the band's phi(n) term covers; the all-ones element has S = phi(n)
+    phi = euler_phi(n)
+    x = CyclotomicNumber(n, (1,) * phi)
+    assert cyclotomic.float_error_bound(x) >= (phi - 1) * phi * 2.0**-53
+
+
 _LAZY_MPMATH = """
 import io, json, math, sys
 from fujitacert import cli, cyclotomic

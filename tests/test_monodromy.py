@@ -1,7 +1,9 @@
 import io
 import itertools
 import json
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -39,7 +41,7 @@ from fujitacert.monodromy import (
     triple_from_weights,
 )
 from fujitacert.residues import InternalInconsistencyError, NonUnitError, units
-from fujitacert.surfaces import standard_family
+from fujitacert.surfaces import iter_canonical_families, standard_family
 from reference import (
     decimal_ladder_sign,
     euler_phi,
@@ -49,6 +51,7 @@ from reference import (
     has_finite_order_by_power,
     has_finite_order_by_unit_loop,
     hermitian_form,
+    hermitian_signature,
     inverse,
     letters,
     walk,
@@ -898,21 +901,19 @@ def test_form_signature_matches_eigenspace():
 
 
 def test_form_scaling_keeps_signature():
-    from fujitacert.monodromy import _hermitian_signature
-
     t = triple_from_weights(W5, 2)
     form, sig = invariant_hermitian_form(t)
     doubled = tuple(tuple(2 * entry for entry in row) for row in form)
     for _, g in t.generators():
         gc = mat_conj_transpose(g)
         assert mat_mul(mat_mul(gc, doubled), g) == doubled
-    assert _hermitian_signature(doubled) == sig
+    assert hermitian_signature(doubled) == sig
 
 
 def test_form_rejects_solution_not_closed_under_conjugate_transpose(monkeypatch):
     one, two, zero = (CyclotomicNumber.from_rational(5, q) for q in (1, 2, 0))
     # ((1, 2), (0, 1)) has conjugate transpose ((1, 0), (2, 1)), not a multiple of it
-    monkeypatch.setattr(monodromy, "_invariant_line", lambda t: ((one, two), (zero, one)))
+    monkeypatch.setattr(monodromy, "_invariant_line", lambda t: (((one, two), (zero, one)), one))
     with pytest.raises(InternalInconsistencyError, match="left the solution line"):
         invariant_hermitian_form(triple_from_weights(W5, 2))
 
@@ -951,6 +952,101 @@ def test_form_rejects_reducible_triple():
             invariant_hermitian_form(t)
     with pytest.raises(ValueError, match="Levelt companion shape"):
         invariant_hermitian_form(_diagonal_triple())
+
+
+def test_form_is_degenerate_exactly_on_reducible_triples():
+    # every exponent triple at 2 <= n <= 12: by Schur a triple with no common eigenvector has a
+    # nondegenerate form, and a reducible one has no form on one line or a degenerate one, whose
+    # kernel every generator fixes.  The one other error is n = 2, (1, 1, 0): no Hermitian scalar
+    outcomes = Counter()
+    for n in range(2, 13):
+        for e in itertools.product(range(n), repeat=3):
+            t = levelt_triple(e, n)
+            result = _form_or_error(invariant_hermitian_form, t)
+            outcomes[has_common_eigenvector(t), result if isinstance(result, type) else result[1]] += 1
+    assert outcomes == {
+        (True, ReducibleNoUniqueFormError): 2167,
+        (False, (2, 0)): 495,
+        (False, (0, 2)): 495,
+        (False, (1, 1)): 2925,
+        (False, InternalInconsistencyError): 1,
+    }
+
+
+def test_form_at_certificate_levels():
+    # certificates are issued far above the n <= 12 sweep: a seeded sample of irreducible
+    # characters at 13 <= n <= 400, each form solved, checked, and compared with the eigenspace
+    rng = random.Random(15)
+    kinds = Counter()
+    while sum(kinds.values()) < 150:
+        n = rng.randint(13, 400)
+        cuts = sorted(rng.sample(range(1, n), 3))
+        m = tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))  # four parts, each <= n - 3
+        j = rng.randrange(1, n)
+        if gcd(*m, n) != 1:
+            continue
+        w = WeightTuple(n, m)
+        if not is_irreducible(w, j):
+            continue
+        t = triple_from_weights(w, j)
+        form, sig = invariant_hermitian_form(t)
+        assert mat_conj_transpose(form) == form
+        for g in (t.g0, t.g1):
+            assert mat_mul(mat_mul(mat_conj_transpose(g), form), g) == form
+        assert sig == signature(w, j)
+        kinds[sig] += 1
+    assert kinds == {(1, 1): 94, (2, 0): 24, (0, 2): 32}
+
+
+# ---------------------------------------------------------------------------
+# the simple argument: the witness trace in closed form
+
+
+def _witness_trace(ka, kb, kc, n):
+    """The six-term closed form of tr(g0*g1^-1) derived in levelt_triple's docstring."""
+    plus = 1 + zeta(n, ka + kb - kc) + zeta(n, -kc) + zeta(n, ka + kb - 2 * kc)
+    return plus - zeta(n, ka - kc) - zeta(n, kb - kc)
+
+
+def _witness_word(t):
+    return mat_mul(t.g0, dict(t.inverses())["g1^-1"])
+
+
+def test_witness_trace_closed_form():
+    classes = [f.w for n in range(5, 26) for f in iter_canonical_families(n)]
+    assert len(classes) == 3204
+    for w in classes + [standard_family(n).w for n in (1001, 1009, 4001)]:
+        t = triple_from_weights(w, find_infinite_character(w))
+        assert _witness_trace(*t.exponents, w.n) == mat_trace(_witness_word(t)), w
+
+
+@pytest.mark.parametrize("n", [5, 7, 11, 13, 101, 1009])
+def test_standard_series_witness_trace(n):
+    # at j* = (n+1)/2 the six terms collapse to the real number 4cos^2(pi/n) + 2cos(pi/n), and
+    # det(g0*g1^-1) = 1: a trace above 2 puts an eigenvalue above 1
+    w = standard_family(n).w
+    j = find_infinite_character(w)
+    exponents = levelt_exponents(w, j)
+    assert (j, exponents) == ((n + 1) // 2, ((n - 3) // 2, (n - 1) // 2, n - 1))
+    word = _witness_word(levelt_triple(exponents, n))
+    trace = mat_trace(word)
+    assert trace == _witness_trace(*exponents, n) == trace.conjugate()
+    assert mat_det(word) == CyclotomicNumber.one(n)
+    cos = math.cos(math.pi / n)
+    assert trace.complex_value() == pytest.approx(4 * cos * cos + 2 * cos, abs=1e-9)
+    if n == 5:
+        assert trace == 3 + 2 * (zeta(5) + zeta(5, 4))  # 2 + sqrt(5)
+
+
+def test_standard_series_trace_exceeds_2_iff_n_above_3():
+    # the exponents ((n-3)/2, (n-1)/2, n-1) at every odd level: with c = 2cos(pi/n), which is
+    # -(zeta^((n-1)/2) + zeta^((n+1)/2)), the trace is c^2 + c and minus 2 it is (c - 1)(c + 2),
+    # that is 2(2cos(pi/n) - 1)(cos(pi/n) + 1): 0 at n = 3, where c = 1, and positive above it
+    for n in range(3, 80, 2):
+        trace = _witness_trace((n - 3) // 2, (n - 1) // 2, n - 1, n)
+        c = -(zeta(n, (n - 1) // 2) + zeta(n, (n + 1) // 2))
+        assert trace == c * c + c and trace - 2 == (c - 1) * (c + 2), n
+        assert real_sign(trace - 2) == real_sign(c - 1) == (n > 3), n
 
 
 # ---------------------------------------------------------------------------
