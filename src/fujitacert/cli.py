@@ -12,9 +12,12 @@ certificates are reproducible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
 from functools import cache
 from math import gcd
+from operator import attrgetter
 
 from . import records
 from .certify import Certificate, certify, shimura_count
@@ -54,6 +57,10 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
 EXIT_INCONSISTENT = 2
 EXIT_NOT_CERTIFIED = 3
+
+_FAMILY_CUT = "\0"  # json.dumps escapes every control character, so only a spliced text can hold a raw NUL
+# every Certificate field but the family, built once: a field added later joins enumerate's key
+_certificate_key = attrgetter(*(f.name for f in dataclasses.fields(Certificate) if f.name != "family"))
 
 
 class CliInputError(Exception):
@@ -227,16 +234,19 @@ def cmd_enumerate(args, out) -> int:
     mode = "all" if args.all_families else "standard-only"
     walk = iter_canonical_families if args.normalize else iter_admissible_families
     inputs = {"n_min": args.n_min, "n_max": args.n_max, "mode": mode, "normalize": args.normalize}
+    # a record is its family plus text that every other Certificate field fixes; the walks yield the
+    # families of one m in a row, so the text around the family is encoded once per run of equal keys
+    key = head = tail = None
     for n in filter(admissible_exists, range(args.n_min, args.n_max + 1)):
         for fam in walk(n) if args.all_families else [standard_family(n)]:
             cert = certify(fam)
-            record = output_record(
-                "enumerate",
-                inputs,
-                records.certificate_dict(cert),
-                [check("certified", cert.is_counterexample, cert.not_certified_reason or "")],
-            )
-            out.write(dumps_record(record))
+            cert_key = _certificate_key(cert)
+            if cert_key != key:
+                result = records.certificate_dict(cert) | {"family": records.CharacterRows(_FAMILY_CUT)}
+                checks = [check("certified", cert.is_counterexample, cert.not_certified_reason or "")]
+                head, _, tail = dumps_record(output_record("enumerate", inputs, result, checks)).partition(_FAMILY_CUT)
+                key = cert_key
+            out.write(head + json.dumps(records.family_dict(fam)) + tail)
     return EXIT_OK
 
 

@@ -7,7 +7,10 @@ terms with positive denominator, never floats; the slope additionally gets
 a 6-place decimal string for readability.  Field order is fixed so output
 is byte-identical across runs.  Per-character rows (splitting entries, the
 analyze table) are encoded from the sigma table, the text after "j" once
-per sigma class and n; dumps_record splices them into the rest.
+per sigma class and n; dumps_record splices them into the rest.  enumerate
+splices the other way: consecutive certificates equal in every field but
+the family share one key, so it writes the text dumps_record gave the first
+of them around each one's family_dict.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .cyclotomic import CyclotomicNumber
 from .eigenspace import EigenspaceReport, hodge_rows
 from .monodromy import FinitenessVerdict, Mat
 from .residues import InternalInconsistencyError
-from .surfaces import SurfaceInvariants
+from .surfaces import FamilyData, SurfaceInvariants
 from .sweep import SweepSummary
 
 SCHEMA_VERSION = "1.1"
@@ -57,7 +60,7 @@ def output_record(command: str, inputs: dict, result, checks: list[dict]) -> dic
 
 @dataclasses.dataclass(frozen=True)
 class CharacterRows:
-    """The JSON text of a list of per-character rows, spliced in by dumps_record."""
+    """Encoded text that dumps_record splices in: a list of per-character rows, or enumerate's cut at the family."""
 
     text: str
 
@@ -161,13 +164,13 @@ def verdict_dict(verdict: FinitenessVerdict) -> dict:
     }
 
 
+def family_dict(f: FamilyData) -> dict:
+    return {"n": f.n, "m": list(f.w.m), "base_weights": list(f.base_weights)}
+
+
 def certificate_dict(cert: Certificate) -> dict:
     return {
-        "family": {
-            "n": cert.family.n,
-            "m": list(cert.family.w.m),
-            "base_weights": list(cert.family.base_weights),
-        },
+        "family": family_dict(cert.family),
         "admissible": cert.admissible,
         "admissibility_reason": cert.admissibility_reason,
         "smooth": cert.smooth,

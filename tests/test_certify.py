@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fujitacert import cli, eigenspace, records, surfaces
 
-from fujitacert.certify import CERTIFICATE_PROSE, certify, shimura_count, splitting
+from fujitacert.certify import CERTIFICATE_PROSE, Certificate, certify, shimura_count, splitting
 from fujitacert.eigenspace import (
     DegenerateCharacterError,
     EigenspaceReport,
@@ -293,14 +293,26 @@ def test_shimura_count_invariant_under_unit_rescaling():
             assert shimura_count(WeightTuple(n, scaled))[0] == base
 
 
-def _enumerated(monkeypatch, *flags):
-    # the certificates `enumerate` writes records of, as the command's certify returned them
+def _enumerate_run(monkeypatch, *flags, alter=lambda i, cert: cert):
+    # the certificates `enumerate` writes records of, as the command's certify returned them, and its lines;
+    # alter(i, cert) stands in for the i-th certificate
     certs = []
-    monkeypatch.setattr(cli, "certify", lambda f: certs.append(certify(f)) or certs[-1])
+    monkeypatch.setattr(cli, "certify", lambda f: certs.append(alter(len(certs), certify(f))) or certs[-1])
     out = io.StringIO()
     assert cli.main(["enumerate", *flags], out=out) == 0
-    assert out.getvalue().count("\n") == len(certs)
-    return certs
+    lines = out.getvalue().splitlines(keepends=True)
+    assert out.getvalue().count("\n") == len(certs) == len(lines)
+    return certs, lines
+
+
+def _enumerated(monkeypatch, *flags):
+    return _enumerate_run(monkeypatch, *flags)[0]
+
+
+def _direct_line(inputs, cert):
+    # the record of one certificate, encoded whole
+    checks = [records.check("certified", cert.is_counterexample, cert.not_certified_reason or "")]
+    return records.dumps_record(records.output_record("enumerate", inputs, records.certificate_dict(cert), checks))
 
 
 def test_enumerate_standard_range(monkeypatch):
@@ -362,6 +374,52 @@ def test_enumerate_shares_one_weight_tuple_and_one_sigma_pass_per_m(monkeypatch,
     assert all(c.invariants is certs[0].invariants for c in certs)  # one value per level
     if normalize:
         assert (len(certs), len(passes)) == (189, 22)
+
+
+@pytest.mark.parametrize("n, lines, ms, keys", [(13, 189, 22, 22), (11, 100, 15, 14)])
+def test_enumerate_encodes_one_record_text_per_certificate_key(monkeypatch, n, lines, ms, keys):
+    # the families of one m share every certificate field but their family, so one encoding serves them all;
+    # at n = 11 the m (1, 3, 5, 2) and (2, 3, 5, 1) follow each other with one sigma table and one witness
+    encoded = []
+    encode = records.certificate_dict
+    monkeypatch.setattr(records, "certificate_dict", lambda c: encoded.append(c) or encode(c))
+    certs = _enumerated(monkeypatch, "--n-min", str(n), "--n-max", str(n), "--all", "--normalize")
+    assert (len(certs), len({c.family.w.m for c in certs}), len(encoded)) == (lines, ms, keys)
+    key = lambda c: dataclasses.replace(c, family=None)
+    assert encoded == [c for i, c in enumerate(certs) if i == 0 or key(c) != key(certs[i - 1])]
+
+
+def test_enumerate_lines_equal_the_direct_encoding(monkeypatch):
+    # 364 m with up to 66 families each: every line is the shared text around its own family
+    certs, lines = _enumerate_run(monkeypatch, "--n-min", "5", "--n-max", "13", "--all")
+    inputs = {"n_min": 5, "n_max": 13, "mode": "all", "normalize": False}
+    assert len(lines) == 20244 and len({c.family.w.m for c in certs}) == 364
+    assert all(line == _direct_line(inputs, cert) for line, cert in zip(lines, certs))
+
+
+# per non-family Certificate field, a value that the walks' certificates never hold
+STALE_TEXT_CASES = {
+    "admissibility_reason": lambda c: "injected reason",
+    "smooth": lambda c: False,
+    "invariants": lambda c: dataclasses.replace(c.invariants, g=c.invariants.g + 1),
+    "splitting": lambda c: dataclasses.replace(c.splitting, rank_V=c.splitting.rank_V + 1),
+    "irreducible_all": lambda c: False,
+    "infinite_witness": lambda c: dataclasses.replace(c.infinite_witness, unit=c.infinite_witness.unit + 1),
+    "oracle_verdicts": lambda c: (Finiteness.INFINITE, Finiteness.INFINITE),
+}
+
+
+@pytest.mark.parametrize("field", STALE_TEXT_CASES)
+def test_enumerate_shares_no_text_between_certificates_that_differ(monkeypatch, field):
+    # every other family of each m gets a certificate that differs in this one field: its record must not be
+    # the text of its neighbour's
+    assert set(STALE_TEXT_CASES) == {f.name for f in dataclasses.fields(Certificate)} - {"family"}
+    value = STALE_TEXT_CASES[field]
+    alter = lambda i, cert: dataclasses.replace(cert, **{field: value(cert)}) if i % 2 else cert
+    certs, lines = _enumerate_run(monkeypatch, "--n-min", "7", "--n-max", "7", "--all", alter=alter)
+    inputs = {"n_min": 7, "n_max": 7, "mode": "all", "normalize": False}
+    assert len(lines) == 300 and len({c.family.w.m for c in certs}) == 20
+    assert [_direct_line(inputs, cert) for cert in certs] == lines
 
 
 def test_enumerate_rejects_bad_range(monkeypatch):

@@ -325,6 +325,7 @@ def test_closure_bounds_below_one_exit1(argv, flag):
         ["oracle", "-n", "6", "-m", "1,1,1,3", "-j", "3"],  # qx = 1: the form is ((0, conj(s)), (s, 0))
         ["enumerate", "--n-min", "5", "--n-max", "7", "--all", "--normalize"],
         ["oracle", "-n", "5", "-m", "1,1,1,2", "-j", "2"],  # indefinite, qx != 1
+        ["enumerate", "--n-min", "11", "--n-max", "11", "--all"],  # 120 m, up to 45 families sharing one text
     ],
 )
 def test_output_unchanged_under_python_O(argv):
@@ -691,6 +692,22 @@ def test_analyze_even_level_digest_pinned():
         assert (row["j"], row["degenerate"]) == (5003, degenerate), argv
         digest.update(f"{code}\n{out}{err}".encode())
     assert digest.hexdigest() == MIRROR_FIXED_POINT_DIGEST
+
+
+# (argv, records, sha256 of stdout): the levels where most records share their text with the one before
+SHARED_TEXT_DIGESTS = [
+    ("enumerate --n-min 23 --n-max 31 --all --normalize", 8524, "d67caa2ed5d387d749ececee4192887c2ab69d0ef77902171bab6ca3a0981278"),
+    ("enumerate --n-min 5 --n-max 13 --all", 20244, "d4de2e15f8cf900a3aca1b3dd6986aea10d8f7e725f97646916ef12135d3c973"),
+]
+
+
+@pytest.mark.parametrize("argv, count, digest", SHARED_TEXT_DIGESTS, ids=["23-31-normalize", "5-13-all"])
+def test_enumerate_shared_text_output_digest_pinned(argv, count, digest):
+    # pinned from records each encoded whole; a schema_version change must re-pin these digests
+    code, out, err = run_cli(argv.split())
+    assert (code, err) == (0, "")
+    assert out.count("\n") == count
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_oracle_internal_inconsistency_exit2(monkeypatch):
