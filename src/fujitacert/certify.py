@@ -137,6 +137,22 @@ class Certificate:
         return None if self.oracle_verdicts is None else agreement(*self.oracle_verdicts)
 
 
+def weight_claims(w: WeightTuple) -> tuple[SplittingReport, bool, InfiniteWitness]:
+    """splitting(w), all_units and the witness of w: checked once per instance and stored on it, as w.sigmas is."""
+    claims = vars(w).get("weight_claims")
+    if claims is None:
+        split, irreducible = splitting(w), w.all_units()
+        if split.has_degenerate or not irreducible or split.rank_flat < 2:
+            raise InternalInconsistencyError(
+                f"admissible n={w.n}, m={w.m} breaks an implication: has_degenerate={split.has_degenerate}, "
+                f"irreducible_all={irreducible}, rank_flat={split.rank_flat}"
+            )
+        j_star = find_infinite_character(w)
+        witness = InfiniteWitness(j_star, (-j_star) % w.n, sigma_sum(w, j_star))  # [unit * (n-1)] = j_star
+        claims = vars(w)["weight_claims"] = (split, irreducible, witness)
+    return claims
+
+
 def certify(
     f: FamilyData,
     with_oracle: bool = False,
@@ -151,26 +167,21 @@ def certify(
     - no degenerate character and every character irreducible: n divides no j*m_i for 0 < j < n;
     - rank_flat >= 2: sigma_{n-1} = sum of [-m_i] = sum of (n - m_i) = 4n - n = 3n;
     - a witness: m0 + m3 is a unit, so find_infinite_character's j exists.
-    A broken one raises InternalInconsistencyError, or NonUnitError (a ValueError) from
-    find_infinite_character; the CLI exits 2 on both.  With with_oracle the matrix
-    oracle re-decides the witness character and both verdicts are recorded.
+    Smoothness is checked per family, the rest once per WeightTuple (weight_claims; one m's families share it, an
+    equal one built apart makes its own).  A broken one raises InternalInconsistencyError, or NonUnitError from
+    find_infinite_character; the CLI exits 2 on both.  with_oracle records the matrix oracle's verdict too.
     """
     reason = admissibility_reason(f.n, f.w.m, f.base_weights)
     if reason is not None:
         return Certificate(f, admissibility_reason=reason)
-    w = f.w
-    smooth, split, irreducible = smoothness_check(f), splitting(w), w.all_units()
-    if not smooth or split.has_degenerate or not irreducible or split.rank_flat < 2:
-        raise InternalInconsistencyError(
-            f"admissible n={f.n}, m={w.m}, nw={f.base_weights} breaks an implication: smooth={smooth}, "
-            f"has_degenerate={split.has_degenerate}, irreducible_all={irreducible}, rank_flat={split.rank_flat}"
-        )
-    j_star = find_infinite_character(w)
-    witness = InfiniteWitness(j_star, (-j_star) % w.n, sigma_sum(w, j_star))  # [unit * (n-1)] = j_star
+    w, smooth = f.w, smoothness_check(f)
+    if not smooth:
+        raise InternalInconsistencyError(f"admissible n={f.n}, m={w.m}, nw={f.base_weights} is not smooth: smooth=False")
+    split, irreducible, witness = weight_claims(w)
     verdicts = None
     if with_oracle:
-        criterion = finiteness_by_signature(w, j_star)
-        verdicts = (criterion.kind, group_closure(triple_from_weights(w, j_star), cap, max_word_len).kind)
+        criterion = finiteness_by_signature(w, witness.j_star)
+        verdicts = (criterion.kind, group_closure(triple_from_weights(w, witness.j_star), cap, max_word_len).kind)
     return Certificate(
         f, smooth=smooth, invariants=invariants(f.n), splitting=split, irreducible_all=irreducible,
         infinite_witness=witness, oracle_verdicts=verdicts,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from functools import cache
 from math import gcd
@@ -246,7 +245,7 @@ def cmd_enumerate(args, out) -> int:
                 checks = [check("certified", cert.is_counterexample, cert.not_certified_reason or "")]
                 head, _, tail = dumps_record(output_record("enumerate", inputs, result, checks)).partition(_FAMILY_CUT)
                 key = cert_key
-            out.write(head + json.dumps(records.family_dict(fam)) + tail)
+            out.write(head + records.family_text(fam) + tail)
     return EXIT_OK
 
 

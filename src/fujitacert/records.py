@@ -7,10 +7,11 @@ terms with positive denominator, never floats; the slope additionally gets
 a 6-place decimal string for readability.  Field order is fixed so output
 is byte-identical across runs.  Per-character rows (splitting entries, the
 analyze table) are encoded from the sigma table, the text after "j" once
-per sigma class and n; dumps_record splices them into the rest.  enumerate
-splices the other way: consecutive certificates equal in every field but
-the family share one key, so it writes the text dumps_record gave the first
-of them around each one's family_dict.
+per sigma class and n, and a family by one format string, family_text;
+dumps_record splices them into the rest.  enumerate splices the other way:
+consecutive certificates equal in every field but the family share one key,
+so it writes the text dumps_record gave the first of them around each one's
+family_text.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def output_record(command: str, inputs: dict, result, checks: list[dict]) -> dic
 
 @dataclasses.dataclass(frozen=True)
 class CharacterRows:
-    """Encoded text that dumps_record splices in: a list of per-character rows, or enumerate's cut at the family."""
+    """Encoded text that dumps_record splices in: per-character rows, a family, or enumerate's cut at the family."""
 
     text: str
 
@@ -79,10 +80,10 @@ def dumps_record(record: dict) -> str:
         texts.append(obj.text)
         return _PLACEHOLDER
 
-    head, *rest = (json.dumps(record, ensure_ascii=False, default=splice) + "\n").split(_PLACEHOLDER_JSON)
-    if len(rest) != len(texts):
+    parts = (json.dumps(record, ensure_ascii=False, default=splice) + "\n").split(_PLACEHOLDER_JSON)
+    if len(parts) != len(texts) + 1:
         raise InternalInconsistencyError("a record string spells the rows placeholder")
-    return head + "".join(text + after for text, after in zip(texts, rest))
+    return "".join([text for pair in zip(parts, [*texts, ""]) for text in pair])  # one copy of each spliced text
 
 
 @cache
@@ -164,13 +165,14 @@ def verdict_dict(verdict: FinitenessVerdict) -> dict:
     }
 
 
-def family_dict(f: FamilyData) -> dict:
-    return {"n": f.n, "m": list(f.w.m), "base_weights": list(f.base_weights)}
+def family_text(f: FamilyData) -> str:
+    """The family's JSON object, byte-equal to json.dumps of {"n": n, "m": [...], "base_weights": [...]}."""
+    return '{"n": %d, "m": [%d, %d, %d, %d], "base_weights": [%d, %d, %d]}' % (f.n, *f.w.m, *f.base_weights)
 
 
 def certificate_dict(cert: Certificate) -> dict:
     return {
-        "family": family_dict(cert.family),
+        "family": CharacterRows(family_text(cert.family)),
         "admissible": cert.admissible,
         "admissibility_reason": cert.admissibility_reason,
         "smooth": cert.smooth,

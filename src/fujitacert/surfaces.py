@@ -172,23 +172,26 @@ def _adjacency_sanity():
 _adjacency_sanity()
 
 
-def branch_table(f: FamilyData) -> dict[str, tuple[int, int]]:
-    """The ten branch divisors, by label, with their (Z/n)^2 local monodromies."""
+BRANCH_LABELS = ("Y_INF", "Y_0", "Y_1", "X_INF", "X_0", "X_1", "DELTA", "E0", "E1", "E2")
+# the 15 crossings as index pairs into BRANCH_LABELS, read once off their labels
+CROSSINGS = tuple((BRANCH_LABELS.index(a), BRANCH_LABELS.index(b)) for a, b in ADJACENT_PAIRS)
+
+
+def inertia(f: FamilyData) -> tuple[tuple[int, int], ...]:
+    """The ten branch divisors' (Z/n)^2 local monodromies, in BRANCH_LABELS order."""
     n = f.n
     m0, m1, m2, m3 = f.w.m
     n0, n1, n2 = f.base_weights
-    return {
-        "Y_INF": (m0 % n, 0),
-        "Y_0": (m1 % n, 0),
-        "Y_1": (m2 % n, 0),
-        "X_INF": ((n - m3) % n, n0 % n),
-        "X_0": (0, n1 % n),
-        "X_1": (0, n2 % n),
-        "DELTA": (m3 % n, 0),
-        "E0": (m0 % n, n0 % n),
-        "E1": ((m1 + m3) % n, n1 % n),
-        "E2": ((m2 + m3) % n, n2 % n),
-    }
+    return (
+        (m0 % n, 0), (m1 % n, 0), (m2 % n, 0),  # Y_INF, Y_0, Y_1
+        ((n - m3) % n, n0 % n), (0, n1 % n), (0, n2 % n), (m3 % n, 0),  # X_INF, X_0, X_1, DELTA
+        (m0 % n, n0 % n), ((m1 + m3) % n, n1 % n), ((m2 + m3) % n, n2 % n),  # E0, E1, E2
+    )
+
+
+def branch_table(f: FamilyData) -> dict[str, tuple[int, int]]:
+    """The ten branch divisors, by label, with their (Z/n)^2 local monodromies."""
+    return dict(zip(BRANCH_LABELS, inertia(f)))
 
 
 def smoothness_check(f: FamilyData) -> bool:
@@ -206,9 +209,9 @@ def smoothness_check(f: FamilyData) -> bool:
     So certify checks it on every admissible family as an implication, not a gate.
     """
     n = f.n
-    table = branch_table(f)
-    return all(gcd(u, v, n) == 1 for u, v in table.values()) and all(
-        gcd(table[a][0] * table[b][1] - table[b][0] * table[a][1], n) == 1 for a, b in ADJACENT_PAIRS
+    t = inertia(f)
+    return all(gcd(u, v, n) == 1 for u, v in t) and all(
+        gcd(t[a][0] * t[b][1] - t[b][0] * t[a][1], n) == 1 for a, b in CROSSINGS
     )
 
 

@@ -8,7 +8,7 @@ stays in a test module only where a comment there names the property that only i
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 import mpmath
 
@@ -289,3 +289,29 @@ def least_in_orbit_families(n):
         for bw, least in least_bw.items():
             if all(least[p] >= bw for p in stabilizer):
                 yield surfaces.family(n, m, bw)
+
+
+def smoothness_by_label(f):
+    """Combinatorial smoothness from the ten inertia pairs by label and the crossings by name.
+
+    Order n at every branch divisor, gcd(u, v, n) = 1, and a unit determinant at each pair of
+    surfaces.ADJACENT_PAIRS, each looked up by its labels.
+    """
+    n = f.n
+    m0, m1, m2, m3 = f.w.m
+    n0, n1, n2 = f.base_weights
+    pairs = {
+        "Y_INF": (m0 % n, 0),
+        "Y_0": (m1 % n, 0),
+        "Y_1": (m2 % n, 0),
+        "X_INF": ((n - m3) % n, n0 % n),
+        "X_0": (0, n1 % n),
+        "X_1": (0, n2 % n),
+        "DELTA": (m3 % n, 0),
+        "E0": (m0 % n, n0 % n),
+        "E1": ((m1 + m3) % n, n1 % n),
+        "E2": ((m2 + m3) % n, n2 % n),
+    }
+    return all(gcd(u, v, n) == 1 for u, v in pairs.values()) and all(
+        gcd(pairs[a][0] * pairs[b][1] - pairs[b][0] * pairs[a][1], n) == 1 for a, b in surfaces.ADJACENT_PAIRS
+    )

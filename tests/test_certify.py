@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import re
 import sys
 from math import gcd
 
@@ -27,6 +28,7 @@ from fujitacert.monodromy import Finiteness, find_infinite_character, finiteness
 from fujitacert.residues import InternalInconsistencyError, NonUnitError, is_unit, units
 from fujitacert.surfaces import (
     admissibility_reason,
+    FamilyData,
     family,
     iter_admissible_families,
     iter_canonical_families,
@@ -397,6 +399,50 @@ def test_enumerate_lines_equal_the_direct_encoding(monkeypatch):
     assert all(line == _direct_line(inputs, cert) for line, cert in zip(lines, certs))
 
 
+def _spy(calls, fn):
+    return lambda *args: calls.append(args) or fn(*args)
+
+
+@pytest.mark.parametrize("n, families, ms", [(13, 189, 22), (11, 100, 15)])
+def test_enumerate_makes_the_weight_claims_once_per_weight_tuple(monkeypatch, n, families, ms):
+    # the splitting and the witness depend on m alone: one call each per WeightTuple, whose families share the
+    # objects; the gate and smoothness stay per family
+    module = sys.modules[CERTIFY_MODULE]
+    names = ("splitting", "find_infinite_character", "smoothness_check", "admissibility_reason")
+    calls = {name: [] for name in names}
+    for name in names:
+        monkeypatch.setattr(module, name, _spy(calls[name], getattr(module, name)))
+    certs = _enumerated(monkeypatch, "--n-min", str(n), "--n-max", str(n), "--all", "--normalize")
+    assert [len(calls[name]) for name in names] == [ms, ms, families, families]
+    assert [w for w, in calls["splitting"]] == list({id(c.family.w): c.family.w for c in certs}.values())
+    for a, b in zip(certs, certs[1:]):
+        same = a.family.w is b.family.w
+        assert (a.splitting is b.splitting, a.infinite_witness is b.infinite_witness) == (same, same)
+
+
+def test_weight_claims_are_stored_per_instance_not_per_value(monkeypatch):
+    module = sys.modules[CERTIFY_MODULE]
+    splits, witnesses = [], []
+    monkeypatch.setattr(module, "splitting", _spy(splits, splitting))
+    monkeypatch.setattr(module, "find_infinite_character", _spy(witnesses, find_infinite_character))
+    first = certify(standard_family(7))
+    sibling = certify(FamilyData(first.family.w, (1, 2, 4)))
+    twin = certify(standard_family(7))  # an equal WeightTuple, built apart
+    assert first.family.w == twin.family.w and first.family.w is not twin.family.w
+    assert len(splits) == len(witnesses) == 2
+    assert sibling.splitting is first.splitting and sibling.infinite_witness is first.infinite_witness
+    assert twin.splitting == first.splitting and twin.splitting is not first.splitting
+    assert twin.infinite_witness == first.infinite_witness and twin.infinite_witness is not first.infinite_witness
+
+
+def test_family_text_is_the_json_encoding_of_every_walked_family():
+    walked = [f for n in range(5, 14) for f in iter_admissible_families(n)]
+    normalized = [f for n in range(23, 32) for f in iter_canonical_families(n)]
+    assert (len(walked), len(normalized)) == (20244, 8524)
+    for f in walked + normalized:
+        assert records.family_text(f) == json.dumps({"n": f.n, "m": list(f.w.m), "base_weights": list(f.base_weights)})
+
+
 # per non-family Certificate field, a value that the walks' certificates never hold
 STALE_TEXT_CASES = {
     "admissibility_reason": lambda c: "injected reason",
@@ -536,6 +582,18 @@ def test_certify_broken_consequence_exits2(monkeypatch, case):
     assert cli.main(["certify", "-n", "7", "-m", "1,1,1,4", "--nw", "1,1,5"], out=out, err=err) == 2
     assert out.getvalue() == ""
     assert err.getvalue().startswith("error: internal: ")
+
+
+@pytest.mark.parametrize("case", list(BROKEN_CONSEQUENCES))
+def test_enumerate_broken_consequence_exits2(monkeypatch, case):
+    # a check made once per WeightTuple still stops enumerate before its first line
+    patches, _, message = BROKEN_CONSEQUENCES[case]
+    for name, replacement in patches.items():
+        monkeypatch.setattr(f"{CERTIFY_MODULE}.{name}", replacement)
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.main(["enumerate", "--n-min", "7", "--n-max", "7", "--all", "--normalize"], out=out, err=err) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: internal: ") and re.search(message, err.getvalue())
 
 
 def test_certify_oracle_inconclusive_has_no_agreement():

@@ -326,6 +326,7 @@ def test_closure_bounds_below_one_exit1(argv, flag):
         ["enumerate", "--n-min", "5", "--n-max", "7", "--all", "--normalize"],
         ["oracle", "-n", "5", "-m", "1,1,1,2", "-j", "2"],  # indefinite, qx != 1
         ["enumerate", "--n-min", "11", "--n-max", "11", "--all"],  # 120 m, up to 45 families sharing one text
+        ["enumerate", "--n-min", "13", "--n-max", "13", "--all", "--normalize"],  # weight claims shared per m
     ],
 )
 def test_output_unchanged_under_python_O(argv):

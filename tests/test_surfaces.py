@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -6,9 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fujitacert import surfaces
+from fujitacert.eigenspace import compositions, iter_weight_tuples
 from fujitacert.residues import InternalInconsistencyError
 from fujitacert.surfaces import (
     ADJACENT_PAIRS,
+    FamilyData,
     NotCoprimeTo6Error,
     admissibility_reason,
     admissible_exists,
@@ -22,7 +25,7 @@ from fujitacert.surfaces import (
     smoothness_check,
     standard_family,
 )
-from reference import least_in_orbit_families
+from reference import least_in_orbit_families, smoothness_by_label
 
 
 def _search_admissible(n):
@@ -187,7 +190,7 @@ def test_smoothness_broken_family(monkeypatch):
     assert smoothness_check(f) is False
     # a common factor of (u, v) divides each determinant with (u, v), and every divisor lies on a
     # crossing, so the crossings fail too: without crossings the order condition decides alone
-    monkeypatch.setattr(surfaces, "ADJACENT_PAIRS", ())
+    monkeypatch.setattr(surfaces, "CROSSINGS", ())
     assert smoothness_check(f) is False
     assert smoothness_check(standard_family(25)) is True
 
@@ -202,6 +205,24 @@ def test_smoothness_fails_at_crossings_alone():
     failing = [pair for pair, det in dets.items() if gcd(det, 25) != 1]
     assert failing == [("E0", "X_INF"), ("E1", "X_0")]
     assert smoothness_check(f) is False
+
+
+def test_crossings_are_the_adjacent_pairs_by_index():
+    assert [(surfaces.BRANCH_LABELS[a], surfaces.BRANCH_LABELS[b]) for a, b in surfaces.CROSSINGS] == list(ADJACENT_PAIRS)
+
+
+def test_smoothness_matches_the_labelled_reference():
+    # the tuple form against pairs by label and crossings by name: every admissible family at n <= 13 (all
+    # smooth), then every (m, nw) the constructors accept at n = 7 and 25, non-unit entries included
+    admissible = [f for n in range(5, 14) for f in iter_admissible_families(n)]
+    assert len(admissible) == 20244
+    assert all(smoothness_check(f) is smoothness_by_label(f) is True for f in admissible)
+    verdicts = Counter()
+    for n in (7, 25):
+        bws = list(compositions(n, 3))
+        for w in iter_weight_tuples(n):
+            verdicts.update((smoothness_check(f), smoothness_by_label(f)) for f in (FamilyData(w, bw) for bw in bws))
+    assert verdicts == {(True, True): 51300, (False, False): 506520}
 
 
 def test_invariants_n5():
