@@ -1,18 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n), n the level.
 
-Elements are stored in the power basis 1, x, ..., x^(phi(n)-1) modulo the
-n-th cyclotomic polynomial Phi_n, as an integer coefficient vector with a single
-positive common denominator.  This gives canonical forms (equality is
-coefficient-wise) and cheap hashing, which is what the matrix-group closure
-leans on.  Every kernel walks an element's nonzero terms (i, c), kept beside
-the coefficients once found.  One kernel, sum_of_products, forms
-a_1*b_1 + ... + a_k*b_k in O(sum t_a*t_b) integer operations, t the number of
-nonzero terms, plus one row per folded exponent >= phi(n): a sum of products
-is folded and normalized once, and a product is its one-pair case.  The one
-fold, _fold, reads a map {exponent mod n: coefficient} (x^n = 1) and rewrites
-x^k, phi(n) <= k < n, by its row of _level_context: the one table, of
-n - phi(n) rows (one row at a prime n).  Products, Galois images, shifts by
-roots of unity and inverse_one_minus_root all end in it.
+An element is its nonzero terms (i, c) in the power basis 1, x, ..., x^(phi(n)-1) modulo Phi_n,
+sorted by i, over one positive reduced denominator: a canonical form, so equality, hashing,
+negation, sums and zero tests cost O(terms), and dense coefficients are built only to print or
+look up.  sum_of_products forms a_1*b_1 + ... + a_k*b_k in O(sum t_a*t_b) integer operations,
+t the number of terms; a product is its one-pair case.  The one fold, _fold, turns exponents
+into terms: by sorting below phi(n), else in a dense buffer where x^k, phi(n) <= k < n, adds its
+row of _level_context, the one table of n - phi(n) rows (one row at a prime n).  Products,
+Galois images, shifts by roots of unity and inverse_one_minus_root all end in it.
 
 All arithmetic stays in integers.  A field inverse is a norm quotient (the
 other Galois conjugates of the numerator over its rational norm), or for 1 - y,
@@ -27,7 +22,7 @@ so a run whose signs all fall outside the band never loads it).
 
 The roots of unity in Q(zeta_n) form mu_N = {+-zeta_n^k}, N = 2n for odd n and
 n otherwise (Washington, Ex. 2.3); root_of_unity_exponent finds u with x = zeta_N^u
-by lookup, of a single +-1 coefficient or +- a folded row of _level_context.
+by lookup, of a single +-1 term or +- a folded row of _level_context.
 The monodromy closure reads its matrices' determinants this way, and so their
 classes modulo root-of-unity scalars.
 """
@@ -38,6 +33,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import itemgetter
 
 from .residues import InternalInconsistencyError
 
@@ -92,27 +88,51 @@ def _level_context(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return deg, tuple(rows)
 
 
-def _fold(n: int, raw: dict[int, int], den: int) -> CyclotomicNumber:
-    """The element sum c*x^k / den over raw = {k: c}, 0 <= k < n, in the power basis.
+_coefficient = itemgetter(1)
 
-    An exponent k < phi(n) adds c at k; k >= phi(n) adds c times row k - phi(n) of _level_context.
+
+def _fold(n: int, raw: dict[int, int] | list[int], den: int) -> CyclotomicNumber:
+    """sum c*x^k / den over raw = {k: c} or [c_0, c_1, ...], 0 <= k < 2n, den > 0, in canonical form.
+
+    A map with every exponent below phi(n) is its terms, sorted, zeros dropped.  Else, in a dense
+    list from the top down, x^k = x^(k-n) for k >= n, and x^k, k >= phi(n), adds its row c times.
     """
     deg, rows = _level_context(n)
-    out = [0] * deg
-    for k, c in raw.items():
-        if k < deg:
-            out[k] += c
+    if isinstance(raw, dict):
+        items = sorted(raw.items())
+        if not items or items[-1][0] < deg:
+            return _element(n, tuple(list(filter(_coefficient, items)) if 0 in raw.values() else items), den)
+        raw = [raw.get(k, 0) for k in range(items[-1][0] + 1)]
+    for k in range(len(raw) - 1, deg - 1, -1):
+        c = raw[k]
+        if c and k >= n:
+            raw[k - n] += c
         elif c:
             for i, r in enumerate(rows[k - deg]):
                 if r:
-                    out[i] += c * r
-    return _element(n, tuple(out), 1) if den == 1 else CyclotomicNumber(n, tuple(out), den)
+                    raw[i] += c * r
+    del raw[deg:]  # each tuple of terms is made from a list: tuple(iterator) is sized 10, then shrunk
+    return _element(n, tuple(list(filter(_coefficient, enumerate(raw)))), den)
+
+
+def _element(level: int, terms: tuple[tuple[int, int], ...], den: int) -> CyclotomicNumber:
+    """terms / den, terms sorted with nonzero coefficients and den > 0, divided into lowest terms."""
+    if den != 1:
+        g = gcd(den, *[c for _, c in terms])
+        if g > 1:
+            terms, den = tuple([(i, c // g) for i, c in terms]), den // g
+    x = object.__new__(CyclotomicNumber)
+    x.level, x.terms, x.den, x._hash = level, terms, den, None
+    return x
 
 
 class CyclotomicNumber:
-    """An element of Q(zeta_n) in canonical reduced form."""
+    """An element of Q(zeta_n): terms, the pairs (i, c), i < phi(n), c != 0, in increasing i, over den.
 
-    __slots__ = ("level", "num", "den", "_hash", "_terms")
+    den > 0 is prime to every c, so the form is canonical; num, the dense vector, is a view.
+    """
+
+    __slots__ = ("level", "terms", "den", "_hash")
 
     def __init__(self, level: int, num: tuple[int, ...], den: int = 1):
         deg, _ = _level_context(level)
@@ -120,61 +140,52 @@ class CyclotomicNumber:
             raise ValueError(f"need {deg} coefficients for level {level}, got {len(num)}")
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        if den != 1:
-            if den < 0:
-                num = tuple(-c for c in num)
-                den = -den
-            g = gcd(den, *num) if any(num) else den
-            if g > 1:
-                num = tuple(c // g for c in num)
-                den //= g
-        self.level = level
-        self.num = num
-        self.den = den
-        self._hash = self._terms = None
+        g = gcd(den, *num) * (-1 if den < 0 else 1)
+        self.level, self.den, self._hash = level, den // g, None
+        self.terms = tuple([(i, c // g) for i, c in enumerate(num) if c])
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_rational(cls, level: int, value) -> CyclotomicNumber:
         q = Fraction(value)
-        deg, _ = _level_context(level)
-        return cls(level, (q.numerator,) + (0,) * (deg - 1), q.denominator)
+        return _element(level, ((0, q.numerator),) if q else (), q.denominator)
 
     @classmethod
     def zero(cls, level: int) -> CyclotomicNumber:
-        return _element(level, (0,) * _level_context(level)[0], 1)
+        return _element(level, (), 1)
 
     @classmethod
     def one(cls, level: int) -> CyclotomicNumber:
-        return _element(level, (1,) + (0,) * (_level_context(level)[0] - 1), 1)
+        return _element(level, ((0, 1),), 1)
 
     # -- canonical form / comparisons ----------------------------------
 
     @property
-    def terms(self) -> tuple[tuple[int, int], ...]:
-        """The (i, c) with c = num[i] != 0, in order of i: the pairs every kernel walks."""
-        if self._terms is None:
-            self._terms = tuple([(i, c) for i, c in enumerate(self.num) if c])
-        return self._terms
+    def num(self) -> tuple[int, ...]:
+        """The phi(n) power-basis coefficients of the numerator, for printing and lookup."""
+        out = [0] * _level_context(self.level)[0]
+        for i, c in self.terms:
+            out[i] = c
+        return tuple(out)
 
     def coefficients(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.num)
 
     def is_zero(self) -> bool:
-        return not any(self.num)
+        return not self.terms
 
     def is_rational(self) -> bool:
-        return not any(self.num[1:])
+        return not self.terms or self.terms[-1][0] == 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        return self.level == other.level and self.den == other.den and self.num == other.num
+        return self.terms == other.terms and self.den == other.den and self.level == other.level
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.level, self.den, self.num))
+            self._hash = hash((self.level, self.den, self.terms))
         return self._hash
 
     def __repr__(self):
@@ -197,14 +208,15 @@ class CyclotomicNumber:
             return NotImplemented
         d = lcm(self.den, o.den)
         a, b = d // self.den, d // o.den
-        return CyclotomicNumber(
-            self.level, tuple(a * x + b * y for x, y in zip(self.num, o.num)), d
-        )
+        raw = {i: a * c for i, c in self.terms}
+        for i, c in o.terms:
+            raw[i] = raw.get(i, 0) + b * c
+        return _fold(self.level, raw, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> CyclotomicNumber:
-        return _element(self.level, tuple(-c for c in self.num), self.den)
+        return _element(self.level, tuple([(i, -c) for i, c in self.terms]), self.den)
 
     def __sub__(self, other) -> CyclotomicNumber:
         o = self._coerce(other)
@@ -234,7 +246,7 @@ class CyclotomicNumber:
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic zero has no inverse")
         n = self.level
-        x = CyclotomicNumber(n, self.num)
+        x = _element(n, self.terms, 1)
         cofactor = CyclotomicNumber.one(n)
         for h in range(2, n):
             if gcd(h, n) == 1:
@@ -243,7 +255,7 @@ class CyclotomicNumber:
         if norm.is_zero() or not norm.is_rational():
             raise InternalInconsistencyError(f"norm of {x!r} is {norm!r}, not a nonzero rational")
         # num, P and N(num) lie in Z[zeta], so cofactor and norm have den 1
-        return CyclotomicNumber(n, tuple(self.den * c for c in cofactor.num), norm.num[0])
+        return CyclotomicNumber(n, tuple(self.den * c for c in cofactor.num), norm.terms[0][1])
 
     # -- Galois structure -------------------------------------------------
 
@@ -256,20 +268,15 @@ class CyclotomicNumber:
 
     def conjugate(self) -> CyclotomicNumber:
         """Complex conjugation zeta -> zeta^(-1)."""
-        if self.level <= 2:
-            return self
-        return self.galois(self.level - 1)
+        return self if self.level <= 2 else self.galois(self.level - 1)
 
     def is_real(self) -> bool:
         return self == self.conjugate()
 
     def mul_zeta_power(self, k: int) -> CyclotomicNumber:
         """Fast multiplication by zeta^k (an exponent shift plus reduction)."""
-        n = self.level
-        k %= n
-        if k == 0:
-            return self
-        return _fold(n, {(i + k) % n: c for i, c in self.terms}, self.den)
+        n, k = self.level, k % self.level
+        return _fold(n, {(i + k) % n: c for i, c in self.terms}, self.den) if k else self
 
     def mul_root_of_unity(self, u: int) -> CyclotomicNumber:
         """zeta_N^u * self for the generator zeta_N of mu_N: zeta_n, or -zeta_n^((n+1)/2) at odd n.
@@ -286,8 +293,8 @@ class CyclotomicNumber:
     def root_of_unity_exponent(self) -> int | None:
         """The u in [0, N) with self = zeta_N^u (zeta_N as in mul_root_of_unity), or None.
 
-        Complete, as mu(Q(zeta_n)) = mu_N = {+-zeta_n^k : k < n}: zeta_n^k is the k-th basis
-        vector below phi(n) and a _power_rows key above; zeta_n = zeta_N^(N/n), -1 = zeta_N^(N/2).
+        Complete, as mu(Q(zeta_n)) = mu_N = {+-zeta_n^k : k < n}: zeta_n^k is the single term x^k
+        below phi(n) and a _power_rows key above; zeta_n = zeta_N^(N/n), -1 = zeta_N^(N/2).
         """
         if self.den != 1:
             return None
@@ -296,8 +303,8 @@ class CyclotomicNumber:
             ((k, c),) = self.terms
             sign = 0 if c == 1 else count // 2 if c == -1 else None
             return None if sign is None else (k * (count // n) + sign) % count
-        for num, sign in ((self.num, 0), (tuple(-c for c in self.num), count // 2)):
-            k = _power_rows(n).get(num)
+        for row, sign in ((self.num, 0), ((-self).num, count // 2)):
+            k = _power_rows(n).get(row)
             if k is not None:
                 return (k * (count // n) + sign) % count
         return None
@@ -328,39 +335,33 @@ def _power_rows(n: int) -> dict[tuple[int, ...], int]:
     return {row: deg + e for e, row in enumerate(rows)}
 
 
-def _element(level: int, num: tuple[int, ...], den: int) -> CyclotomicNumber:
-    """The element num/den, trusted canonical: phi(level) coefficients, den > 0, gcd(den, num) = 1."""
-    x = object.__new__(CyclotomicNumber)
-    x.level, x.num, x.den, x._hash, x._terms = level, num, den, None, None
-    return x
-
-
 def sum_of_products(*pairs: tuple[CyclotomicNumber, CyclotomicNumber]) -> CyclotomicNumber:
     """a_1*b_1 + ... + a_k*b_k for pairs (a_i, b_i) at one level (Cohen, GTM 138, 4.3).
 
-    Every pair's nonzero terms are multiplied into one map {exponent mod n: coefficient} at the
-    common denominator D (exponents i + k < 2*phi(n) - 1 < 2n, so one subtraction of n takes
-    them mod n), folded once by _fold, and D is normalized once; at D = 1 unchecked.
+    The pairs' terms are multiplied at the common denominator D into one buffer of exponents
+    i + k < 2n, a map if each top exponent sum is below phi(n), else a list; _fold folds it once.
     """
-    level, den = pairs[0][0].level, 1
+    level, den, top = pairs[0][0].level, 1, -1
     for a, b in pairs:
         if a.level != level or b.level != level:
             raise ValueError("mixed cyclotomic levels")
-        den = lcm(den, a.den * b.den)
-    raw: dict[int, int] = {}
+        if a.den != 1 or b.den != 1:
+            den = lcm(den, a.den * b.den)
+        if a.terms and b.terms and a.terms[-1][0] + b.terms[-1][0] > top:
+            top = a.terms[-1][0] + b.terms[-1][0]
+    dense = top >= _level_context(level)[0]
+    out = [0] * (top + 1) if dense else {}
     for a, b in pairs:
         scale, b_terms = den // (a.den * b.den), b.terms
         for i, c in a.terms:
             c *= scale
             for k, e in b_terms:
                 k += i
-                if k >= level:
-                    k -= level
-                if k in raw:
-                    raw[k] += c * e
+                if dense or k in out:
+                    out[k] += c * e
                 else:
-                    raw[k] = c * e
-    return _fold(level, raw, den)
+                    out[k] = c * e
+    return _fold(level, out, den)
 
 
 def roots_of_unity_order(level: int) -> int:
@@ -394,7 +395,7 @@ def float_error_bound(x: CyclotomicNumber) -> float:
     most 2^-53 of a partial sum bounded by S = sum|c|, and abs() by one ulp:
     S*(phi(n) + 27)*2^-53 + 2^-51 in all.
     """
-    return (sum(abs(c) for _, c in x.terms) * (len(x.num) + 32) + 8) * 2.0**-51
+    return (sum(abs(c) for _, c in x.terms) * (_level_context(x.level)[0] + 32) + 8) * 2.0**-51
 
 
 def zeta(level: int, k: int = 1) -> CyclotomicNumber:
@@ -402,8 +403,8 @@ def zeta(level: int, k: int = 1) -> CyclotomicNumber:
     k %= level
     deg, rows = _level_context(level)
     if k < deg:
-        return _element(level, tuple(int(i == k) for i in range(deg)), 1)
-    return _element(level, rows[k - deg], 1)
+        return _element(level, ((k, 1),), 1)
+    return _element(level, tuple(list(filter(_coefficient, enumerate(rows[k - deg])))), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +434,12 @@ def real_sign(x: CyclotomicNumber) -> int:
     if x.is_zero():
         return 0
     if x.is_rational():
-        return -1 if x.num[0] < 0 else 1
+        return -1 if x.terms[0][1] < 0 else 1
     if not x.is_real():
         raise NonRealElementError(f"real_sign on non-real element {x!r}")
     n = x.level
     try:
-        approx = CyclotomicNumber(n, x.num).complex_value().real
+        approx = _element(n, x.terms, 1).complex_value().real
         if abs(approx) > float_error_bound(x):
             return 1 if approx > 0 else -1
     except OverflowError:  # coefficients past the float range: the ladder alone decides

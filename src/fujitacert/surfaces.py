@@ -189,11 +189,6 @@ def inertia(f: FamilyData) -> tuple[tuple[int, int], ...]:
     )
 
 
-def branch_table(f: FamilyData) -> dict[str, tuple[int, int]]:
-    """The ten branch divisors, by label, with their (Z/n)^2 local monodromies."""
-    return dict(zip(BRANCH_LABELS, inertia(f)))
-
-
 def smoothness_check(f: FamilyData) -> bool:
     """Combinatorial smoothness: inertia of order n everywhere, full span at crossings.
 

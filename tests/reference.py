@@ -7,6 +7,7 @@ stays in a test module only where a comment there names the property that only i
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -59,6 +60,81 @@ def cyclotomic_polynomial(n):
                 raise InternalInconsistencyError("non-exact polynomial division")
             poly = out
     return tuple(poly)
+
+
+class DensePowerBasis:
+    """An element of Q(zeta_n) as all phi(n) of its power-basis coefficients, as Fractions.
+
+    The dense form the package's sparse terms replace, written without them: a sum adds whole
+    vectors, and every other map is a buffer of exponents reduced by x^n = 1 and then by long
+    division by cyclotomic_polynomial above (in integers over one common denominator).
+    """
+
+    def __init__(self, level, coeffs):
+        self.level, self.coeffs = level, tuple(Fraction(c) for c in coeffs)
+
+    @classmethod
+    def of(cls, x):
+        """The vector of a package element, read off its terms and denominator alone."""
+        coeffs = [0] * euler_phi(x.level)
+        for i, c in x.terms:
+            coeffs[i] = Fraction(c, x.den)
+        return cls(x.level, coeffs)
+
+    @classmethod
+    def reduce(cls, level, raw):
+        """sum c*x^k over raw = {k: c}, any k >= 0."""
+        phi = cyclotomic_polynomial(level)
+        deg, den = len(phi) - 1, lcm(1, *(Fraction(c).denominator for c in raw.values()))
+        buf = [0] * level
+        for k, c in raw.items():
+            buf[k % level] += int(c * den)
+        for k in range(level - 1, deg - 1, -1):  # subtract buf[k] * x^(k - deg) * Phi_n
+            c = buf[k]
+            if c:
+                for j, p in enumerate(phi):
+                    buf[k - deg + j] -= c * p
+        return cls(level, [Fraction(b, den) for b in buf[:deg]])
+
+    def items(self):
+        return {i: c for i, c in enumerate(self.coeffs) if c}
+
+    def __eq__(self, other):
+        return self.level == other.level and self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        return DensePowerBasis(self.level, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return DensePowerBasis(self.level, [-a for a in self.coeffs])
+
+    def __mul__(self, other):
+        raw = {}
+        for i, a in self.items().items():
+            for k, b in other.items().items():
+                raw[i + k] = raw.get(i + k, 0) + a * b
+        return DensePowerBasis.reduce(self.level, raw)
+
+    def exponent_map(self, f):
+        """sum c*x^f(i) over the terms c*x^i: a Galois image or a shift."""
+        raw = {}
+        for i, c in self.items().items():
+            raw[f(i)] = raw.get(f(i), 0) + c
+        return DensePowerBasis.reduce(self.level, raw)
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def is_rational(self):
+        return not any(self.coeffs[1:])
+
+    def sign(self):
+        """The sign of the value at zeta = exp(2*pi*i/n), at 60 digits, for a real element."""
+        with mpmath.workdps(60):
+            total = sum(c.numerator * mpmath.cospi(mpmath.mpf(2 * i) / self.level) / c.denominator
+                        for i, c in self.items().items())
+            assert total == 0 or abs(total) > mpmath.mpf(10) ** -40, total
+            return (total > 0) - (total < 0)
 
 
 def letters(t):

@@ -327,6 +327,8 @@ def test_closure_bounds_below_one_exit1(argv, flag):
         ["oracle", "-n", "5", "-m", "1,1,1,2", "-j", "2"],  # indefinite, qx != 1
         ["enumerate", "--n-min", "11", "--n-max", "11", "--all"],  # 120 m, up to 45 families sharing one text
         ["enumerate", "--n-min", "13", "--n-max", "13", "--all", "--normalize"],  # weight claims shared per m
+        ["certify", "-n", "91", "-m", "5,4,46,36", "--nw", "46,44,1", "--oracle"],  # composite, folded rows
+        ["certify", "-n", "97", "-m", "7,9,22,59", "--nw", "6,62,29", "--oracle"],  # prime, one dense row
     ],
 )
 def test_output_unchanged_under_python_O(argv):

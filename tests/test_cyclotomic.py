@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -29,7 +29,7 @@ from fujitacert.cyclotomic import (
 from fujitacert.monodromy import mat_det, mat_mul
 from fujitacert.residues import InternalInconsistencyError, units
 from reference import cyclotomic_polynomial as cyclotomic_polynomial_by_divisors
-from reference import euler_phi
+from reference import DensePowerBasis, euler_phi
 
 LEVELS = st.integers(min_value=2, max_value=13)
 
@@ -539,3 +539,66 @@ def test_real_sign_rejects_non_real():
     with pytest.raises(NonRealElementError):
         real_sign(zeta(5))
 
+
+def _assert_matches_dense_reference(level, rng, count, roots=None):
+    """The sparse kernels against DensePowerBasis on seeded elements, many with exponents >= phi(n)."""
+    deg = euler_phi(level)
+    dense, xs = [], []
+    for _ in range(count):
+        raw = {rng.randrange(2 * level): rng.choice([-3, -2, -1, 1, 2, 5]) for _ in range(rng.randint(0, 4))}
+        den = rng.choice([1, 1, 2, 3, 6])
+        d = DensePowerBasis.reduce(level, {k: Fraction(c, den) for k, c in raw.items()})
+        common = lcm(1, *(c.denominator for c in d.coeffs))
+        x = CyclotomicNumber(level, tuple(int(c * common) for c in d.coeffs), common)
+        y = sum((c * zeta(level, k) for k, c in raw.items()), CyclotomicNumber.zero(level)) * Fraction(1, den)
+        assert x == y and hash(x) == hash(y), (level, raw, den)  # two routes, one canonical form
+        dense.append(d)
+        xs.append(x)
+    for x, d in zip(xs, dense):
+        assert x.den > 0 and gcd(x.den, *(c for _, c in x.terms)) == 1
+        assert [i for i, _ in x.terms] == sorted({i for i, _ in x.terms}) and all(c for _, c in x.terms)
+        assert DensePowerBasis.of(x) == d and x.coefficients() == d.coeffs and len(x.num) == deg
+        assert (x.is_zero(), x.is_rational()) == (d.is_zero(), d.is_rational())
+        assert DensePowerBasis.of(-x) == -d
+        third = x * Fraction(1, 3)  # the same terms as x whenever 3 divides no coefficient
+        assert (third == x) == d.is_zero()
+        assert DensePowerBasis.of(third) == DensePowerBasis(level, [c / 3 for c in d.coeffs])
+        h = next(h for h in (rng.randrange(1, level + 1), 1) if gcd(h, level) == 1)
+        assert DensePowerBasis.of(x.galois(h)) == d.exponent_map(lambda i: i * h)
+        assert DensePowerBasis.of(x.conjugate()) == d.exponent_map(lambda i: -i % level)
+        k = rng.randrange(3 * level)
+        assert DensePowerBasis.of(x.mul_zeta_power(k)) == d.exponent_map(lambda i: i + k)
+        u = rng.randrange(cyclotomic.roots_of_unity_order(level))
+        root = DensePowerBasis.reduce(level, {u * (level + 1) // 2: (-1) ** u} if level % 2 else {u: 1})
+        assert DensePowerBasis.of(x.mul_root_of_unity(u)) == d * root
+        if roots is not None:
+            assert x.root_of_unity_exponent() == roots.get(d.coeffs), x
+        real = x + x.conjugate()
+        assert real_sign(real) == (DensePowerBasis.of(real)).sign()
+        assert real_sign(x * x.conjugate()) == (0 if d.is_zero() else 1)
+    for (a, da), (b, db), (c, dc) in zip(zip(xs, dense), zip(xs[1:], dense[1:]), zip(xs[2:], dense[2:])):
+        assert DensePowerBasis.of(a + b) == da + db
+        assert DensePowerBasis.of(a - b) == da + -db
+        assert DensePowerBasis.of(a * b) == da * db
+        assert DensePowerBasis.of(sum_of_products((a, b), (c, -a), (b, c))) == da * db + -(dc * da) + db * dc
+        assert (a == b) == (da == db) and (a * b == b * a) and hash(a * b) == hash(b * a)
+        assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 7, 9, 10, 11, 12, 13, 15, 21, 29, 30, 35, 91, 97])
+def test_sparse_form_matches_dense_power_basis_reference(level):
+    # prime and composite levels; exponents drawn below 2n, so most elements and products fold
+    _assert_matches_dense_reference(level, random.Random(level), 12, _roots_of_unity_reference(level))
+
+
+@pytest.mark.parametrize("level", [1001, 4001])
+def test_sparse_form_matches_dense_power_basis_reference_at_large_levels(level):
+    # spot checks: a few elements, and the roots of unity checked one exponent at a time
+    _assert_matches_dense_reference(level, random.Random(level), 3)
+    count = cyclotomic.roots_of_unity_order(level)
+    for u in (1, level - 1, count // 2 + 1, count - 3):
+        root = CyclotomicNumber.one(level).mul_root_of_unity(u)
+        k, sign = (u * (level + 1) // 2, (-1) ** u) if level % 2 else (u, 1)
+        assert DensePowerBasis.of(root) == DensePowerBasis.reduce(level, {k: sign})
+        assert root.root_of_unity_exponent() == u and (-root).root_of_unity_exponent() == (u + count // 2) % count
+        assert (root * 2).root_of_unity_exponent() is None

@@ -998,6 +998,36 @@ def test_form_at_certificate_levels():
     assert kinds == {(1, 1): 94, (2, 0): 24, (0, 2): 32}
 
 
+def _random_character(rng, n_min, n_max):
+    """A uniform level in [n_min, n_max], weights with sum n and gcd 1, and a character j."""
+    while True:
+        n = rng.randint(n_min, n_max)
+        cuts = sorted(rng.sample(range(1, n), 3))
+        m = tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))  # four parts, each <= n - 3
+        if gcd(*m, n) == 1:
+            return WeightTuple(n, m), rng.randrange(1, n)
+
+
+def test_routes_agree_at_certificate_levels():
+    # the criterion route and the oracle route at the levels certificates are issued: a seeded
+    # uniform sample until 150 characters are irreducible, then a stratum of 6 the criterion
+    # calls FINITE (rare in a uniform draw); the oracle decides each on its own
+    rng, seen = random.Random(7), Counter()
+    while seen["irreducible"] < 150 or seen[Finiteness.FINITE] < 6:
+        w, j = _random_character(rng, 13, 400)
+        irreducible = is_irreducible(w, j)
+        if seen["irreducible"] >= 150 and not (irreducible and finiteness_by_signature(w, j).kind is Finiteness.FINITE):
+            continue
+        t = triple_from_weights(w, j)
+        assert has_common_eigenvector(t) is not irreducible, (w, j)
+        seen["irreducible" if irreducible else "reducible"] += 1
+        if irreducible:
+            kind = group_closure(t).kind
+            assert agreement(finiteness_by_signature(w, j).kind, kind), (w, j, kind)
+            seen[kind] += 1
+    assert seen == {"irreducible": 156, "reducible": 6, Finiteness.INFINITE: 150, Finiteness.FINITE: 6}
+
+
 # ---------------------------------------------------------------------------
 # the simple argument: the witness trace in closed form
 

@@ -11,14 +11,15 @@ from fujitacert.eigenspace import compositions, iter_weight_tuples
 from fujitacert.residues import InternalInconsistencyError
 from fujitacert.surfaces import (
     ADJACENT_PAIRS,
+    BRANCH_LABELS,
     FamilyData,
     NotCoprimeTo6Error,
     admissibility_reason,
     admissible_exists,
-    branch_table,
     canonical_family,
     family,
     family_orbit,
+    inertia,
     invariants,
     iter_admissible_families,
     iter_canonical_families,
@@ -120,13 +121,13 @@ def test_standard_family_admissible(n):
 
 def test_branch_table_values():
     f5 = standard_family(5)
-    table = branch_table(f5)
+    table = dict(zip(BRANCH_LABELS, inertia(f5)))
     assert table["E2"] == (3, 3)
     assert table["Y_INF"] == (1, 0)
     assert table["X_INF"] == (3, 1)  # (n - m3, n0) = (5-2, 1)
     assert table["X_0"] == (0, 1)
     f7 = standard_family(7)
-    t7 = branch_table(f7)
+    t7 = dict(zip(BRANCH_LABELS, inertia(f7)))
     assert t7["X_INF"] == (3, 1)
     assert t7["DELTA"] == (4, 0)
 
@@ -135,7 +136,7 @@ def test_branch_table_values():
 def test_delta_second_coordinate_zero(n):
     if gcd(n, 6) != 1:
         return
-    table = branch_table(standard_family(n))
+    table = dict(zip(BRANCH_LABELS, inertia(standard_family(n))))
     assert table["DELTA"][1] == 0
     assert table["DELTA"][0] == n - 3
 
@@ -156,7 +157,7 @@ def test_adjacency_is_the_fifteen_pairs():
     }
     assert all(frozenset(p) not in gone for p in ADJACENT_PAIRS)
     # the pairs name exactly the ten divisors of the branch table: each lies on some crossing
-    assert set(degree) == set(branch_table(standard_family(5)))
+    assert set(degree) == set(dict(zip(BRANCH_LABELS, inertia(standard_family(5)))))
 
 
 def test_adjacency_that_is_not_the_petersen_graph_is_refused(monkeypatch):
@@ -175,7 +176,7 @@ def test_smoothness_standard_families():
 def test_smoothness_e0_xinf_pair_needs_m0_plus_m3():
     # det for {E0, X_INF} is n0*(m0+m3) mod n: fails exactly when m0+m3 is a non-unit
     f = family(25, (1, 7, 10, 7), (1, 1, 23))  # m0+m3 = 8, unit; but m2 = 10 non-unit
-    table = branch_table(f)
+    table = dict(zip(BRANCH_LABELS, inertia(f)))
     (u1, v1) = table["E0"]
     (u2, v2) = table["X_INF"]
     det = (u1 * v2 - u2 * v1) % 25
@@ -186,7 +187,7 @@ def test_smoothness_e0_xinf_pair_needs_m0_plus_m3():
 def test_smoothness_broken_family(monkeypatch):
     # non-unit first coordinate with zero second: order of (5,0) mod 25 is 5 < n
     f = family(25, (5, 1, 9, 10), (1, 1, 23))
-    assert branch_table(f)["Y_INF"] == (5, 0)
+    assert dict(zip(BRANCH_LABELS, inertia(f)))["Y_INF"] == (5, 0)
     assert smoothness_check(f) is False
     # a common factor of (u, v) divides each determinant with (u, v), and every divisor lies on a
     # crossing, so the crossings fail too: without crossings the order condition decides alone
@@ -198,7 +199,7 @@ def test_smoothness_broken_family(monkeypatch):
 def test_smoothness_fails_at_crossings_alone():
     # every inertia element has order 25, but m0 + m3 = m1 + m3 = 5 is not a unit
     f = family(25, (1, 1, 19, 4), (1, 1, 23))
-    table = branch_table(f)
+    table = dict(zip(BRANCH_LABELS, inertia(f)))
     assert all(gcd(gcd(u, v), 25) == 1 for u, v in table.values())
     # det(E0, X_INF) = n0*(m0 + m3) and det(E1, X_0) = n1*(m1 + m3)
     dets = {(a, b): table[a][0] * table[b][1] - table[b][0] * table[a][1] for a, b in ADJACENT_PAIRS}
