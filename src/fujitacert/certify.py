@@ -9,8 +9,8 @@ unit conjugate carrying an indefinite form, which forces the flat summand's
 monodromy to be infinite.  Admissibility is the one gate: every other claim
 follows from it and is checked, so an admissible family is a counterexample
 to the semiampleness question and an inadmissible one NOT_CERTIFIED.
-The splitting and the Shimura count both read the sigma table the WeightTuple caches
-(one sigma_table pass: j <= n/2, mirrored, each sigma checked), which the families of one m share.
+The splitting and the Shimura count both read the sigma table the WeightTuple caches (one fused pass
+over j <= n/2, degenerate j marked by divisibility, mirrored, each sigma checked), shared by one m's families.
 """
 
 from __future__ import annotations

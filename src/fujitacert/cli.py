@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import signal
 import sys
 from functools import cache
 from math import gcd
@@ -348,6 +349,8 @@ def main(argv=None, out=None, err=None) -> int:
 
 
 def entrypoint() -> None:
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the run quietly, as for other Unix filters
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

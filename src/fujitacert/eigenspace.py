@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd
-from operator import add
+from operator import add, sub
 from typing import NamedTuple
 
 from .residues import InternalInconsistencyError, check_modulus, is_unit
@@ -117,7 +117,7 @@ def compositions(n: int, k: int):
     """Tuples of k positive integers summing to n >= 1, in lexicographic order."""
     # cut points of [0, n] taken in lexicographic order give the parts in that order
     for cuts in itertools.combinations(range(1, n), k - 1):
-        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
+        yield tuple(map(sub, (*cuts, n), (0, *cuts)))
 
 
 def iter_weight_tuples(n: int):
@@ -187,15 +187,18 @@ def signature(w: ResidueWeights, j: int) -> tuple[int, int]:
 def sigma_table(w: ResidueWeights) -> list[int]:
     """sigma_j for j = 1 .. n-1 from one integer pass over j <= n/2; 0 marks a degenerate character.
 
-    If r = [m_i * j] != 0, then m_i * (n - j) = -r mod n and 0 < r < n give [m_i * (n - j)] = n - r;
-    if r = 0, so is [m_i * (n - j)].  Summed: sigma_{n-j} = 4n - sigma_j, 0 mirrors to 0, and at
-    even n, j = n/2 is its own mirror.  Any m obeys this, so a bad sigma keeps its true value, at
-    the least bad j <= n/2.  Any entry outside {0, n, 2n, 3n} raises InternalInconsistencyError.
+    The pass sums the four [m_i * j] as it makes them; n | m_i * j iff n / gcd(m_i, n) divides j, so the
+    degenerate characters of each m_i are one slice (step 1 at a residue 0).  If r = [m_i * j] != 0, then
+    m_i * (n - j) = -r mod n and 0 < r < n give [m_i * (n - j)] = n - r; if r = 0, so is [m_i * (n - j)].
+    Summed: sigma_{n-j} = 4n - sigma_j, 0 mirrors to 0, and at even n, j = n/2 is its own mirror.  Any m
+    obeys this, so a bad sigma keeps its true value, at the least bad j <= n/2.  Any entry outside
+    {0, n, 2n, 3n} raises InternalInconsistencyError.
     """
-    n = w.n
-    # row i holds [m_i * j] for j = 1 .. n // 2; range(mi, ..., mi) would raise at a residue mi = 0
-    rows = [[x % n for x in itertools.islice(itertools.count(mi, mi), n // 2)] for mi in w.m]
-    table = [a + b + c + d if a and b and c and d else 0 for a, b, c, d in zip(*rows)]
+    n, half, (a, b, c, d) = w.n, w.n // 2, w.m
+    table = [a * j % n + b * j % n + c * j % n + d * j % n for j in range(1, half + 1)]
+    for mi in w.m:
+        step = n // gcd(mi, n)
+        table[step - 1 :: step] = [0] * (half // step)
     table += [4 * n - s if s else 0 for s in reversed(table[: (n - 1) // 2])]
     allowed = {0, n, 2 * n, 3 * n}
     if not allowed.issuperset(table):

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, prod
 
 from .eigenspace import WeightTuple, compositions
 from .residues import InternalInconsistencyError, units
@@ -112,9 +112,9 @@ def standard_family(n: int) -> FamilyData:
 
 
 def _admissible_parts(n: int) -> tuple[list, list]:
-    """Admissible m and unit base weights for this n, each in increasing order."""
+    """Admissible m and unit base weights for this n, each in increasing order (four parts > 0 give m_i + m_3 < n)."""
     unit = set(units(n)).issuperset
-    ms = [m for m in compositions(n, 4) if unit(m) and unit((m[i] + m[3]) % n for i in range(3))]
+    ms = [m for m in compositions(n, 4) if unit(m) and unit((m[0] + m[3], m[1] + m[3], m[2] + m[3]))]
     return ms, [bw for bw in compositions(n, 3) if unit(bw)]
 
 
@@ -192,22 +192,21 @@ def inertia(f: FamilyData) -> tuple[tuple[int, int], ...]:
 def smoothness_check(f: FamilyData) -> bool:
     """Combinatorial smoothness: inertia of order n everywhere, full span at crossings.
 
-    (i) each divisor's monodromy (u, v) has exact order n in (Z/n)^2, i.e.
-    gcd(u, v, n) = 1; (ii) for every intersecting pair the 2x2 determinant of
-    the two monodromies is a unit mod n, i.e. the pair generates (Z/n)^2.
+    (i) each divisor's monodromy (u, v) has exact order n in (Z/n)^2, i.e. gcd(u, v, n) = 1; (ii) for every
+    intersecting pair the 2x2 determinant of the two monodromies is a unit mod n, i.e. the pair generates
+    (Z/n)^2.  All 25 quantities are computed; (ii) is tested as gcd(prod det, n) = 1, true iff each det is a unit.
 
-    Admissibility implies both.  (i): each monodromy has a coordinate that is
-    an admissible unit, m_j for the y-lines and DELTA, n_i for the x-lines and
-    E_i.  (ii): each of the 15 determinants is +- a product of two admissible
-    units, -m_j*n_i at the six x-line/y-line crossings and at each E_i with its
-    y-line and with DELTA, and n_i*(m_i + m_3) at E0.X_INF, E1.X_0 and E2.X_1.
-    So certify checks it on every admissible family as an implication, not a gate.
+    Admissibility implies both.  (i): each monodromy has a coordinate that is an admissible unit, m_j for the
+    y-lines and DELTA, n_i for the x-lines and E_i.  (ii): each of the 15 determinants is +- a product of two
+    admissible units, -m_j*n_i at the six x-line/y-line crossings and at each E_i with its y-line and with
+    DELTA, and n_i*(m_i + m_3) at E0.X_INF, E1.X_0 and E2.X_1.  So certify checks it on every admissible
+    family as an implication, not a gate.
     """
     n = f.n
     t = inertia(f)
-    return all(gcd(u, v, n) == 1 for u, v in t) and all(
-        gcd(t[a][0] * t[b][1] - t[b][0] * t[a][1], n) == 1 for a, b in CROSSINGS
-    )
+    orders = [gcd(u, v, n) for u, v in t]
+    dets = [t[a][0] * t[b][1] - t[b][0] * t[a][1] for a, b in CROSSINGS]
+    return max(orders) == 1 and gcd(prod(dets), n) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +274,7 @@ def invariants(n: int) -> SurfaceInvariants:
 def _images(n: int, hs, xs) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     """For each permutation p of the first three places, the p(h*xs) over units h with sum n."""
     # rescaling commutes with permuting, so xs is rescaled once and then permuted
-    hxs = [hx for hx in (tuple(h * x % n for x in xs) for h in hs) if sum(hx) == n]
+    hxs = [hx for hx in (tuple([h * x % n for x in xs]) for h in hs) if sum(hx) == n]
     return {p: [(hx[p[0]], hx[p[1]], hx[p[2]], *hx[3:]) for hx in hxs] for p in itertools.permutations(range(3))}
 
 

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -361,6 +362,24 @@ def test_package_root_holds_only_zeta():
     argv = ["certify", "-n", "7", "-m", "1,1,1,4", "--nw", "1,1,5"]
     run = subprocess.run([sys.executable, "-m", "fujitacert.cli", *argv], env=env, capture_output=True, text=True, check=False)
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_the_entrypoint_quietly():
+    # a reader that stops early, as `| head` does: no BrokenPipeError traceback and not exit 1 (bad input)
+    import fujitacert
+
+    env = dict(os.environ, PYTHONPATH=str(Path(fujitacert.__file__).parents[1]))
+    argv = ["enumerate", "--n-min", "5", "--n-max", "40", "--all"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "fujitacert.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert proc.stdout.readline().startswith(b'{"schema_version"')
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        returncode = proc.wait(timeout=120)
+    assert stderr == b""
+    assert returncode == -signal.SIGPIPE
 
 
 def test_package_has_no_assert_statements():

@@ -1,4 +1,5 @@
 import itertools
+import random
 import types
 from fractions import Fraction
 from math import gcd
@@ -263,6 +264,23 @@ def test_sigma_table_matches_sigma_sum_at_large_levels():
     assert (min(degenerate), max(degenerate), len(degenerate)) == (455, n - 455, 4 + 6 + 10)
     assert [table[5002] for table in tables[2:4]] == [0, 2 * 10006]
     assert tables[4] == [0] * (n - 1)
+
+
+def test_sigma_table_matches_sigma_sum_at_mid_levels():
+    # seeded residue systems at 14 <= n <= 400, residues from [0, n): each m_i's degenerate
+    # characters are the multiples of n / gcd(m_i, n), one slice of the half table
+    rng = random.Random(35)
+    systems = []
+    for _ in range(200):
+        n = rng.randrange(14, 401)
+        m = [rng.randrange(n) for _ in range(3)]
+        systems.append(ResidueWeights(n, (*m, -sum(m) % n)))
+    for w in systems:
+        assert sigma_table(w) == [_sigma_or_zero(w, j) for j in range(1, w.n)], w
+    assert any(0 in w.m for w in systems)
+    assert any(1 < gcd(mi, w.n) < w.n for w in systems for mi in w.m)
+    assert any(w.n % 2 == 0 and _sigma_or_zero(w, w.n // 2) for w in systems)
+    assert any(w.n % 2 == 0 and not _sigma_or_zero(w, w.n // 2) for w in systems)
 
 
 def test_eigenspace_table_matches_per_character_reports():
