@@ -12,10 +12,10 @@ Two independent routes decide (ir)reducibility and (in)finiteness:
   generators, then the letters' pairs a*b with one word of each reversed
   pair tested, then one breadth-first walk of the group modulo its
   root-of-unity scalars, multiplying class keys by letters normalized to a
-  determinant exponent 0 or 1 and skipping the products that g0*g1*ginf = 1
-  makes 1 or a letter, which gives the exact order as |G/Z| * |Z|;
-  Kronecker's theorem tests each element for finite order), and an exactly
-  solved invariant Hermitian form.
+  determinant exponent 0 or 1, which gives the exact order as |G/Z| * |Z|;
+  both skip the products that g0*g1*ginf = 1 makes 1 or a letter, and an
+  exact identity on the eigenvalues, else Kronecker's theorem, tests each
+  element for finite order), and an exactly solved invariant Hermitian form.
 
 The oracle divides once, by 1 - y for a root of unity y (a sum of shifts), in
 the form's closed-form solve; companion inverses are closed forms, walk
@@ -29,6 +29,7 @@ severity invariant; neither side may be shortcut through the other.
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
@@ -271,28 +272,54 @@ def _half_units(level: int) -> tuple[int, ...]:
     return tuple(h for h in range(1, level // 2 + 1) if gcd(h, level) == 1)
 
 
-def has_finite_order(m: Mat, level: int) -> bool:
-    """Exact finite-order test for a 2x2 matrix over Q(zeta_level), by Kronecker.
+def _root(level: int, v: int) -> CyclotomicNumber:
+    """zeta_N^v by inverse_one_minus_root's map: zeta_n^v at even n, (-1)^v * zeta_n^(v(n+1)/2) at odd n."""
+    x = zeta(level, v * (level + 1) // 2 if level % 2 else v)
+    return -x if level % 2 and v % 2 else x
 
-    A scalar has finite order iff it is a root of unity.  A non-scalar matrix
-    with trace t and determinant d has finite order iff d is a root of unity,
-    t is integral, t = d*conj(t), and |sigma_h(t)| < 2 for every unit h.  Each
-    condition is necessary, since a non-scalar matrix of finite order has two
-    distinct roots of unity as eigenvalues.  Together they put the eigenvalues
-    at every embedding at sqrt(d) times a distinct conjugate pair on the unit
-    circle, so the eigenvalues are algebraic integers with all conjugates of
-    modulus 1 - roots of unity - and distinct, so the matrix is semisimple.
-    d = zeta_N^u is found by lookup, so t = d*conj(t) is a shift of conj(t).
-    Of each pair {h, n-h} only h is tested, as sigma_{n-h}(t) = conj(sigma_h(t)).
-    |sigma_h(t)| is compared with 2 in floating point outside the rigorous error
-    band, and inside it (or past the float range) by the exact sign of the real
-    number sigma_h(t*conj(t)) - 4.
+
+def _eigenvalue_guess(t: CyclotomicNumber, u: int) -> tuple[int | None, int | None]:
+    """(b, k) for has_finite_order's identities (a), (b), from floats at zeta -> exp(2*pi*i/n): zeta_N^b nearest
+    an eigenvalue of x^2 - t*x + zeta_N^u, k nearest q = t^2 / zeta_N^u, each None past the float range or
+    where e = float_error_bound(t) refutes it ((a) puts t within e of the float sum, (b) q within (2|t| + 1)*e)."""
+    turn = 2 * cmath.pi / roots_of_unity_order(t.level)
+    try:
+        t1, d1, err = t.complex_value(), cmath.exp(1j * turn * u), float_error_bound(t)
+        b, q = round(cmath.phase(t1 + cmath.sqrt(t1 * t1 - 4 * d1)) / turn), t1 * t1 / d1
+        k = round(q.real)
+    except (OverflowError, ValueError):  # past the float range, or a nan to round
+        return None, None
+    root = cmath.exp(1j * turn * b)
+    return (b if abs(t1 - root - d1 / root) <= err else None,
+            k if 0 <= k <= 3 and abs(q - k) <= (2 * abs(t1) + 1) * err else None)
+
+
+def has_finite_order(m: Mat, level: int) -> bool:
+    """Exact finite-order test for a 2x2 matrix over Q(zeta_level): exact eigenvalues, else Kronecker.
+
+    A scalar has finite order iff it is a root of unity; a non-scalar matrix iff its eigenvalues are distinct
+    roots of unity, so d = det = zeta_N^u (by lookup) and t = trace is integral.  With (b, k) from
+    _eigenvalue_guess: (a) t = zeta_N^b + zeta_N^(u-b) makes these the eigenvalues, distinct iff 2b != u
+    mod N; (b) t^2 = k*d, k <= 3, makes their ratio rho satisfy rho + 1/rho = k - 2, so rho has order 2,
+    3, 4 or 6 and the eigenvalues, distinct, have squares d*rho^+-1: roots of unity.  A wrong guess falls
+    through; a right one leaves only infinite orders: an eigenvalue lambda in Q(zeta_n) is in mu_N
+    (Washington, Ex. 2.3), which is (a); else rho = lambda/(t - lambda) is not in Q(zeta_n) unless
+    rho = -1 (t = 0), but rho + 1/rho = t^2/d - 2 is, so Q(zeta_M)+ has a smaller conductor than
+    Q(zeta_M), M the order of rho: M is 3, 4 or 6, which is (b).  The fallback is Kronecker's theorem:
+    t = d*conj(t) and |sigma_h(t)| < 2 at every unit h put the eigenvalues, at every embedding, at sqrt(d)
+    times a distinct conjugate pair on the unit circle.  Only h of {h, n-h} is tested (sigma_{n-h}(t) =
+    conj(sigma_h(t))), in floats outside the rigorous error band, else by the exact sign of sigma_h(t*conj(t)) - 4.
     """
     if m[0][1].is_zero() and m[1][0].is_zero() and m[0][0] == m[1][1]:  # a scalar
         return m[0][0].root_of_unity_exponent() is not None
-    t, u = mat_trace(m), mat_det(m).root_of_unity_exponent()
+    t, u = mat_trace(m), (d := mat_det(m)).root_of_unity_exponent()
     if t.den != 1 or u is None:
         return False
+    b, k = _eigenvalue_guess(t, u)
+    if b is not None and t == _root(level, b) + _root(level, u - b):
+        return (2 * b - u) % roots_of_unity_order(level) != 0
+    if k is not None and sum_of_products((t, t)).terms == tuple((i, k * c) for i, c in d.terms if k):  # t^2 = k*d
+        return True
     t_bar = t.conjugate()
     if t != t_bar.mul_root_of_unity(u):
         return False
@@ -396,20 +423,20 @@ def group_closure(
     otherwise FINITE with the exact group order if it is at most cap; otherwise INCONCLUSIVE.
 
     Every INFINITE witness met so far (n <= 12, certify --oracle) has length <= 2, so these words
-    are tested first: g0, g1 and ginf, then each product a*b of letters with b not before a that is
-    not 1, a letter or an earlier product.  The other letters are their inverses; g^-1 has the order
-    of g and b*a = a^-1*(a*b)*a that of a*b, so the first infinite-order word is the one a walk
-    testing every word finds.  Without a witness there, the class walk visits the classes of G
-    modulo the scalars mu_N * I (mu_N: the roots of unity of Q(zeta_n)), keyed through the
-    determinants (a letter's is a root of unity, as it or its inverse passed the test), and tests
-    the longer words.  Finite order is unchanged by a root-of-unity scalar, so the first
-    infinite-order element is first in its class, and the class walk reaches it by the same word
-    (as its class key).  A product meeting a known class as zeta_N^d times it puts zeta_N^d * I in
-    G; once the walk closes these are the Schreier generators of the scalars Z of G, so
-    |Z| = N / gcd(N, every d) and |G| = |G/Z| * |Z|, |G/Z| the number of classes.  A product the
-    walk skips equals a shorter one by g0*g1*ginf = 1, so its d was met before and every gcd is
-    the same.  The walk stops at a witness, or once it is past max_word_len and the classes times
-    the |Z| found so far exceed cap.
+    are tested first: g0, g1 and ginf, then each new product a*b of letters with b not before a but
+    for the pairs g0*g1*ginf = 1 makes 1 or a letter (_RELATION_PAIRS, skipped before multiplying).
+    The other letters are their inverses; g^-1 has the order of g and b*a = a^-1*(a*b)*a that of
+    a*b, so the first infinite-order word is the one a walk testing every word finds.  Without a
+    witness there, the class walk visits the classes of G modulo the scalars mu_N * I (mu_N: the
+    roots of unity of Q(zeta_n)), keyed through the determinants (a letter's is a root of unity, as
+    it or its inverse passed the test), and tests the longer words.  Finite order is unchanged by a
+    root-of-unity scalar, so the first infinite-order element is first in its class, and the class
+    walk reaches it by the same word (as its class key).  A product meeting a known class as
+    zeta_N^d times it puts zeta_N^d * I in G; once the walk closes these are the Schreier generators
+    of the scalars Z of G, so |Z| = N / gcd(N, every d) and |G| = |G/Z| * |Z|, |G/Z| the number of
+    classes.  A product the walk skips equals a shorter one by g0*g1*ginf = 1, so its d was met
+    before and every gcd is the same.  The walk stops at a witness, or once it is past max_word_len
+    and the classes times the |Z| found so far exceed cap.  Each test is has_finite_order's.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -426,8 +453,11 @@ def group_closure(
     letters, alias = _letters(t)
     if short == 2:
         seen = {mat_identity(t.level), *(g for g, _ in letters)}
+        skip = {(alias[a], alias[b]) for a, b in _RELATION_PAIRS}
         for i, (a, a_name) in enumerate(letters):
             for b, b_name in letters[i:]:
+                if (a_name, b_name) in skip:
+                    continue
                 prod = mat_mul(a, b)
                 if prod not in seen:
                     seen.add(prod)

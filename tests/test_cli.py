@@ -674,6 +674,20 @@ def test_certify_oracle_4001_digest_pinned():
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == CERTIFY_ORACLE_4001_DIGEST
 
 
+CERTIFY_ORACLE_10007_DIGEST = "ec6dc8e33adcd7d2199d6152111598eaf7b30820b3b60fc9ecf353544120f228"
+
+
+def test_certify_oracle_10007_digest_pinned():
+    # exit code and stdout of certify --oracle on the standard family at the prime n = 10007, the
+    # largest level of the abstract's series that the suite runs; the closure's finite elements are
+    # settled by has_finite_order's eigenvalue identities, not a scan of 5003 embeddings; a
+    # schema_version change must re-pin this digest
+    f = standard_family(10007)
+    m, nw = (",".join(map(str, v)) for v in (f.w.m, f.base_weights))
+    code, out, _ = run_cli(["certify", "-n", "10007", "-m", m, "--nw", nw, "--oracle"])
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == CERTIFY_ORACLE_10007_DIGEST
+
+
 AFFECTED_ARGVS = [
     "certify -n 1009 -m 1,1,1,1006 --nw 1,1,1007",
     "certify -n 10007 -m 1,1,1,10004 --nw 1,1,10005",

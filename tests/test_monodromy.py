@@ -505,8 +505,9 @@ def test_group_closure_tests_each_inverse_and_reversed_pair_once(monkeypatch):
 
 def test_group_closure_makes_one_product_per_pair_before_the_class_walk(monkeypatch):
     # before the class walk keys its first element, the closure makes the 3 letter inverses and at
-    # most one product a*b of letters per pair with b not before a
-    for w, made in [(W4, 13), (WeightTuple(6, (1, 1, 1, 3)), 24)]:
+    # most one product a*b of letters per pair with b not before a, none for a pair whose product
+    # g0*g1*ginf = 1 makes 1 or a letter (at n = 6, 15 of the 21 pairs of six distinct letters)
+    for w, made in [(W4, 7), (WeightTuple(6, (1, 1, 1, 3)), 18)]:
         t = triple_from_weights(w, 1)
         letters = [g for g, _ in _letters(t)[0]]
         pairs = {(a, b) for i, a in enumerate(letters) for b in letters[i:]}
@@ -749,7 +750,109 @@ def test_has_finite_order_past_the_float_range():
     assert has_finite_order(_mat(5, [[0, -1], [1, 1]]), 5) is True  # order 6
 
 
-@pytest.mark.parametrize("n", [25, 49, 89, 97])
+# (level, rows, finite, identity): the identity of has_finite_order that settles the matrix ("a":
+# t = zeta_N^b + zeta_N^(u-b), "b": t^2 = k*det), or None where the Kronecker test does
+CERTIFICATE_CASES = [
+    (5, [[zeta(5, 1), 0], [0, zeta(5, 3)]], True, "a"),  # distinct eigenvalues in mu_10
+    (5, [[zeta(5, 1), 1], [0, zeta(5, 1)]], False, "a"),  # repeated eigenvalue, not scalar
+    (5, [[0, -1], [1, 0]], True, "b"),  # eigenvalues +-i, not in Q(zeta_5): t = 0, k = 0
+    (5, [[0, -1], [1, -1]], True, "b"),  # order 3, eigenvalue ratio of order 3: k = 1
+    (5, [[0, -1], [1, 1]], True, "b"),  # order 6: k = 1
+    (5, [[0, -zeta(5, 2)], [1, zeta(5, 1)]], True, "b"),  # order 30, t^2 = det: k = 1
+    (5, [[0, -1], [1, 10**400]], False, None),  # past the float range
+    (12, [[zeta(12, 1), 0], [0, zeta(12, 5)]], True, "a"),  # distinct eigenvalues in mu_12
+    (12, [[zeta(12, 1), 1], [0, zeta(12, 1)]], False, "a"),  # repeated eigenvalue, not scalar
+    (12, [[-1, 1], [0, -1]], False, "a"),  # trace -2, not scalar
+    (12, [[0, -1], [1, 0]], True, "a"),  # eigenvalues +-i, in Q(zeta_12); also t = 0
+    (12, [[1, 1], [0, zeta(12, 3)]], True, "a"),  # eigenvalues 1, i: t^2 = 2*det, k = 2
+    (12, [[0, -1], [1, -1]], True, "a"),  # eigenvalues omega, omega^2: k = 1
+    (12, [[1, 1], [0, zeta(12, 2)]], True, "a"),  # eigenvalues 1, -omega^2: t^2 = 3*det, k = 3
+    (12, [[0, -zeta(12, 1)], [1, 0]], True, "b"),  # t = 0, eigenvalues +-sqrt(-zeta_12), not in Q(zeta_12)
+    (12, [[0, -1], [1, 10**400]], False, None),  # past the float range
+]
+
+
+def _settled_by(monkeypatch, m, level, guess):
+    """(verdict, whether the Kronecker scan ran) of has_finite_order with _eigenvalue_guess replaced."""
+    scanned = []
+    half_units = monodromy._half_units
+    monkeypatch.setattr(monodromy, "_half_units", lambda level: scanned.append(level) or half_units(level))
+    monkeypatch.setattr(monodromy, "_eigenvalue_guess", guess)
+    return has_finite_order(m, level), bool(scanned)
+
+
+@pytest.mark.parametrize("level, rows, finite, identity", CERTIFICATE_CASES)
+def test_eigenvalue_certificate_edge_cases(monkeypatch, level, rows, finite, identity):
+    m = _mat(level, rows)
+    assert identity is None or has_finite_order_by_power(m, level) is finite  # M^B grows past memory at 10**400
+    guess = monodromy._eigenvalue_guess
+    b, k = guess(mat_trace(m), mat_det(m).root_of_unity_exponent())
+    assert _settled_by(monkeypatch, m, level, guess) == (finite, identity is None)
+    if identity is None:
+        assert (b, k) == (None, None)
+    # either identity alone keeps the verdict, and the one named settles it without the scan
+    for alone, name in [((b, None), "a"), ((None, k), "b")]:
+        verdict, scanned = _settled_by(monkeypatch, m, level, lambda t, u: alone)
+        assert verdict is finite
+        if name == identity:
+            assert not scanned
+        elif identity == "b":  # (a) fails where (b) is named
+            assert scanned
+
+
+def test_eigenvalue_identities_k2_k3_alone(monkeypatch):
+    # at n = 12 the k = 2 and k = 3 cases above are settled by (a) first; without it, by (b)
+    for rows, k in [([[1, 1], [0, zeta(12, 3)]], 2), ([[1, 1], [0, zeta(12, 2)]], 3)]:
+        m = _mat(12, rows)
+        assert monodromy._eigenvalue_guess(mat_trace(m), mat_det(m).root_of_unity_exponent())[1] == k
+        assert _settled_by(monkeypatch, m, 12, lambda t, u: (None, k)) == (True, False)
+
+
+# the n <= 12 walk fixtures: (weights, character, words up to this length or all of a finite group)
+WALK_FIXTURES = [
+    (W4, 1, None),
+    (W5, 1, 3),
+    (WeightTuple(6, (1, 1, 1, 3)), 1, None),
+    (WeightTuple(10, (1, 1, 1, 7)), 1, None),  # order 600: eigenvalue ratios outside Q(zeta_10)
+    (WeightTuple(12, (1, 2, 7, 2)), 1, None),  # order 288
+]
+
+
+def _walk_matrices(w, j, max_len):
+    t = triple_from_weights(w, j)
+    walked = walk(t, exact_key)
+    if max_len is not None:  # an infinite group: its walk stops at no length
+        walked = itertools.takewhile(lambda step: len(step[1]) <= max_len, walked)
+    return [mat for mat, _, _ in walked], t.level
+
+
+def test_no_finite_verdict_comes_from_the_kronecker_scan(monkeypatch):
+    verdicts = Counter()
+    for w, j, max_len in WALK_FIXTURES:
+        mats, level = _walk_matrices(w, j, max_len)
+        for mat in mats:
+            finite, scanned = _settled_by(monkeypatch, mat, level, monodromy._eigenvalue_guess)
+            assert not (finite and scanned), (w, j)
+            verdicts[finite, scanned] += 1
+    assert verdicts == {(True, False): 952, (False, True): 78}  # the 78 are words of W5
+
+
+def test_wrong_eigenvalue_guesses_change_no_verdict(monkeypatch):
+    guess = monodromy._eigenvalue_guess
+
+    def wrong(t, u):
+        b, k = guess(t, u)
+        return None if b is None else b + 1, None if k is None else k + 1
+
+    for w, j, max_len in WALK_FIXTURES:
+        mats, level = _walk_matrices(w, j, max_len)
+        right = [has_finite_order(mat, level) for mat in mats]
+        monkeypatch.setattr(monodromy, "_eigenvalue_guess", wrong)
+        assert [has_finite_order(mat, level) for mat in mats] == right, (w, j)
+        monkeypatch.setattr(monodromy, "_eigenvalue_guess", guess)
+
+
+@pytest.mark.parametrize("n", [25, 35, 49, 89, 91, 97])
 def test_has_finite_order_matches_full_unit_loop_at_large_levels(n):
     # the words of length <= 2 of the certify --oracle witness triple of the standard family
     w = standard_family(n).w
@@ -785,7 +888,9 @@ def test_interval_signs_match_decimal_ladder_on_population(monkeypatch):
         sink = entries
         invariant_hermitian_form(t)
     irrational = [x for x in band | entries if not x.is_rational()]
-    assert (len(band), len(entries), len(irrational)) == (6, 182, 143)
+    # no closure element reaches the Kronecker band: the |t| = 2 elements that did are Jordan
+    # blocks, which has_finite_order's eigenvalue identity (a) settles exactly
+    assert (len(band), len(entries), len(irrational)) == (0, 182, 143)
     for x in band | entries:
         assert real_sign(x) == decimal_ladder_sign(x), x
 
